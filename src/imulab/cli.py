@@ -16,9 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -157,34 +155,17 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> ExperimentCo
     return ExperimentConfig(**raw)
 
 
-def _thread_count() -> int:
-    val = os.environ.get("IMULAB_THREADS", "0")
-    try:
-        n = int(val)
-    except ValueError:
-        raise ConfigError(f"IMULAB_THREADS must be an integer, got {val!r}")
-    if n <= 0:
-        n = os.cpu_count() or 1
-    return n
-
-
 def _load_array(manifest_path: Path) -> tuple[ArrayRecording, ArrayManifest]:
+    """Load all recordings named by a manifest into one aligned array."""
     manifest = load_manifest(manifest_path)
-    base = manifest_path.parent
-    workers = min(_thread_count(), len(manifest.sensor_files))
-
-    def parse(entry):
-        sensor_id, rel = entry
-        path = base / rel
+    recs = []
+    for sensor_id, rel in manifest.sensor_files:
+        path = manifest_path.parent / rel
         if not path.exists():
             raise DataError(f"missing recording file {path}")
-        return parse_recording_csv(path, sensor_id, manifest.rate_hz, manifest.gyro_units)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            recs = list(pool.map(parse, manifest.sensor_files))
-    else:
-        recs = [parse(e) for e in manifest.sensor_files]
+        recs.append(
+            parse_recording_csv(path, sensor_id, manifest.rate_hz, manifest.gyro_units)
+        )
     try:
         return ArrayRecording(tuple(recs)), manifest
     except ValueError as exc:
@@ -539,7 +520,6 @@ def _read_optional_json(path: Path):
 
 
 def _write_table(columns: dict, stem: Path, fmt: str) -> None:
-    columns = {k: np.asarray(v).tolist() for k, v in columns.items()}
     write_report(columns, fmt, stem.with_suffix(f".{fmt}"))
 
 

@@ -13,7 +13,6 @@ module only, driven by the manifest's declared units.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import io
 import json
@@ -25,7 +24,7 @@ from typing import IO, Mapping
 
 import numpy as np
 
-from .sensor_model import ArrayRecording, GravityModel, SensorRecording, residuals
+from .sensor_model import SPACING_TOL, ArrayRecording, GravityModel, SensorRecording, residuals
 from .estimation import estimate_bias, rms
 
 __all__ = [
@@ -38,7 +37,6 @@ __all__ = [
     "write_manifest",
     "parse_recording_csv",
     "write_recording_csv",
-    "load_array",
     "write_array",
     "dataset_summary",
     "write_report",
@@ -152,44 +150,35 @@ def parse_recording_csv(
 
     ``stream`` may be an open text stream or a path. Gyro columns are
     converted from the declared units; time spacing is validated against
-    ``rate_hz`` with 1e-6 s slack.
+    ``rate_hz`` with ``SPACING_TOL`` slack. Blank lines are skipped.
     """
     if gyro_units not in _GYRO_UNITS:
         raise ConfigError(f"unknown gyro units {gyro_units!r}")
-    close = False
-    if not hasattr(stream, "read"):
-        stream = open(stream, "r", newline="")
-        close = True
-    try:
-        reader = csv.reader(stream)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{sensor_id}: empty file")
-        if [h.strip() for h in header] != _CSV_HEADER:
-            raise ParseError(
-                f"{sensor_id}: bad header {header!r}, expected {','.join(_CSV_HEADER)}"
-            )
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 7:
-                raise ParseError(f"{sensor_id}: line {lineno}: expected 7 columns")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise ParseError(f"{sensor_id}: line {lineno}: {exc}") from exc
-    finally:
-        if close:
-            stream.close()
-    if not rows:
+    if hasattr(stream, "read"):
+        text = stream.read()
+    else:
+        with open(stream, "r", newline="") as fh:
+            text = fh.read()
+    if not text:
+        raise ParseError(f"{sensor_id}: empty file")
+    header_line, _, body = text.partition("\n")
+    header = header_line.rstrip("\r").split(",")
+    if [h.strip() for h in header] != _CSV_HEADER:
+        raise ParseError(
+            f"{sensor_id}: bad header {header!r}, expected {','.join(_CSV_HEADER)}"
+        )
+    if not body.strip("\r\n"):
         raise ParseError(f"{sensor_id}: no data rows")
-    arr = np.array(rows)
+    try:
+        arr = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        raise _parse_error(sensor_id, body, exc) from exc
+    if arr.shape[1] != len(_CSV_HEADER):
+        raise _parse_error(sensor_id, body, "expected 7 columns")
     t = arr[:, 0]
     if np.any(np.diff(t) <= 0):
         raise DataError(f"{sensor_id}: timestamps not strictly increasing")
-    if t.size > 1 and np.max(np.abs(np.diff(t) - 1.0 / rate_hz)) > 1e-6:
+    if t.size > 1 and np.max(np.abs(np.diff(t) - 1.0 / rate_hz)) > SPACING_TOL:
         raise DataError(f"{sensor_id}: sample spacing inconsistent with {rate_hz} Hz")
     gyro = arr[:, 1:4]
     if gyro_units == "deg/s":
@@ -197,6 +186,26 @@ def parse_recording_csv(
     return SensorRecording(
         sensor_id=sensor_id, rate_hz=rate_hz, t=t, gyro=gyro, accel=arr[:, 4:7]
     )
+
+
+def _parse_error(sensor_id: str, body: str, cause) -> ParseError:
+    """Error naming the first malformed line of a recording body.
+
+    Only called once the vectorised parse has failed: its row numbers skip
+    blank lines, so the file line is found by rescanning (the header is line
+    1). Falls back to ``cause`` if no line is malformed by this scan's rules.
+    """
+    for lineno, line in enumerate(body.split("\n"), start=2):
+        row = line.rstrip("\r").split(",")
+        if row == [""]:
+            continue
+        if len(row) != len(_CSV_HEADER):
+            return ParseError(f"{sensor_id}: line {lineno}: expected 7 columns")
+        try:
+            [float(v) for v in row]
+        except ValueError as exc:
+            return ParseError(f"{sensor_id}: line {lineno}: {exc}")
+    return ParseError(f"{sensor_id}: {cause}")
 
 
 def write_recording_csv(
@@ -219,24 +228,6 @@ def write_recording_csv(
         dest.write(text)
     else:
         Path(dest).write_text(text)
-
-
-def load_array(manifest_path: str | os.PathLike) -> tuple[ArrayRecording, ArrayManifest]:
-    """Load all recordings named by a manifest into one aligned array."""
-    manifest = load_manifest(manifest_path)
-    base = Path(manifest_path).parent
-    recs = []
-    for sensor_id, rel in manifest.sensor_files:
-        path = base / rel
-        if not path.exists():
-            raise DataError(f"missing recording file {path}")
-        recs.append(
-            parse_recording_csv(path, sensor_id, manifest.rate_hz, manifest.gyro_units)
-        )
-    try:
-        return ArrayRecording(tuple(recs)), manifest
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
 
 
 def write_array(
@@ -291,19 +282,28 @@ def dataset_summary(array: ArrayRecording, gravity: GravityModel) -> DatasetSumm
     )
 
 
+_NON_FINITE = "reports must not contain non-finite values"
+
+
 def _jsonable(obj):
     if isinstance(obj, np.ndarray):
+        if obj.dtype == object:
+            return _jsonable(obj.tolist())
+        if obj.dtype.kind == "f" and not np.isfinite(obj).all():
+            raise ValueError(_NON_FINITE)
         return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+    if isinstance(obj, np.generic):
+        return _jsonable(obj.item())
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(_NON_FINITE)
+        return obj
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, Mapping):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, float) and not math.isfinite(obj):
-        raise ValueError("reports must not contain non-finite values")
     return obj
 
 
@@ -312,7 +312,8 @@ def write_report(report, fmt: str, dest: IO[str] | str | os.PathLike) -> None:
 
     JSON accepts any nesting of dataclasses, mappings, sequences, and arrays.
     CSV requires a flat mapping of column name -> sequence of scalars (all of
-    one length); an all-empty table still produces the header line.
+    one length); an all-empty table still produces the header line. CSV cells
+    hold ``repr`` of floats (shortest round trip) and ``str`` of anything else.
     """
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown report format {fmt!r}")
@@ -326,22 +327,14 @@ def write_report(report, fmt: str, dest: IO[str] | str | os.PathLike) -> None:
             isinstance(v, list) for v in payload.values()
         ):
             raise ConfigError("csv reports require a mapping of columns to sequences")
-        cols = list(payload)
-        lengths = {len(payload[c]) for c in cols}
-        if len(lengths) > 1:
+        if len({len(v) for v in payload.values()}) > 1:
             raise ConfigError("csv report columns must share one length")
-        buf.write(",".join(cols) + "\n")
-        n = lengths.pop() if lengths else 0
-        for i in range(n):
-            buf.write(
-                ",".join(
-                    repr(float(payload[c][i]))
-                    if isinstance(payload[c][i], float)
-                    else str(payload[c][i])
-                    for c in cols
-                )
-                + "\n"
-            )
+        columns = [
+            [repr(v) if isinstance(v, float) else str(v) for v in col]
+            for col in payload.values()
+        ]
+        buf.write(",".join(payload) + "\n")
+        buf.writelines(",".join(row) + "\n" for row in zip(*columns))
     text = buf.getvalue()
     try:
         if hasattr(dest, "write"):

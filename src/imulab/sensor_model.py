@@ -18,6 +18,7 @@ __all__ = [
     "SensorErrorParams",
     "GravityModel",
     "ImuSample",
+    "SPACING_TOL",
     "SensorRecording",
     "ArrayRecording",
     "MEMS_ERROR_RANGES",
@@ -28,8 +29,9 @@ __all__ = [
     "gravity_rms",
 ]
 
-# Time-grid slack for the uniform-spacing invariant, seconds.
-_SPACING_TOL = 1e-9
+# Time-grid slack for the uniform-spacing invariant, seconds: wide enough for
+# timestamps rounded to the microsecond. Recording parsers use the same value.
+SPACING_TOL = 1e-6
 
 
 def _as_vec3(x, name: str) -> np.ndarray:
@@ -167,7 +169,7 @@ class SensorRecording:
             dt = np.diff(t)
             if np.any(dt <= 0):
                 raise ValueError("timestamps must be strictly increasing")
-            if np.max(np.abs(dt - 1.0 / self.rate_hz)) > _SPACING_TOL:
+            if np.max(np.abs(dt - 1.0 / self.rate_hz)) > SPACING_TOL:
                 raise ValueError("timestamps not uniformly spaced at rate_hz")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "gyro", gyro)
@@ -199,7 +201,7 @@ class ArrayRecording:
                 raise ValueError("all recordings must share the same sample count")
             if r.rate_hz != ref.rate_hz:
                 raise ValueError("all recordings must share the same rate")
-            if np.max(np.abs(r.t - ref.t)) > _SPACING_TOL:
+            if np.max(np.abs(r.t - ref.t)) > SPACING_TOL:
                 raise ValueError("all recordings must share the same time base")
         object.__setattr__(self, "recordings", recs)
 

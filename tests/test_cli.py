@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +76,18 @@ class TestConfig:
         assert params[0].sigma_gyro == pytest.approx(np.deg2rad(0.033))
 
 
+def test_cli_import_leaves_scipy_stats_unloaded():
+    import imulab
+
+    src = str(Path(imulab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, imulab.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
+
+
 class TestSimulate:
     def test_writes_manifest_and_csvs(self, tmp_path):
         cfg = _write_config(tmp_path)
@@ -146,20 +160,39 @@ class TestEstimate:
         victim.write_text("t,gx,gy,gz,ax,ay,az\n0,nope,0,0,0,0,0\n")
         assert main(["estimate", "--config", str(simulated)]) == 3
 
-    def test_thread_count_parity(self, tmp_path, monkeypatch):
-        outs = {}
-        for label, threads in (("serial", "1"), ("parallel", "4")):
-            out_dir = tmp_path / label
-            cfg = _write_config(tmp_path, out_dir=str(out_dir))
-            monkeypatch.setenv("IMULAB_THREADS", threads)
-            assert main(["simulate", "--config", str(cfg)]) == 0
-            assert main(["estimate", "--config", str(cfg)]) == 0
-            outs[label] = _dir_bytes(out_dir)
-        assert outs["serial"] == outs["parallel"]
+    @staticmethod
+    def _estimate_3hz_manifest(tmp_path: Path, jitter: float) -> int:
+        """Run estimate on two hand-written 3 Hz recordings whose timestamps
+        are rounded to the microsecond; ``jitter`` s is added to one of imu_b's."""
+        t = np.round(np.arange(300) / 3.0, 6)
+        rng = np.random.default_rng(0)
+        files = []
+        for sid in ("imu_a", "imu_b"):
+            t_s = t.copy()
+            if sid == "imu_b":
+                t_s[5] += jitter
+            rows = np.column_stack([
+                t_s,
+                rng.normal(0.0, 1e-3, (t.size, 3)),
+                rng.normal(0.0, 1e-2, (t.size, 3)) + [0.0, 0.0, -9.81],
+            ])
+            lines = ["t,gx,gy,gz,ax,ay,az", *(",".join(map(repr, r)) for r in rows.tolist())]
+            (tmp_path / f"{sid}.csv").write_text("\n".join(lines) + "\n")
+            files.append({"sensor_id": sid, "path": f"{sid}.csv"})
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"rate_hz": 3.0, "sensor_files": files}))
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"manifest": str(manifest), "k_grid": [1, 2],
+                                   "out_dir": str(tmp_path / "out")}))
+        return main(["estimate", "--config", str(cfg)])
 
-    def test_bad_thread_env_exits_2(self, tmp_path, simulated, monkeypatch):
-        monkeypatch.setenv("IMULAB_THREADS", "many")
-        assert main(["estimate", "--config", str(simulated)]) == 2
+    def test_microsecond_rounded_timestamps_accepted(self, tmp_path):
+        assert self._estimate_3hz_manifest(tmp_path, 0.0) == 0
+
+    def test_timestamp_jitter_exits_3_naming_sensor(self, tmp_path, capsys):
+        assert self._estimate_3hz_manifest(tmp_path, 1e-5) == 3
+        err = capsys.readouterr().err
+        assert "data error: imu_b: sample spacing inconsistent" in err
 
 
 class TestPropagate:

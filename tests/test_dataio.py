@@ -1,9 +1,13 @@
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from imulab.cli import _load_array
 from imulab.dataio import (
     ArrayManifest,
     ConfigError,
@@ -11,7 +15,6 @@ from imulab.dataio import (
     DatasetSummary,
     ParseError,
     dataset_summary,
-    load_array,
     load_manifest,
     parse_recording_csv,
     write_array,
@@ -62,6 +65,57 @@ class TestParseRecordingCsv:
         rec = parse_recording_csv(io.StringIO(body), "s0", 1.0)
         assert np.allclose(rec.gyro, [[1, 2, 3]])
 
+    def test_crlf_with_blank_lines_accepted(self):
+        body = "t,gx,gy,gz,ax,ay,az\r\n0,1,2,3,4,5,6\r\n\r\n1,1,2,3,4,5,6\r\n"
+        rec = parse_recording_csv(io.StringIO(body), "s0", 1.0)
+        assert np.array_equal(rec.t, [0.0, 1.0])
+
+    def test_bad_value_after_blank_line_names_file_line(self):
+        body = "t,gx,gy,gz,ax,ay,az\n0,0,0,0,0,0,0\n\n\n1,0,0,x,0,0,0\n"
+        with pytest.raises(ParseError, match=r"s0: line 5: .*'x'"):
+            parse_recording_csv(io.StringIO(body), "s0", 1.0)
+
+    @pytest.mark.parametrize(
+        "rows, line",
+        [
+            ("0,0,0,0,0,0,0\n1,0,0,0,0,0\n", 3),  # one short row
+            ("0,0,0,0,0,0\n1,0,0,0,0,0\n", 2),  # every row short
+            ("\n0,0,0,0,0,0,0,0\n", 3),  # every row long, after a blank line
+            ("0,0,0,0,0,0,0\n   \n", 3),  # whitespace-only row
+            ("\n  \n", 3),  # whitespace-only row and nothing else
+        ],
+    )
+    def test_wrong_column_count_names_line(self, rows, line):
+        with pytest.raises(ParseError, match=f"line {line}: expected 7 columns"):
+            parse_recording_csv(io.StringIO("t,gx,gy,gz,ax,ay,az\n" + rows), "s0", 1.0)
+
+    @pytest.mark.parametrize("body", ["", "\n", "\r\n\r\n\n"])
+    def test_header_only_has_no_data_rows(self, body):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError, match="no data rows"):
+                parse_recording_csv(io.StringIO("t,gx,gy,gz,ax,ay,az" + body), "s0", 1.0)
+
+    def test_empty_file(self):
+        with pytest.raises(ParseError, match="empty file"):
+            parse_recording_csv(io.StringIO(""), "s0", 1.0)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=6, max_size=6),
+        min_size=1, max_size=20,
+    ))
+    def test_values_match_python_float(self, rows):
+        # Any shortest-repr or hand-written decimal parses to float()'s double.
+        lines = [",".join([str(i), *(repr(v) for v in row[:3]), *(f"{v:.17g}" for v in row[3:])])
+                 for i, row in enumerate(rows)]
+        text = "t,gx,gy,gz,ax,ay,az\n" + "\n".join(lines) + "\n"
+        rec = parse_recording_csv(io.StringIO(text), "s0", 1.0)
+        expected = np.array([[float(v) for v in line.split(",")] for line in lines])
+        assert np.array_equal(rec.t, expected[:, 0])
+        assert np.array_equal(rec.gyro, expected[:, 1:4])
+        assert np.array_equal(rec.accel, expected[:, 4:7])
+
 
 class TestRoundTrips:
     @pytest.mark.parametrize("seed", range(5))
@@ -90,7 +144,7 @@ class TestRoundTrips:
     def test_array_round_trip(self, tmp_path, gravity):
         arr = simulate_array(draw_sensor_params(3, 1), gravity, 0.5, 100.0, seed=1)
         manifest_path = write_array(arr, tmp_path, gravity)
-        back, manifest = load_array(manifest_path)
+        back, manifest = _load_array(manifest_path)
         assert manifest.gravity_mps2 == gravity.g_magnitude
         for a, b in zip(arr.recordings, back.recordings):
             assert np.array_equal(a.gyro, b.gyro)
@@ -167,6 +221,49 @@ class TestWriteReport:
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ConfigError):
             write_report({}, "xml", tmp_path / "x.xml")
+
+    def test_csv_matches_cell_by_cell_format(self, tmp_path, rng):
+        n = 40
+        table = {
+            "x": rng.normal(size=n) * 10.0 ** rng.integers(-30, 30, n),
+            "k": np.arange(n) - 7,
+            "label": np.array([f"s{i:02d}" for i in range(n)]),
+            "mixed": [1.5, 2, "a", True, None] * (n // 5),
+        }
+        dest = tmp_path / "t.csv"
+        write_report(table, "csv", dest)
+        # Reference: the cell-by-cell rule, one cell at a time.
+        cols = {k: np.asarray(v).tolist() if isinstance(v, np.ndarray) else v
+                for k, v in table.items()}
+        expected = ",".join(cols) + "\n" + "".join(
+            ",".join(
+                repr(float(cols[c][i])) if isinstance(cols[c][i], float) else str(cols[c][i])
+                for c in cols
+            ) + "\n"
+            for i in range(n)
+        )
+        assert dest.read_text() == expected
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "column",
+        [
+            np.array([1.0, np.nan]),
+            np.array(["a", np.nan], dtype=object),
+            [1.0, np.float64("inf")],
+            [float("-inf")],
+        ],
+        ids=["ndarray", "object-ndarray", "numpy-scalar", "list"],
+    )
+    def test_non_finite_rejected(self, tmp_path, fmt, column):
+        dest = tmp_path / f"x.{fmt}"
+        with pytest.raises(ValueError, match="non-finite"):
+            write_report({"x": column}, fmt, dest)
+        assert not dest.exists()
+
+    def test_bare_numpy_non_finite_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="non-finite"):
+            write_report(np.float64("inf"), "json", tmp_path / "x.json")
 
     def test_deterministic_output(self, tmp_path, gravity):
         arr = simulate_array(draw_sensor_params(2, 5), gravity, 1.0, 100.0, seed=5)

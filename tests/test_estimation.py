@@ -170,6 +170,50 @@ class TestKde:
         with pytest.raises(ValueError):
             kde_density(np.array([1.0]), np.array([0.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_samples_rejected(self, rng, bad):
+        x = rng.normal(size=100)
+        x[17] = bad
+        with pytest.raises(ValueError, match="finite"):
+            kde_density(x, np.linspace(-3, 3, 11))
+
+    @staticmethod
+    def dense_kde(samples, grid, bandwidth=None):
+        """Reference: every sample against every grid point."""
+        x = np.asarray(samples, dtype=float).ravel()
+        if bandwidth is None:
+            bandwidth = 1.06 * (x.std(ddof=1) or 1e-12) * x.size ** (-0.2)
+        d = (grid[None, :] - x[:, None]) / bandwidth
+        return np.exp(-0.5 * d * d).sum(axis=0) / (x.size * bandwidth * np.sqrt(2 * np.pi))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 3000),
+        modes=st.integers(1, 4),
+        scale=st.floats(1e-6, 1e6),
+        offset=st.floats(-1e3, 1e3),
+        explicit=st.booleans(),
+    )
+    def test_matches_dense_sum(self, seed, n, modes, scale, offset, explicit):
+        rng = np.random.default_rng(seed)
+        x = offset + scale * (rng.normal(size=n) + 8.0 * rng.integers(0, modes, n))
+        lo, hi = x.min(), x.max()
+        pad = 0.1 * (hi - lo) if hi > lo else 1.0
+        grid = np.linspace(lo - pad, hi + pad, 201)
+        bandwidth = scale * rng.uniform(0.01, 2.0) if explicit else None
+        want = self.dense_kde(x, grid, bandwidth)
+        got = kde_density(x, grid, bandwidth)
+        assert np.max(np.abs(got - want)) <= 1e-12 * want.max()
+
+    def test_constant_sample_matches_dense_sum(self):
+        x = np.full(50, 0.25)
+        grid = np.concatenate([np.linspace(-1, 1, 101), [0.25 + 1e-12, 0.25 - 3e-12]])
+        want = self.dense_kde(x, grid)
+        got = kde_density(x, grid)
+        assert want.max() > 0
+        assert np.max(np.abs(got - want)) <= 1e-12 * want.max()
+
 
 class TestQualityRanking:
     def test_two_sensor_ordering(self, gravity):

@@ -35,6 +35,8 @@ from .dataio import (
     write_report,
 )
 from .estimation import (
+    bias_and_noise,
+    bias_score,
     db_ratio,
     kde_density,
     rms,
@@ -410,9 +412,7 @@ def _propagation_inputs(
         ordered, _ = sort_by_quality(array, gravity)
         biases, sig_a, sig_g = [], [], []
         for rec in ordered.recordings:
-            res = residuals(rec, gravity)
-            b = res.mean(axis=0)
-            noise = (res - b).std(axis=0, ddof=1)
+            b, noise = bias_and_noise(rec, gravity)
             biases.append(np.concatenate([b[3:], b[:3]]))  # accel first, then gyro
             sig_g.append(rms(noise[:3]))
             sig_a.append(rms(noise[3:]))
@@ -423,7 +423,10 @@ def _propagation_inputs(
         return gravity, np.array(biases), spectra
     gravity = config.gravity
     params = config.sensor_params()
-    params.sort(key=_param_badness, reverse=True)
+    params.sort(
+        key=lambda p: bias_score(np.concatenate([p.bias_gyro, p.bias_accel])),
+        reverse=True,
+    )
     biases = np.array(
         [np.concatenate([p.bias_accel, p.bias_gyro]) for p in params]
     )
@@ -443,15 +446,6 @@ def _propagation_inputs(
             config.rate_hz,
         )
     return gravity, biases, spectra
-
-
-def _param_badness(p: SensorErrorParams) -> float:
-    from .estimation import _QUALITY_NORM_ACCEL, _QUALITY_NORM_GYRO
-
-    scaled = np.concatenate(
-        [p.bias_gyro / _QUALITY_NORM_GYRO, p.bias_accel / _QUALITY_NORM_ACCEL]
-    )
-    return rms(scaled)
 
 
 def cmd_report(config: ExperimentConfig) -> int:

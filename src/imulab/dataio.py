@@ -24,8 +24,8 @@ from typing import IO, Mapping
 
 import numpy as np
 
-from .sensor_model import SPACING_TOL, ArrayRecording, GravityModel, SensorRecording, residuals
-from .estimation import estimate_bias, rms
+from .sensor_model import SPACING_TOL, ArrayRecording, GravityModel, SensorRecording
+from .estimation import bias_and_noise, rms
 
 __all__ = [
     "ParseError",
@@ -150,7 +150,8 @@ def parse_recording_csv(
 
     ``stream`` may be an open text stream or a path. Gyro columns are
     converted from the declared units; time spacing is validated against
-    ``rate_hz`` with ``SPACING_TOL`` slack. Blank lines are skipped.
+    ``rate_hz`` with ``SPACING_TOL`` slack. Blank lines are skipped; a
+    ``nan`` or ``inf`` value is a ``ParseError`` naming its line.
     """
     if gyro_units not in _GYRO_UNITS:
         raise ConfigError(f"unknown gyro units {gyro_units!r}")
@@ -175,6 +176,8 @@ def parse_recording_csv(
         raise _parse_error(sensor_id, body, exc) from exc
     if arr.shape[1] != len(_CSV_HEADER):
         raise _parse_error(sensor_id, body, "expected 7 columns")
+    if not np.isfinite(arr).all():
+        raise _parse_error(sensor_id, body, "non-finite value")
     t = arr[:, 0]
     if np.any(np.diff(t) <= 0):
         raise DataError(f"{sensor_id}: timestamps not strictly increasing")
@@ -189,11 +192,12 @@ def parse_recording_csv(
 
 
 def _parse_error(sensor_id: str, body: str, cause) -> ParseError:
-    """Error naming the first malformed line of a recording body.
+    """Error naming the first malformed or non-finite line of a recording body.
 
-    Only called once the vectorised parse has failed: its row numbers skip
-    blank lines, so the file line is found by rescanning (the header is line
-    1). Falls back to ``cause`` if no line is malformed by this scan's rules.
+    Only called once the vectorised parse has failed or found a non-finite
+    value: its row numbers skip blank lines, so the file line is found by
+    rescanning (the header is line 1). Falls back to ``cause`` if no line is
+    malformed by this scan's rules.
     """
     for lineno, line in enumerate(body.split("\n"), start=2):
         row = line.rstrip("\r").split(",")
@@ -202,9 +206,11 @@ def _parse_error(sensor_id: str, body: str, cause) -> ParseError:
         if len(row) != len(_CSV_HEADER):
             return ParseError(f"{sensor_id}: line {lineno}: expected 7 columns")
         try:
-            [float(v) for v in row]
+            vals = [float(v) for v in row]
         except ValueError as exc:
             return ParseError(f"{sensor_id}: line {lineno}: {exc}")
+        if not all(map(math.isfinite, vals)):
+            return ParseError(f"{sensor_id}: line {lineno}: non-finite value")
     return ParseError(f"{sensor_id}: {cause}")
 
 
@@ -213,21 +219,17 @@ def write_recording_csv(
     dest: IO[str] | str | os.PathLike,
     gyro_units: str = "rad/s",
 ) -> None:
-    """Write a recording as CSV with shortest round-trip float formatting."""
+    """Write a recording as a ``write_report`` CSV table, one row per sample.
+
+    Cells are shortest round-trip floats; non-finite values are rejected.
+    """
     if gyro_units not in _GYRO_UNITS:
         raise ConfigError(f"unknown gyro units {gyro_units!r}")
     gyro = recording.gyro
     if gyro_units == "deg/s":
         gyro = np.rad2deg(gyro)
-    lines = [",".join(_CSV_HEADER)]
-    for i in range(recording.n_samples):
-        vals = [recording.t[i], *gyro[i], *recording.accel[i]]
-        lines.append(",".join(repr(float(v)) for v in vals))
-    text = "\n".join(lines) + "\n"
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        Path(dest).write_text(text)
+    cols = [recording.t, *gyro.T, *recording.accel.T]
+    write_report(dict(zip(_CSV_HEADER, cols)), "csv", dest)
 
 
 def write_array(
@@ -265,9 +267,7 @@ def dataset_summary(array: ArrayRecording, gravity: GravityModel) -> DatasetSumm
         raise ValueError("need at least two samples per sensor")
     ids, gb, gn, ab, an = [], [], [], [], []
     for rec in array.recordings:
-        bias, _ = estimate_bias(rec, gravity)
-        res = residuals(rec, gravity) - bias
-        noise = res.std(axis=0, ddof=1)
+        bias, noise = bias_and_noise(rec, gravity)
         ids.append(rec.sensor_id)
         gb.append(float(np.rad2deg(rms(bias[:3]))))
         gn.append(float(np.rad2deg(rms(noise[:3]))))

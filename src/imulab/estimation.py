@@ -28,7 +28,9 @@ __all__ = [
     "kde_density",
     "sort_by_quality",
     "quality_score",
+    "bias_score",
     "estimate_bias",
+    "bias_and_noise",
     "wss_check",
 ]
 
@@ -231,13 +233,17 @@ _QUALITY_NORM_GYRO = float(np.deg2rad(MEMS_ERROR_RANGES["gyro_bias_rms_dps"][1])
 _QUALITY_NORM_ACCEL = float(MEMS_ERROR_RANGES["accel_bias_rms"][1])
 
 
-def quality_score(recording: SensorRecording, gravity: GravityModel) -> float:
-    """Scalar badness score of one sensor: RMS of its normalized 6-axis bias."""
-    bias, _ = estimate_bias(recording, gravity)
+def bias_score(bias: np.ndarray) -> float:
+    """Badness of a six-axis bias (gyro, then accel): RMS of its normalized axes."""
     scaled = np.concatenate(
         [bias[:3] / _QUALITY_NORM_GYRO, bias[3:] / _QUALITY_NORM_ACCEL]
     )
     return rms(scaled)
+
+
+def quality_score(recording: SensorRecording, gravity: GravityModel) -> float:
+    """Scalar badness score of one sensor: ``bias_score`` of its estimated bias."""
+    return bias_score(estimate_bias(recording, gravity)[0])
 
 
 def sort_by_quality(
@@ -274,6 +280,19 @@ def estimate_bias(
     bias[constant] = res[0, constant]
     unc[constant] = 0.0
     return bias, unc
+
+
+def bias_and_noise(
+    recording: SensorRecording, gravity: GravityModel
+) -> tuple[np.ndarray, np.ndarray]:
+    """Six-axis bias estimate and per-axis white-noise std around it.
+
+    The noise is the sample std (ddof=1) of the residuals after removing the
+    ``estimate_bias`` bias.
+    """
+    bias, _ = estimate_bias(recording, gravity)
+    noise = (residuals(recording, gravity) - bias).std(axis=0, ddof=1)
+    return bias, noise
 
 
 def wss_check(series: np.ndarray, alpha: float = 0.01, n_lags: int = 20) -> WssVerdict:

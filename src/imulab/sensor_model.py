@@ -10,14 +10,13 @@ happens only in :mod:`imulab.dataio`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "SensorErrorParams",
     "GravityModel",
-    "ImuSample",
     "SPACING_TOL",
     "SensorRecording",
     "ArrayRecording",
@@ -43,21 +42,12 @@ def _as_vec3(x, name: str) -> np.ndarray:
     return v
 
 
-def _as_mat3(x, name: str) -> np.ndarray:
-    m = np.asarray(x, dtype=float)
-    if m.shape != (3, 3):
-        raise ValueError(f"{name} must be 3x3, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError(f"{name} must be finite")
-    return m
-
-
 @dataclass(frozen=True)
 class SensorErrorParams:
     """Deterministic and stochastic error parameters of one IMU.
 
     ``sigma_gyro`` / ``sigma_accel`` are per-sample white-noise standard
-    deviations (isotropic across axes unless the per-axis overrides are set).
+    deviations, the same on all three axes.
     ``sigma_gyro_bias`` / ``sigma_accel_bias`` are in-run bias random-walk
     intensities in units of (rad/s)/sqrt(s) and (m/s^2)/sqrt(s); they feed the
     process-noise model and are *not* injected into simulated measurements
@@ -71,42 +61,15 @@ class SensorErrorParams:
     sigma_accel: float = 0.0
     sigma_gyro_bias: float = 0.0
     sigma_accel_bias: float = 0.0
-    gain_gyro: np.ndarray = field(default_factory=lambda: np.zeros((3, 3)))
-    gain_accel: np.ndarray = field(default_factory=lambda: np.zeros((3, 3)))
-    sigma_gyro_axes: np.ndarray | None = None
-    sigma_accel_axes: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "bias_gyro", _as_vec3(self.bias_gyro, "bias_gyro"))
         object.__setattr__(self, "bias_accel", _as_vec3(self.bias_accel, "bias_accel"))
-        object.__setattr__(self, "gain_gyro", _as_mat3(self.gain_gyro, "gain_gyro"))
-        object.__setattr__(self, "gain_accel", _as_mat3(self.gain_accel, "gain_accel"))
         for name in ("sigma_gyro", "sigma_accel", "sigma_gyro_bias", "sigma_accel_bias"):
             val = float(getattr(self, name))
             if not np.isfinite(val) or val < 0:
                 raise ValueError(f"{name} must be finite and >= 0, got {val}")
             object.__setattr__(self, name, val)
-        for name in ("sigma_gyro_axes", "sigma_accel_axes"):
-            val = getattr(self, name)
-            if val is not None:
-                vec = _as_vec3(val, name)
-                if np.any(vec < 0):
-                    raise ValueError(f"{name} entries must be >= 0")
-                object.__setattr__(self, name, vec)
-
-    @property
-    def gyro_noise_std(self) -> np.ndarray:
-        """Per-axis gyro white-noise std, rad/s."""
-        if self.sigma_gyro_axes is not None:
-            return self.sigma_gyro_axes
-        return np.full(3, self.sigma_gyro)
-
-    @property
-    def accel_noise_std(self) -> np.ndarray:
-        """Per-axis accel white-noise std, m/s^2."""
-        if self.sigma_accel_axes is not None:
-            return self.sigma_accel_axes
-        return np.full(3, self.sigma_accel)
 
 
 @dataclass(frozen=True)
@@ -128,18 +91,6 @@ class GravityModel:
     @property
     def nav_gravity(self) -> np.ndarray:
         return np.array([0.0, 0.0, self.g_magnitude])
-
-    @property
-    def body_to_nav(self) -> np.ndarray:
-        # Body and navigation frames coincide for a stationary leveled array.
-        return np.eye(3)
-
-
-@dataclass(frozen=True)
-class ImuSample:
-    t: float
-    gyro: np.ndarray
-    accel: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -179,11 +130,6 @@ class SensorRecording:
     def n_samples(self) -> int:
         return self.t.shape[0]
 
-    @property
-    def samples(self) -> Iterator[ImuSample]:
-        for i in range(self.n_samples):
-            yield ImuSample(float(self.t[i]), self.gyro[i], self.accel[i])
-
 
 @dataclass(frozen=True)
 class ArrayRecording:
@@ -195,6 +141,10 @@ class ArrayRecording:
         recs = tuple(self.recordings)
         if len(recs) < 1:
             raise ValueError("array must contain at least one recording")
+        ids = [r.sensor_id for r in recs]
+        for sid in ids:
+            if ids.count(sid) > 1:
+                raise ValueError(f"duplicate sensor_id {sid!r}")
         ref = recs[0]
         for r in recs[1:]:
             if r.n_samples != ref.n_samples:
@@ -216,14 +166,6 @@ class ArrayRecording:
     @property
     def rate_hz(self) -> float:
         return self.recordings[0].rate_hz
-
-    def gyro_tensor(self) -> np.ndarray:
-        """Stacked gyro measurements, shape (N, K, 3)."""
-        return np.stack([r.gyro for r in self.recordings], axis=1)
-
-    def accel_tensor(self) -> np.ndarray:
-        """Stacked accel measurements, shape (N, K, 3)."""
-        return np.stack([r.accel for r in self.recordings], axis=1)
 
 
 # Min / median / max error spread of a ten-unit consumer-grade MEMS array
@@ -324,18 +266,15 @@ def simulate_array(
         raise ValueError("duration_s * rate_hz must round to at least one sample")
     dt = 1.0 / rate_hz
     t = np.arange(n) * dt
-    f_true = -(gravity.nav_gravity)  # specific force sensed at rest
+    # Specific force sensed at rest. Built directly rather than as
+    # -nav_gravity, which would hold -0.0 in the level axes.
+    f_true = np.array([0.0, 0.0, -gravity.g_magnitude])
 
     recordings = []
     for k, p in enumerate(params_list):
         rng = np.random.default_rng([int(seed), k])
-        gyro = p.bias_gyro + rng.normal(size=(n, 3)) * p.gyro_noise_std
-        accel = (
-            f_true
-            + p.gain_accel @ f_true
-            + p.bias_accel
-            + rng.normal(size=(n, 3)) * p.accel_noise_std
-        )
+        gyro = p.bias_gyro + rng.normal(size=(n, 3)) * p.sigma_gyro
+        accel = f_true + p.bias_accel + rng.normal(size=(n, 3)) * p.sigma_accel
         if inject_bias_walk:
             walk_g = np.cumsum(
                 rng.normal(size=(n, 3)) * (p.sigma_gyro_bias * np.sqrt(dt)), axis=0

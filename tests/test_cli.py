@@ -18,6 +18,24 @@ def _dir_bytes(root: Path) -> dict:
     }
 
 
+def _read_table(path: Path) -> np.ndarray:
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+
+def _write_manifest_config(tmp_path: Path, **overrides) -> Path:
+    """Config reading the recordings that ``simulate`` wrote under ``out``."""
+    cfg = {
+        "manifest": str(tmp_path / "out" / "recordings" / "manifest.json"),
+        "k_grid": [1, 4],
+        "tau_grid": [0.0, 1.0, 10.0],
+        "out_dir": str(tmp_path / "out"),
+    }
+    cfg.update(overrides)
+    path = tmp_path / "manifest_config.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
 def _write_config(tmp_path: Path, **overrides) -> Path:
     cfg = {
         "seed": 42,
@@ -160,6 +178,29 @@ class TestEstimate:
         victim.write_text("t,gx,gy,gz,ax,ay,az\n0,nope,0,0,0,0,0\n")
         assert main(["estimate", "--config", str(simulated)]) == 3
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_sample_exits_3_naming_line(self, tmp_path, simulated, capsys, bad):
+        victim = tmp_path / "out" / "recordings" / "sensor_02.csv"
+        lines = victim.read_text().split("\n")
+        cells = lines[5].split(",")
+        cells[5] = bad
+        lines[5] = ",".join(cells)
+        victim.write_text("\n".join(lines))
+        manifest_cfg = _write_manifest_config(tmp_path)
+        for cmd, cfg in (("estimate", simulated), ("propagate", manifest_cfg)):
+            capsys.readouterr()
+            assert main([cmd, "--config", str(cfg)]) == 3, cmd
+            assert "data error: sensor_02: line 6: non-finite value" in capsys.readouterr().err
+
+    def test_duplicate_sensor_id_exits_3(self, tmp_path, simulated, capsys):
+        manifest = tmp_path / "out" / "recordings" / "manifest.json"
+        raw = json.loads(manifest.read_text())
+        raw["sensor_files"].append(raw["sensor_files"][0])
+        manifest.write_text(json.dumps(raw))
+        assert main(["estimate", "--config", str(_write_manifest_config(tmp_path))]) == 3
+        assert "duplicate sensor_id 'sensor_00'" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "quality.json").exists()
+
     @staticmethod
     def _estimate_3hz_manifest(tmp_path: Path, jitter: float) -> int:
         """Run estimate on two hand-written 3 Hz recordings whose timestamps
@@ -242,6 +283,54 @@ class TestPropagate:
     def test_negative_tau_exits_2(self, tmp_path):
         cfg = _write_config(tmp_path, tau_grid=[-1.0, 1.0])
         assert main(["propagate", "--config", str(cfg)]) == 2
+
+    def test_manifest_matches_sensors_config_for_noiseless_sensors(self, tmp_path):
+        # Listed out of worst-first order, so both paths must sort them alike.
+        sensors = [
+            {"bias_gyro_dps": [0.5, 0, 0], "bias_accel": [0.05, 0, 0.1]},
+            {"bias_gyro_dps": [2.0, -1.0, 0.3], "bias_accel": [0.2, 0.1, -0.1]},
+            {"bias_gyro_dps": [0, 0, 0], "bias_accel": [0, 0, 0]},
+            {"bias_gyro_dps": [1.0, 0.5, 0], "bias_accel": [0, 0.1, 0.05]},
+        ]
+        tau_grid = [0.0, 1.0, 10.0, 100.0]
+        cfg = _write_config(tmp_path, sensors=sensors, k_grid=[1, 2, 3, 4],
+                            tau_grid=tau_grid, duration_s=1.0)
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        assert main(["propagate", "--config", str(cfg)]) == 0
+        out = tmp_path / "out"
+        from_params = {k: _read_table(out / f"mean_error_K{k}.csv") for k in range(1, 5)}
+        manifest_cfg = _write_manifest_config(tmp_path, k_grid=[1, 2, 3, 4],
+                                              tau_grid=tau_grid)
+        assert main(["propagate", "--config", str(manifest_cfg)]) == 0
+        for k, want in from_params.items():
+            got = _read_table(out / f"mean_error_K{k}.csv")
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), k
+
+    @staticmethod
+    def _uncertainty(tmp_path: Path, rate_hz: float, interpretation: str) -> Path:
+        run = tmp_path / f"{interpretation}_{rate_hz:g}hz"
+        run.mkdir()
+        cfg = _write_config(
+            run,
+            sensors=[{"sigma_gyro_dps": 0.033, "sigma_accel": 0.007}],
+            k_grid=[1], rate_hz=rate_hz, tau_grid=[0.0, 1.0, 10.0, 100.0],
+            noise_interpretation=interpretation,
+        )
+        assert main(["propagate", "--config", str(cfg)]) == 0
+        return run / "out" / "uncertainty_K1.csv"
+
+    def test_psd_equals_per_sample_at_1hz(self, tmp_path):
+        psd = self._uncertainty(tmp_path, 1.0, "psd")
+        per_sample = self._uncertainty(tmp_path, 1.0, "per_sample")
+        assert psd.read_bytes() == per_sample.read_bytes()
+
+    def test_psd_exceeds_per_sample_by_sqrt_rate(self, tmp_path):
+        # White noise only: per_sample divides each PSD by the 100 Hz rate.
+        psd = _read_table(self._uncertainty(tmp_path, 100.0, "psd"))[1:]
+        per_sample = _read_table(self._uncertainty(tmp_path, 100.0, "per_sample"))[1:]
+        dv = slice(4, 7)  # columns: tau, dp_xyz, dv_xyz, eps_xyz
+        assert np.all(per_sample[:, dv] > 0)
+        np.testing.assert_allclose(psd[:, dv] / per_sample[:, dv], np.sqrt(100.0), rtol=1e-12)
 
 
 class TestReport:

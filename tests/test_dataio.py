@@ -22,7 +22,12 @@ from imulab.dataio import (
     write_recording_csv,
     write_report,
 )
-from imulab.sensor_model import SensorErrorParams, draw_sensor_params, simulate_array
+from imulab.sensor_model import (
+    SensorErrorParams,
+    SensorRecording,
+    draw_sensor_params,
+    simulate_array,
+)
 
 
 class TestParseRecordingCsv:
@@ -100,6 +105,17 @@ class TestParseRecordingCsv:
         with pytest.raises(ParseError, match="empty file"):
             parse_recording_csv(io.StringIO(""), "s0", 1.0)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN", "1e999"])
+    def test_non_finite_value_names_file_line(self, bad):
+        body = f"t,gx,gy,gz,ax,ay,az\n0,0,0,0,0,0,0\n\n1,0,0,0,{bad},0,0\n2,0,0,0,0,0,0\n"
+        with pytest.raises(ParseError, match="s0: line 4: non-finite value"):
+            parse_recording_csv(io.StringIO(body), "s0", 1.0)
+
+    def test_first_bad_line_named_when_non_finite_precedes_malformed(self):
+        body = "t,gx,gy,gz,ax,ay,az\n0,0,0,0,0,0,0\n1,inf,0,0,0,0,0\n2,x,0,0,0,0,0\n"
+        with pytest.raises(ParseError, match="s0: line 3: non-finite value"):
+            parse_recording_csv(io.StringIO(body), "s0", 1.0)
+
     @settings(max_examples=50, deadline=None)
     @given(st.lists(
         st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=6, max_size=6),
@@ -115,6 +131,48 @@ class TestParseRecordingCsv:
         assert np.array_equal(rec.t, expected[:, 0])
         assert np.array_equal(rec.gyro, expected[:, 1:4])
         assert np.array_equal(rec.accel, expected[:, 4:7])
+
+
+def _row_by_row_csv(recording, gyro_units):
+    """The recording writer's former rule: one ``repr(float(v))`` cell at a time."""
+    gyro = np.rad2deg(recording.gyro) if gyro_units == "deg/s" else recording.gyro
+    lines = ["t,gx,gy,gz,ax,ay,az"]
+    for i in range(recording.n_samples):
+        vals = [recording.t[i], *gyro[i], *recording.accel[i]]
+        lines.append(",".join(repr(float(v)) for v in vals))
+    return "\n".join(lines) + "\n"
+
+
+class TestWriteRecordingCsv:
+    @pytest.fixture()
+    def recording(self, gravity):
+        rec = simulate_array(draw_sensor_params(1, 4), gravity, 1.0, 100.0, seed=4).recordings[0]
+        gyro, accel = rec.gyro.copy(), rec.accel.copy()
+        gyro[3, 1] = -0.0
+        accel[7, 0] = -0.0
+        return SensorRecording(rec.sensor_id, rec.rate_hz, rec.t, gyro, accel)
+
+    @pytest.mark.parametrize("units", ["rad/s", "deg/s"])
+    def test_matches_row_by_row_rule(self, tmp_path, recording, units):
+        dest = tmp_path / "rec.csv"
+        write_recording_csv(recording, dest, units)
+        text = dest.read_text()
+        assert text == _row_by_row_csv(recording, units)
+        assert "-0.0," in text
+        buf = io.StringIO()
+        write_recording_csv(recording, buf, units)
+        assert buf.getvalue() == text
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_recording_rejected(self, tmp_path, recording, bad):
+        accel = recording.accel.copy()
+        accel[2, 2] = bad
+        rec = SensorRecording(recording.sensor_id, recording.rate_hz, recording.t,
+                              recording.gyro, accel)
+        dest = tmp_path / "rec.csv"
+        with pytest.raises(ValueError, match="non-finite"):
+            write_recording_csv(rec, dest)
+        assert not dest.exists()
 
 
 class TestRoundTrips:

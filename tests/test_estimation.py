@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imulab.estimation import (
+    bias_and_noise,
+    bias_score,
     db_ratio,
     estimate_bias,
     fisher_crlb,
@@ -242,6 +244,18 @@ class TestQualityRanking:
         )
         assert [r.sensor_id for r in ordered.recordings] == [r.sensor_id for r in oracle]
 
+    def test_noiseless_quality_score_is_bias_score_of_params(self, gravity):
+        from imulab.sensor_model import draw_sensor_params
+
+        params = [
+            SensorErrorParams(bias_gyro=p.bias_gyro, bias_accel=p.bias_accel)
+            for p in draw_sensor_params(5, 8)
+        ]
+        arr = simulate_array(params, gravity, 1.0, 100.0, seed=8)
+        for p, rec in zip(params, arr.recordings):
+            want = bias_score(np.concatenate([p.bias_gyro, p.bias_accel]))
+            assert quality_score(rec, gravity) == pytest.approx(want, rel=1e-12)
+
 
 class TestEstimateBias:
     def test_noiseless_exact(self, gravity):
@@ -273,6 +287,20 @@ class TestEstimateBias:
         arr = simulate_array([SensorErrorParams()], gravity, 0.01, 100.0, seed=0)
         with pytest.raises(ValueError):
             estimate_bias(arr.recordings[0], gravity)
+
+
+class TestBiasAndNoise:
+    def test_bias_is_estimate_bias(self, gravity, median_params):
+        rec = simulate_array([median_params], gravity, 10.0, 100.0, seed=5).recordings[0]
+        bias, noise = bias_and_noise(rec, gravity)
+        assert np.array_equal(bias, estimate_bias(rec, gravity)[0])
+        assert np.array_equal(noise, (residuals(rec, gravity) - bias).std(axis=0, ddof=1))
+
+    def test_noiseless_axes_have_zero_noise(self, gravity):
+        p = SensorErrorParams(bias_gyro=[1e-3, 0, 0], bias_accel=[0.1, 0, 0.2])
+        rec = simulate_array([p], gravity, 1.0, 100.0, seed=0).recordings[0]
+        _, noise = bias_and_noise(rec, gravity)
+        assert np.all(noise == 0)
 
 
 class TestWssCheck:

@@ -24,6 +24,13 @@ class TestSimulateArray:
         assert np.all(rec.gyro == 0)
         assert np.allclose(rec.accel, [0, 0, -9.81], atol=0)
 
+    def test_level_axes_of_noiseless_accel_are_positive_zero(self, gravity):
+        # Recording bytes depend on the sign of zero: "-0.0" vs "0.0".
+        params = quiet_params(bias_accel=[-0.0, -0.0, 0.0])
+        accel = simulate_array([params], gravity, 1.0, 10.0, seed=0).recordings[0].accel
+        assert np.all(accel[:, :2] == 0)
+        assert not np.any(np.signbit(accel[:, :2]))
+
     def test_pure_bias_gyro(self, gravity):
         bias = np.deg2rad([1.0, 2.0, 3.0])
         arr = simulate_array([quiet_params(bias_gyro=bias)], gravity, 1.0, 10.0, seed=0)
@@ -139,6 +146,11 @@ class TestRecordingInvariants:
         b = simulate_array([quiet_params()], gravity, 2.0, 10.0, seed=0).recordings[0]
         with pytest.raises(ValueError):
             ArrayRecording((a, b))
+
+    def test_array_rejects_duplicate_sensor_ids(self, gravity):
+        a = simulate_array([quiet_params()], gravity, 1.0, 10.0, seed=0).recordings[0]
+        with pytest.raises(ValueError, match="duplicate sensor_id 'sensor_00'"):
+            ArrayRecording((a, a))
 
     def test_draw_sensor_params_within_ranges(self):
         for p in draw_sensor_params(20, seed=1):

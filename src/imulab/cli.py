@@ -28,14 +28,18 @@ from .dataio import (
     ConfigError,
     DataError,
     ParseError,
+    SensorStats,
     dataset_summary,
     load_manifest,
     parse_recording_csv,
+    read_recording_stats,
+    recording_stats,
+    recording_stats_key,
     write_array,
+    write_recording_stats,
     write_report,
 )
 from .estimation import (
-    bias_and_noise,
     bias_score,
     db_ratio,
     kde_density,
@@ -67,6 +71,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
+
+# Per-sensor bias/noise stats of the recordings, written by ``estimate`` into
+# its output directory and reused by ``propagate`` and ``report``.
+STATS_FILE = "recording_stats.json"
 
 
 @dataclass
@@ -157,21 +165,47 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> ExperimentCo
     return ExperimentConfig(**raw)
 
 
-def _load_array(manifest_path: Path) -> tuple[ArrayRecording, ArrayManifest]:
-    """Load all recordings named by a manifest into one aligned array."""
-    manifest = load_manifest(manifest_path)
-    recs = []
-    for sensor_id, rel in manifest.sensor_files:
-        path = manifest_path.parent / rel
-        if not path.exists():
-            raise DataError(f"missing recording file {path}")
-        recs.append(
-            parse_recording_csv(path, sensor_id, manifest.rate_hz, manifest.gyro_units)
-        )
+def _load_array(manifest_path: Path, manifest: ArrayManifest) -> ArrayRecording:
+    """Parse all recordings named by a manifest into one aligned array."""
+    recs = [
+        parse_recording_csv(manifest_path.parent / rel, sensor_id,
+                            manifest.rate_hz, manifest.gyro_units)
+        for sensor_id, rel in manifest.sensor_files
+    ]
     try:
-        return ArrayRecording(tuple(recs)), manifest
+        return ArrayRecording(tuple(recs))
     except ValueError as exc:
         raise DataError(str(exc)) from exc
+
+
+def _recording_stats(
+    manifest_path: Path, out: Path
+) -> tuple[list[SensorStats], ArrayManifest]:
+    """Per-sensor stats of a manifest's recordings, in manifest order.
+
+    Taken from ``out/STATS_FILE`` when its key matches the bytes of the
+    manifest and recordings; otherwise the recordings are parsed by
+    ``_load_array``, with all its checks, and the file is rewritten.
+    """
+    manifest = load_manifest(manifest_path)
+    key = recording_stats_key(manifest_path, manifest)
+    stats = read_recording_stats(
+        out / STATS_FILE, key, [sid for sid, _ in manifest.sensor_files]
+    )
+    if stats is None:
+        array = _load_array(manifest_path, manifest)
+        stats = recording_stats(array, GravityModel(manifest.gravity_mps2))
+        write_recording_stats(out / STATS_FILE, key, stats)
+    return stats, manifest
+
+
+def _make_out_dir(config: ExperimentConfig) -> Path:
+    out = Path(config.out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create {out}: {exc.strerror or exc}") from exc
+    return out
 
 
 def _resolve_manifest(config: ExperimentConfig) -> Path:
@@ -210,18 +244,23 @@ def _axis_rms_std(series: np.ndarray) -> float:
 
 def cmd_estimate(config: ExperimentConfig) -> int:
     manifest_path = _resolve_manifest(config)
-    array, manifest = _load_array(manifest_path)
+    manifest = load_manifest(manifest_path)
+    key = recording_stats_key(manifest_path, manifest)
+    array = _load_array(manifest_path, manifest)
     gravity = GravityModel(manifest.gravity_mps2)
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_out_dir(config)
 
-    ordered, scores = sort_by_quality(array, gravity)
+    stats = recording_stats(array, gravity)
+    write_recording_stats(out / STATS_FILE, key, stats)
+    scores = sort_by_quality({s.sensor_id: s.bias for s in stats})
     write_report(
         {"order_worst_first": [sid for sid, _ in scores],
          "scores": {sid: s for sid, s in scores}},
         "json",
         out / "quality.json",
     )
+    by_id = {r.sensor_id: r for r in array.recordings}
+    ordered = ArrayRecording(tuple(by_id[sid] for sid, _ in scores))
 
     n = ordered.n_samples
     res = np.stack(
@@ -330,8 +369,7 @@ def _evaluation_matrix(cells: dict[int, float], n: int, k_grid: list[int]) -> di
 def cmd_propagate(config: ExperimentConfig) -> int:
     gravity, biases, spectra_pool = _propagation_inputs(config)
     sys_m = build_system(gravity)
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_out_dir(config)
 
     taus = np.asarray(sorted(config.tau_grid), dtype=float)
     if np.any(taus < 0):
@@ -406,13 +444,14 @@ def _propagation_inputs(
     so uncertainty ratios are exact.
     """
     if config.manifest is not None or config.sensors is None:
-        manifest_path = _resolve_manifest(config)
-        array, manifest = _load_array(manifest_path)
+        stats, manifest = _recording_stats(
+            _resolve_manifest(config), Path(config.out_dir)
+        )
         gravity = GravityModel(manifest.gravity_mps2)
-        ordered, _ = sort_by_quality(array, gravity)
+        by_id = {s.sensor_id: s for s in stats}
         biases, sig_a, sig_g = [], [], []
-        for rec in ordered.recordings:
-            b, noise = bias_and_noise(rec, gravity)
+        for sid, _ in sort_by_quality({s.sensor_id: s.bias for s in stats}):
+            _, b, noise = by_id[sid]
             biases.append(np.concatenate([b[3:], b[:3]]))  # accel first, then gyro
             sig_g.append(rms(noise[:3]))
             sig_a.append(rms(noise[3:]))
@@ -463,8 +502,7 @@ def cmd_report(config: ExperimentConfig) -> int:
     except ConfigError:
         manifest_path = None
     if manifest_path is not None and manifest_path.exists():
-        array, manifest = _load_array(manifest_path)
-        summary = dataset_summary(array, GravityModel(manifest.gravity_mps2))
+        summary = dataset_summary(_recording_stats(manifest_path, out)[0])
 
     bundle = {
         "software_version": __version__,
@@ -509,6 +547,8 @@ def _read_optional_json(path: Path):
         return None
     try:
         return json.loads(path.read_text())
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: corrupt JSON: {exc}") from exc
 

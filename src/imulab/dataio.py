@@ -13,6 +13,7 @@ module only, driven by the manifest's declared units.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import io
 import json
@@ -20,10 +21,11 @@ import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Mapping
+from typing import IO, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from . import __version__
 from .sensor_model import SPACING_TOL, ArrayRecording, GravityModel, SensorRecording
 from .estimation import bias_and_noise, rms
 
@@ -33,11 +35,16 @@ __all__ = [
     "ConfigError",
     "ArrayManifest",
     "DatasetSummary",
+    "SensorStats",
     "load_manifest",
     "write_manifest",
     "parse_recording_csv",
     "write_recording_csv",
     "write_array",
+    "recording_stats",
+    "recording_stats_key",
+    "read_recording_stats",
+    "write_recording_stats",
     "dataset_summary",
     "write_report",
 ]
@@ -81,6 +88,15 @@ class ArrayManifest:
         )
 
 
+class SensorStats(NamedTuple):
+    """One sensor's ``bias_and_noise``: six-axis bias and white-noise std
+    of its residuals, gyro axes (rad/s) first."""
+
+    sensor_id: str
+    bias: np.ndarray
+    noise: np.ndarray
+
+
 @dataclass(frozen=True)
 class DatasetSummary:
     """Per-sensor and aggregate bias/noise RMS figures (gyro in deg/s)."""
@@ -113,6 +129,8 @@ def load_manifest(path: str | os.PathLike) -> ArrayManifest:
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
+    except OSError as exc:
+        raise DataError(f"cannot read manifest {path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     try:
@@ -137,7 +155,10 @@ def write_manifest(manifest: ArrayManifest, path: str | os.PathLike) -> None:
             {"sensor_id": sid, "path": rel} for sid, rel in manifest.sensor_files
         ],
     }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    try:
+        Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write manifest {path}: {exc.strerror or exc}") from exc
 
 
 def parse_recording_csv(
@@ -151,15 +172,21 @@ def parse_recording_csv(
     ``stream`` may be an open text stream or a path. Gyro columns are
     converted from the declared units; time spacing is validated against
     ``rate_hz`` with ``SPACING_TOL`` slack. Blank lines are skipped; a
-    ``nan`` or ``inf`` value is a ``ParseError`` naming its line.
+    ``nan`` or ``inf`` value is a ``ParseError`` naming its line; a path
+    that cannot be read is a ``DataError`` naming it.
     """
     if gyro_units not in _GYRO_UNITS:
         raise ConfigError(f"unknown gyro units {gyro_units!r}")
     if hasattr(stream, "read"):
         text = stream.read()
     else:
-        with open(stream, "r", newline="") as fh:
-            text = fh.read()
+        try:
+            with open(stream, "r", newline="") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise DataError(
+                f"{sensor_id}: cannot read {stream}: {exc.strerror or exc}"
+            ) from exc
     if not text:
         raise ParseError(f"{sensor_id}: empty file")
     header_line, _, body = text.partition("\n")
@@ -240,7 +267,10 @@ def write_array(
 ) -> Path:
     """Write per-sensor CSVs plus a manifest; returns the manifest path."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create {out}: {exc.strerror or exc}") from exc
     files = []
     for rec in array.recordings:
         rel = f"{rec.sensor_id}.csv"
@@ -257,18 +287,101 @@ def write_array(
     return manifest_path
 
 
-def dataset_summary(array: ArrayRecording, gravity: GravityModel) -> DatasetSummary:
+def recording_stats(array: ArrayRecording, gravity: GravityModel) -> list[SensorStats]:
+    """``bias_and_noise`` of each recording, in the array's order."""
+    return [SensorStats(r.sensor_id, *bias_and_noise(r, gravity)) for r in array.recordings]
+
+
+def recording_stats_key(manifest_path: str | os.PathLike, manifest: ArrayManifest) -> dict:
+    """What the recording stats of a manifest are a function of.
+
+    The package version, and the SHA-256 of the manifest's bytes and of each
+    recording's bytes in manifest order. A file that cannot be read is a
+    ``DataError`` naming it.
+    """
+    import hashlib  # deferred: only this key needs it, and it is slow to import
+
+    manifest_path = Path(manifest_path)
+    paths = [manifest_path] + [manifest_path.parent / rel for _, rel in manifest.sensor_files]
+    digests = []
+    for path in paths:
+        try:
+            digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
+        except OSError as exc:
+            raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    return {
+        "software_version": __version__,
+        "manifest_sha256": digests[0],
+        "recordings_sha256": digests[1:],
+    }
+
+
+def read_recording_stats(
+    path: str | os.PathLike, key: dict, sensor_ids: Sequence[str]
+) -> list[SensorStats] | None:
+    """Stats written by ``write_recording_stats`` under ``key``, or None.
+
+    None (a miss) when the file is missing, unreadable, not JSON, stored
+    under another key, or does not hold six float biases and noises for each
+    of ``sensor_ids`` in order. JSON floats round-trip exactly, so a hit
+    returns the very floats that were written.
+    """
+    try:
+        raw = json.loads(Path(path).read_bytes())
+        if raw["key"] != key or len(set(sensor_ids)) != len(sensor_ids):
+            return None
+        entries = raw["sensors"]
+        if [e["sensor_id"] for e in entries] != list(sensor_ids):
+            return None
+        if not all(
+            len(e[name]) == 6 and all(type(v) is float for v in e[name])
+            for e in entries for name in ("bias", "noise")
+        ):
+            return None
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+    return [
+        SensorStats(e["sensor_id"], np.array(e["bias"]), np.array(e["noise"]))
+        for e in entries
+    ]
+
+
+def write_recording_stats(
+    path: str | os.PathLike, key: dict, stats: Sequence[SensorStats]
+) -> None:
+    """Write per-sensor stats under ``key`` as JSON, atomically.
+
+    The same key and stats give the same bytes. A location that cannot be
+    written is a ``ConfigError`` naming it.
+    """
+    payload = {
+        "key": key,
+        "sensors": [
+            {"sensor_id": s.sensor_id, "bias": s.bias, "noise": s.noise} for s in stats
+        ],
+    }
+    text = json.dumps(_jsonable(payload), indent=2) + "\n"
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def dataset_summary(stats: Sequence[SensorStats]) -> DatasetSummary:
     """Per-sensor bias/noise RMS table with min/median/max aggregates.
 
     Bias RMS is the 3-axis RMS of the bias estimate; noise RMS is the 3-axis
     RMS of the per-axis residual std after bias removal.
     """
-    if array.n_samples < 2:
-        raise ValueError("need at least two samples per sensor")
     ids, gb, gn, ab, an = [], [], [], [], []
-    for rec in array.recordings:
-        bias, noise = bias_and_noise(rec, gravity)
-        ids.append(rec.sensor_id)
+    for sensor_id, bias, noise in stats:
+        ids.append(sensor_id)
         gb.append(float(np.rad2deg(rms(bias[:3]))))
         gn.append(float(np.rad2deg(rms(noise[:3]))))
         ab.append(rms(bias[3:]))
@@ -342,4 +455,4 @@ def write_report(report, fmt: str, dest: IO[str] | str | os.PathLike) -> None:
         else:
             Path(dest).write_text(text)
     except OSError as exc:
-        raise IOError(f"cannot write report to {dest}: {exc}") from exc
+        raise ConfigError(f"cannot write report to {dest}: {exc.strerror or exc}") from exc

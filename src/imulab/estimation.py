@@ -8,10 +8,11 @@ quality ranking of sensors, and a two-part wide-sense-stationarity check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
-from .sensor_model import ArrayRecording, GravityModel, SensorRecording
+from .sensor_model import GravityModel, SensorRecording
 from .sensor_model import MEMS_ERROR_RANGES, residuals
 
 __all__ = [
@@ -246,21 +247,31 @@ def quality_score(recording: SensorRecording, gravity: GravityModel) -> float:
     return bias_score(estimate_bias(recording, gravity)[0])
 
 
-def sort_by_quality(
-    array: ArrayRecording, gravity: GravityModel
-) -> tuple[ArrayRecording, list[tuple[str, float]]]:
-    """Order sensors worst-first by bias magnitude.
+def sort_by_quality(biases: Mapping[str, np.ndarray]) -> list[tuple[str, float]]:
+    """Sensor ids with the ``bias_score`` of their six-axis bias, worst first.
 
     With sensors sorted this way, a K=1 slice uses the least reliable unit, so
     adding sensors can only improve the pooled estimates. Ties break on
     sensor_id to keep the order deterministic.
     """
-    scored = [
-        (quality_score(r, gravity), r.sensor_id, r) for r in array.recordings
-    ]
-    scored.sort(key=lambda item: (-item[0], item[1]))
-    ordered = ArrayRecording(tuple(r for _, _, r in scored))
-    return ordered, [(sid, score) for score, sid, _ in scored]
+    scored = sorted(
+        ((bias_score(b), sid) for sid, b in biases.items()),
+        key=lambda item: (-item[0], item[1]),
+    )
+    return [(sid, score) for score, sid in scored]
+
+
+def _time_mean(res: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-axis time-mean of (N, 6) residuals, and which axes are constant.
+
+    A constant axis takes its exact value rather than the rounded mean.
+    """
+    if res.shape[0] < 2:
+        raise ValueError("need at least two samples to estimate bias")
+    bias = res.mean(axis=0)
+    constant = np.ptp(res, axis=0) == 0
+    bias[constant] = res[0, constant]
+    return bias, constant
 
 
 def estimate_bias(
@@ -271,13 +282,9 @@ def estimate_bias(
     The per-axis uncertainty is sample std / sqrt(N); it is zero for a
     noiseless record.
     """
-    if recording.n_samples < 2:
-        raise ValueError("need at least two samples to estimate bias")
     res = residuals(recording, gravity)
-    bias = res.mean(axis=0)
+    bias, constant = _time_mean(res)
     unc = res.std(axis=0, ddof=1) / np.sqrt(recording.n_samples)
-    constant = np.ptp(res, axis=0) == 0
-    bias[constant] = res[0, constant]
     unc[constant] = 0.0
     return bias, unc
 
@@ -287,12 +294,12 @@ def bias_and_noise(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Six-axis bias estimate and per-axis white-noise std around it.
 
-    The noise is the sample std (ddof=1) of the residuals after removing the
-    ``estimate_bias`` bias.
+    The bias is ``estimate_bias``'s; the noise is the sample std (ddof=1) of
+    the residuals after removing it.
     """
-    bias, _ = estimate_bias(recording, gravity)
-    noise = (residuals(recording, gravity) - bias).std(axis=0, ddof=1)
-    return bias, noise
+    res = residuals(recording, gravity)
+    bias, _ = _time_mean(res)
+    return bias, (res - bias).std(axis=0, ddof=1)
 
 
 def wss_check(series: np.ndarray, alpha: float = 0.01, n_lags: int = 20) -> WssVerdict:

@@ -191,16 +191,29 @@ def phi_closed(sys: SystemMatrices, tau: float) -> np.ndarray:
     """
     if tau < 0:
         raise ValueError("tau must be >= 0")
+    return _phi_stack(sys, [tau])[0]
+
+
+def _phi_stack(sys: SystemMatrices, taus: list[float]) -> np.ndarray:
+    """``phi_closed`` for each of ``taus``, shape (len(taus), 15, 15).
+
+    The powers of tau are taken one Python float at a time, so each matrix
+    is bit-identical to a single-tau call.
+    """
+    t1 = np.array(taus, dtype=float)[:, None, None]
+    t2 = np.array([t**2 / 2 for t in taus], dtype=float)[:, None, None]
+    t3 = np.array([t**3 / 6 for t in taus], dtype=float)[:, None, None]
     f23 = sys.F23
-    phi = np.eye(15)
-    phi[IDX_P, IDX_V] = _I3 * tau
-    phi[IDX_P, IDX_EPS] = f23 * (tau**2 / 2)
-    phi[IDX_P, IDX_BA] = _I3 * (tau**2 / 2)
-    phi[IDX_P, IDX_BG] = f23 * (tau**3 / 6)
-    phi[IDX_V, IDX_EPS] = f23 * tau
-    phi[IDX_V, IDX_BA] = _I3 * tau
-    phi[IDX_V, IDX_BG] = f23 * (tau**2 / 2)
-    phi[IDX_EPS, IDX_BG] = _I3 * tau
+    phi = np.zeros((len(taus), 15, 15))
+    phi[:, range(15), range(15)] = 1.0
+    phi[:, IDX_P, IDX_V] = _I3 * t1
+    phi[:, IDX_P, IDX_EPS] = f23 * t2
+    phi[:, IDX_P, IDX_BA] = _I3 * t2
+    phi[:, IDX_P, IDX_BG] = f23 * t3
+    phi[:, IDX_V, IDX_EPS] = f23 * t1
+    phi[:, IDX_V, IDX_BA] = _I3 * t1
+    phi[:, IDX_V, IDX_BG] = f23 * t2
+    phi[:, IDX_EPS, IDX_BG] = _I3 * t1
     return phi
 
 
@@ -277,11 +290,13 @@ def q_numeric_oracle(
     s_diag = np.repeat([spectra.s_a, spectra.s_g, spectra.s_ab, spectra.s_gb], 3)
     gsg = sys.G @ np.diag(s_diag) @ sys.G.T
     h = tau / steps
-    acc = np.zeros((15, 15))
-    for i in range(steps + 1):
-        phi = phi_closed(sys, i * h)
-        w = 1.0 if i in (0, steps) else (4.0 if i % 2 else 2.0)
-        acc += w * (phi @ gsg @ phi.T)
+    phi = _phi_stack(sys, [i * h for i in range(steps + 1)])
+    terms = phi @ gsg @ phi.transpose(0, 2, 1)
+    weights = np.where(np.arange(steps + 1) % 2, 4.0, 2.0)
+    weights[[0, -1]] = 1.0
+    terms *= weights[:, None, None]
+    # A running sum adds the terms in index order, as a loop would.
+    acc = np.cumsum(terms, axis=0, out=terms)[-1]
     q = acc * (h / 3.0)
     return 0.5 * (q + q.T)
 

@@ -115,10 +115,11 @@ class TestSimulate:
         assert len(list(rec_dir.glob("sensor_*.csv"))) == 4
 
     def test_byte_identical_reruns(self, tmp_path):
-        cfg_a = _write_config(tmp_path, out_dir=str(tmp_path / "a"))
-        assert main(["simulate", "--config", str(cfg_a)]) == 0
-        cfg_b = _write_config(tmp_path, out_dir=str(tmp_path / "b"))
-        assert main(["simulate", "--config", str(cfg_b)]) == 0
+        for run in ("a", "b"):
+            cfg = _write_config(tmp_path, out_dir=str(tmp_path / run))
+            for cmd in ("simulate", "estimate"):
+                assert main([cmd, "--config", str(cfg)]) == 0
+        assert (tmp_path / "a" / "recording_stats.json").exists()
         assert _dir_bytes(tmp_path / "a") == _dir_bytes(tmp_path / "b")
 
     def test_seed_changes_output(self, tmp_path):
@@ -139,6 +140,15 @@ class TestSimulate:
 
     def test_unknown_subcommand_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    def test_out_dir_under_a_regular_file_exits_2(self, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        cfg = _write_config(tmp_path, out_dir=str(blocker / "x"))
+        for cmd in ("simulate", "propagate"):
+            capsys.readouterr()
+            assert main([cmd, "--config", str(cfg)]) == 2, cmd
+            assert f"config error: cannot create {blocker / 'x'}" in capsys.readouterr().err
 
 
 class TestEstimate:
@@ -180,6 +190,9 @@ class TestEstimate:
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_sample_exits_3_naming_line(self, tmp_path, simulated, capsys, bad):
+        # A clean estimate first, so the later stages hold recording stats
+        # keyed by the clean bytes.
+        assert main(["estimate", "--config", str(simulated)]) == 0
         victim = tmp_path / "out" / "recordings" / "sensor_02.csv"
         lines = victim.read_text().split("\n")
         cells = lines[5].split(",")
@@ -187,7 +200,8 @@ class TestEstimate:
         lines[5] = ",".join(cells)
         victim.write_text("\n".join(lines))
         manifest_cfg = _write_manifest_config(tmp_path)
-        for cmd, cfg in (("estimate", simulated), ("propagate", manifest_cfg)):
+        for cmd, cfg in (("propagate", manifest_cfg), ("report", simulated),
+                         ("estimate", simulated)):
             capsys.readouterr()
             assert main([cmd, "--config", str(cfg)]) == 3, cmd
             assert "data error: sensor_02: line 6: non-finite value" in capsys.readouterr().err
@@ -200,6 +214,24 @@ class TestEstimate:
         assert main(["estimate", "--config", str(_write_manifest_config(tmp_path))]) == 3
         assert "duplicate sensor_id 'sensor_00'" in capsys.readouterr().err
         assert not (tmp_path / "out" / "quality.json").exists()
+
+    def test_unreadable_inputs_exit_3_naming_path(self, tmp_path, simulated, capsys):
+        rec_dir = tmp_path / "out" / "recordings"
+        manifest = rec_dir / "manifest.json"
+        raw = json.loads(manifest.read_text())
+        raw["sensor_files"][1]["path"] = "a_directory"
+        (rec_dir / "a_directory").mkdir()
+        manifest.write_text(json.dumps(raw))
+        manifest_cfg = _write_manifest_config(tmp_path)
+        # Products for report to bundle, from a stage that reads no recording.
+        assert main(["propagate", "--config", str(simulated)]) == 0
+        for cmd in ("estimate", "propagate", "report"):
+            capsys.readouterr()
+            assert main([cmd, "--config", str(manifest_cfg)]) == 3, cmd
+            assert f"data error: cannot read {rec_dir / 'a_directory'}" in capsys.readouterr().err
+        dir_cfg = _write_manifest_config(tmp_path, manifest=str(rec_dir))
+        assert main(["estimate", "--config", str(dir_cfg)]) == 3
+        assert f"data error: cannot read manifest {rec_dir}" in capsys.readouterr().err
 
     @staticmethod
     def _estimate_3hz_manifest(tmp_path: Path, jitter: float) -> int:
@@ -358,3 +390,104 @@ class TestReport:
     def test_report_without_products_exits_2(self, tmp_path):
         cfg = _write_config(tmp_path)
         assert main(["report", "--config", str(cfg)]) == 2
+
+    def test_unwritable_report_exits_2_naming_path(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path)
+        assert main(["propagate", "--config", str(cfg)]) == 0
+        dest = tmp_path / "out" / "report.json"
+        dest.mkdir()
+        assert main(["report", "--config", str(cfg)]) == 2
+        assert f"config error: cannot write report to {dest}" in capsys.readouterr().err
+
+
+def _stage_outputs(out: Path) -> dict:
+    """Bytes of the outputs that propagate and report derive from recording stats."""
+    names = ["report.json", "ratio_matrices.json"]
+    names += [p.name for p in out.glob("mean_error_K*")]
+    names += [p.name for p in out.glob("uncertainty_K*")]
+    return {name: (out / name).read_bytes() for name in sorted(names)}
+
+
+class TestRecordingStats:
+    """estimate stores per-sensor stats; propagate and report reuse them."""
+
+    @pytest.fixture()
+    def pipeline(self, tmp_path):
+        assert main(["simulate", "--config", str(_write_config(tmp_path))]) == 0
+        cfg = _write_manifest_config(tmp_path)
+        for cmd in ("estimate", "propagate", "report"):
+            assert main([cmd, "--config", str(cfg)]) == 0, cmd
+        return cfg
+
+    def test_recordings_parsed_once_per_run(self, tmp_path, monkeypatch):
+        import imulab.cli as cli
+
+        parsed = []
+        real = cli.parse_recording_csv
+
+        def counting(path, sensor_id, *args, **kwargs):
+            parsed.append(sensor_id)
+            return real(path, sensor_id, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "parse_recording_csv", counting)
+        assert main(["simulate", "--config", str(_write_config(tmp_path))]) == 0
+        cfg = _write_manifest_config(tmp_path)
+        counts = {}
+        for cmd in ("estimate", "propagate", "report"):
+            parsed.clear()
+            assert main([cmd, "--config", str(cfg)]) == 0, cmd
+            counts[cmd] = len(parsed)
+        assert counts == {"estimate": 4, "propagate": 0, "report": 0}
+
+        out = tmp_path / "out"
+        before = json.loads((out / "report.json").read_text())["dataset_summary"]
+        victim = out / "recordings" / "sensor_02.csv"
+        lines = victim.read_text().split("\n")
+        cells = lines[5].split(",")
+        cells[4] = repr(float(cells[4]) + 0.5)  # ax of one sample
+        lines[5] = ",".join(cells)
+        victim.write_text("\n".join(lines))
+        parsed.clear()
+        assert main(["report", "--config", str(cfg)]) == 0
+        assert len(parsed) == 4
+        after = json.loads((out / "report.json").read_text())["dataset_summary"]
+        changed = [
+            i for i, (a, b) in enumerate(zip(before["per_sensor"]["accel_bias_rms"],
+                                             after["per_sensor"]["accel_bias_rms"]))
+            if a != b
+        ]
+        assert changed == [before["per_sensor"]["sensor_ids"].index("sensor_02")]
+
+    def test_hit_and_miss_give_identical_outputs(self, tmp_path, pipeline):
+        out = tmp_path / "out"
+        hit = _stage_outputs(out)
+        stats = (out / "recording_stats.json").read_bytes()
+        for cmd in ("propagate", "report"):
+            (out / "recording_stats.json").unlink()
+            assert main([cmd, "--config", str(pipeline)]) == 0, cmd
+            assert (out / "recording_stats.json").read_bytes() == stats
+        assert _stage_outputs(out) == hit
+
+    @pytest.mark.parametrize("damage", ["truncated", "not_json", "wrong_shape", "stale_key"])
+    def test_bad_stats_file_is_a_miss(self, tmp_path, pipeline, damage):
+        out = tmp_path / "out"
+        path = out / "recording_stats.json"
+        good = path.read_bytes()
+        hit = _stage_outputs(out)
+        raw = json.loads(good)
+        if damage == "wrong_shape":
+            raw["sensors"][0]["bias"] = raw["sensors"][0]["bias"][:5]
+        elif damage == "stale_key":
+            # Poisoned values under another version: using them would show.
+            raw["key"]["software_version"] = "0.0.0"
+            for entry in raw["sensors"]:
+                entry["bias"] = [1.0] * 6
+        bad = {
+            "truncated": good[: len(good) // 2],
+            "not_json": b"\x00\xffnot json",
+        }.get(damage, json.dumps(raw).encode())
+        for cmd in ("propagate", "report"):
+            path.write_bytes(bad)
+            assert main([cmd, "--config", str(pipeline)]) == 0, cmd
+            assert path.read_bytes() == good
+        assert _stage_outputs(out) == hit

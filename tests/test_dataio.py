@@ -17,9 +17,13 @@ from imulab.dataio import (
     dataset_summary,
     load_manifest,
     parse_recording_csv,
+    read_recording_stats,
+    recording_stats,
+    recording_stats_key,
     write_array,
     write_manifest,
     write_recording_csv,
+    write_recording_stats,
     write_report,
 )
 from imulab.sensor_model import (
@@ -202,7 +206,8 @@ class TestRoundTrips:
     def test_array_round_trip(self, tmp_path, gravity):
         arr = simulate_array(draw_sensor_params(3, 1), gravity, 0.5, 100.0, seed=1)
         manifest_path = write_array(arr, tmp_path, gravity)
-        back, manifest = _load_array(manifest_path)
+        manifest = load_manifest(manifest_path)
+        back = _load_array(manifest_path, manifest)
         assert manifest.gravity_mps2 == gravity.g_magnitude
         for a, b in zip(arr.recordings, back.recordings):
             assert np.array_equal(a.gyro, b.gyro)
@@ -210,7 +215,7 @@ class TestRoundTrips:
 
     def test_summary_report_round_trip(self, tmp_path, gravity):
         arr = simulate_array(draw_sensor_params(4, 2), gravity, 1.0, 100.0, seed=2)
-        summary = dataset_summary(arr, gravity)
+        summary = dataset_summary(recording_stats(arr, gravity))
         dest = tmp_path / "summary.json"
         write_report(summary, "json", dest)
         raw = json.loads(dest.read_text())
@@ -218,16 +223,52 @@ class TestRoundTrips:
         assert rebuilt == summary
 
 
+class TestRecordingStatsFile:
+    def test_round_trip_is_bit_exact_and_keyed(self, tmp_path, gravity):
+        arr = simulate_array(draw_sensor_params(3, 4), gravity, 1.0, 100.0, seed=4)
+        stats = recording_stats(arr, gravity)
+        ids = [s.sensor_id for s in stats]
+        key = {"software_version": "x", "manifest_sha256": "m", "recordings_sha256": ["a"]}
+        dest = tmp_path / "stats.json"
+        write_recording_stats(dest, key, stats)
+        back = read_recording_stats(dest, key, ids)
+        for got, want in zip(back, stats):
+            assert got.sensor_id == want.sensor_id
+            assert np.array_equal(got.bias, want.bias)
+            assert np.array_equal(got.noise, want.noise)
+        assert read_recording_stats(dest, {**key, "manifest_sha256": "n"}, ids) is None
+        assert read_recording_stats(dest, key, ids[::-1]) is None
+        write_recording_stats(dest, key, [stats[0]] * 2)
+        assert read_recording_stats(dest, key, [ids[0]] * 2) is None
+        assert read_recording_stats(tmp_path / "absent.json", key, ids) is None
+        assert [p.name for p in tmp_path.iterdir()] == ["stats.json"]
+
+    def test_key_hashes_manifest_and_recordings(self, tmp_path, gravity):
+        arr = simulate_array(draw_sensor_params(2, 4), gravity, 0.1, 100.0, seed=4)
+        manifest_path = write_array(arr, tmp_path, gravity)
+        manifest = load_manifest(manifest_path)
+        key = recording_stats_key(manifest_path, manifest)
+        assert len(key["recordings_sha256"]) == 2
+        victim = tmp_path / "sensor_01.csv"
+        victim.write_text(victim.read_text() + "\n")
+        changed = recording_stats_key(manifest_path, manifest)
+        assert changed["recordings_sha256"][0] == key["recordings_sha256"][0]
+        assert changed["recordings_sha256"][1] != key["recordings_sha256"][1]
+        victim.unlink()
+        with pytest.raises(DataError, match="sensor_01.csv"):
+            recording_stats_key(manifest_path, manifest)
+
+
 class TestDatasetSummary:
     def test_perfect_sensor_zeros(self, gravity):
         arr = simulate_array([SensorErrorParams()], gravity, 0.1, 100.0, seed=0)
-        summary = dataset_summary(arr, gravity)
+        summary = dataset_summary(recording_stats(arr, gravity))
         assert summary.gyro_bias_rms_dps == (0.0,)
         assert summary.accel_noise_rms == (0.0,)
 
     def test_synthetic_ranges(self, gravity):
         arr = simulate_array(draw_sensor_params(10, 7), gravity, 100.0, 100.0, seed=7)
-        summary = dataset_summary(arr, gravity)
+        summary = dataset_summary(recording_stats(arr, gravity))
         agg = summary.aggregates()
         # Drawn inside the reference ranges; estimates add only ~sigma/sqrt(N).
         assert 1.9 < agg["gyro_bias_rms_dps"]["min"]
@@ -236,14 +277,14 @@ class TestDatasetSummary:
 
     def test_aggregate_ordering(self, gravity):
         arr = simulate_array(draw_sensor_params(7, 3), gravity, 2.0, 100.0, seed=3)
-        agg = dataset_summary(arr, gravity).aggregates()
+        agg = dataset_summary(recording_stats(arr, gravity)).aggregates()
         for entry in agg.values():
             assert entry["min"] <= entry["median"] <= entry["max"]
 
     def test_single_sample_rejected(self, gravity):
         arr = simulate_array([SensorErrorParams()], gravity, 0.01, 100.0, seed=0)
         with pytest.raises(ValueError):
-            dataset_summary(arr, gravity)
+            dataset_summary(recording_stats(arr, gravity))
 
 
 class TestWriteReport:
@@ -325,7 +366,7 @@ class TestWriteReport:
 
     def test_deterministic_output(self, tmp_path, gravity):
         arr = simulate_array(draw_sensor_params(2, 5), gravity, 1.0, 100.0, seed=5)
-        summary = dataset_summary(arr, gravity)
+        summary = dataset_summary(recording_stats(arr, gravity))
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         write_report(summary, "json", a)
         write_report(summary, "json", b)

@@ -217,32 +217,37 @@ class TestKde:
         assert np.max(np.abs(got - want)) <= 1e-12 * want.max()
 
 
+def _biases(arr, gravity) -> dict:
+    return {r.sensor_id: estimate_bias(r, gravity)[0] for r in arr.recordings}
+
+
 class TestQualityRanking:
     def test_two_sensor_ordering(self, gravity):
         good = SensorErrorParams(bias_gyro=np.deg2rad([2.0, 0, 0]) * np.sqrt(3))
         bad = SensorErrorParams(bias_gyro=np.deg2rad([2.3, 0, 0]) * np.sqrt(3))
         arr = simulate_array([good, bad], gravity, 1.0, 10.0, seed=0)
-        ordered, scores = sort_by_quality(arr, gravity)
-        assert ordered.recordings[0].sensor_id == "sensor_01"
+        scores = sort_by_quality(_biases(arr, gravity))
+        assert scores[0][0] == "sensor_01"
         assert scores[0][1] > scores[1][1]
 
     def test_tie_breaks_on_sensor_id(self, gravity, median_params):
         arr = simulate_array([median_params] * 3, gravity, 1.0, 10.0, seed=0)
-        ordered, _ = sort_by_quality(arr, gravity)
-        assert [r.sensor_id for r in ordered.recordings] == [
-            "sensor_00", "sensor_01", "sensor_02",
-        ]
+        biases = _biases(arr, gravity)
+        # Listed in reverse, so only the tie-break can restore the id order.
+        scores = sort_by_quality(dict(reversed(biases.items())))
+        assert [sid for sid, _ in scores] == ["sensor_00", "sensor_01", "sensor_02"]
 
     def test_matches_brute_force_order(self, gravity):
         from imulab.sensor_model import draw_sensor_params
 
         arr = simulate_array(draw_sensor_params(10, 3), gravity, 10.0, 100.0, seed=3)
-        ordered, _ = sort_by_quality(arr, gravity)
+        scores = sort_by_quality(_biases(arr, gravity))
         oracle = sorted(
             arr.recordings,
             key=lambda r: (-quality_score(r, gravity), r.sensor_id),
         )
-        assert [r.sensor_id for r in ordered.recordings] == [r.sensor_id for r in oracle]
+        assert [sid for sid, _ in scores] == [r.sensor_id for r in oracle]
+        assert [s for _, s in scores] == [quality_score(r, gravity) for r in oracle]
 
     def test_noiseless_quality_score_is_bias_score_of_params(self, gravity):
         from imulab.sensor_model import draw_sensor_params

@@ -23,6 +23,22 @@ from imulab.ins_error_model import (
 taus = st.floats(0.0, 50.0, allow_nan=False)
 
 
+def simpson_loop(sys_m, spectra, tau, steps):
+    """Reference: composite Simpson over one phi_closed call per node, summed in order."""
+    if steps % 2:
+        steps += 1
+    s_diag = np.repeat([spectra.s_a, spectra.s_g, spectra.s_ab, spectra.s_gb], 3)
+    gsg = sys_m.G @ np.diag(s_diag) @ sys_m.G.T
+    h = tau / steps
+    acc = np.zeros((15, 15))
+    for i in range(steps + 1):
+        phi = phi_closed(sys_m, i * h)
+        w = 1.0 if i in (0, steps) else (4.0 if i % 2 else 2.0)
+        acc += w * (phi @ gsg @ phi.T)
+    q = acc * (h / 3.0)
+    return 0.5 * (q + q.T)
+
+
 def phi_series(sys_m, tau):
     """Independent oracle: truncated matrix-exponential series (F^4 = 0)."""
     acc = np.eye(15)
@@ -130,6 +146,14 @@ class TestQNumericOracle:
     def test_too_few_steps(self, sys_m, median_spectra):
         with pytest.raises(ValueError):
             q_numeric_oracle(sys_m, median_spectra, 1.0, steps=50)
+
+    @pytest.mark.parametrize(
+        "tau, steps", [(0.1, 100), (1.0, 101), (3.3, 250), (10.0, 2000), (100.0, 400)]
+    )
+    def test_bit_identical_to_loop(self, sys_m, tau, steps):
+        spectra = NoiseSpectra(s_a=4.9e-7, s_g=3.3e-9, s_ab=3.3e-6, s_gb=1.4e-7)
+        want = simpson_loop(sys_m, spectra, tau, steps)
+        assert np.array_equal(q_numeric_oracle(sys_m, spectra, tau, steps), want)
 
 
 class TestSemigroupCheck:

@@ -248,9 +248,9 @@ def cmd_estimate(config: ExperimentConfig) -> int:
     key = recording_stats_key(manifest_path, manifest)
     array = _load_array(manifest_path, manifest)
     gravity = GravityModel(manifest.gravity_mps2)
+    stats = recording_stats(array, gravity)
     out = _make_out_dir(config)
 
-    stats = recording_stats(array, gravity)
     write_recording_stats(out / STATS_FILE, key, stats)
     scores = sort_by_quality({s.sensor_id: s.bias for s in stats})
     write_report(
@@ -260,13 +260,11 @@ def cmd_estimate(config: ExperimentConfig) -> int:
         out / "quality.json",
     )
     by_id = {r.sensor_id: r for r in array.recordings}
-    ordered = ArrayRecording(tuple(by_id[sid] for sid, _ in scores))
+    ordered = [by_id[sid] for sid, _ in scores]
 
-    n = ordered.n_samples
-    res = np.stack(
-        [residuals(r, gravity) for r in ordered.recordings], axis=1
-    )  # (N, K, 6)
-    k_grid = sorted({k for k in config.k_grid if 1 <= k <= ordered.n_sensors})
+    n = array.n_samples
+    res = np.stack([residuals(r, gravity) for r in ordered], axis=1)  # (N, K, 6)
+    k_grid = sorted({k for k in config.k_grid if 1 <= k <= array.n_sensors})
     if not k_grid:
         raise ConfigError("k_grid has no entries within the sensor count")
 
@@ -277,7 +275,7 @@ def cmd_estimate(config: ExperimentConfig) -> int:
         gyro_cal = gyro - gyro.mean(axis=0)
         accel_cal = accel - accel.mean(axis=0)
 
-        t = ordered.recordings[0].t
+        t = ordered[0].t
         _write_table(
             {
                 "t": t,
@@ -300,7 +298,7 @@ def cmd_estimate(config: ExperimentConfig) -> int:
         ends = prof_g.window_ends
         _write_table(
             {
-                "window_end_s": ends / ordered.rate_hz,
+                "window_end_s": ends / array.rate_hz,
                 "gyro_std_dps": np.rad2deg(prof_g.std_estimates),
                 "accel_std": prof_a.std_estimates,
                 "gyro_crlb_sqrt_dps": np.rad2deg(sg / np.sqrt(ends)),
@@ -399,9 +397,8 @@ def cmd_propagate(config: ExperimentConfig) -> int:
             {"tau": taus, **_kinematic_columns(unc_traj)},
             out / f"uncertainty_K{k}", config.fmt,
         )
-        q_f = q_closed(sys_m, spectra, tau_f)
-        dp_f, _, _ = propagate_mean(bias[:3], bias[3:], sys_m, tau_f)
-        ell = ellipsoid_from_cov(q_f[IDX_P, IDX_P], dp_f)
+        # taus is sorted, so the last q and dp are those at tau_f.
+        ell = ellipsoid_from_cov(q[IDX_P, IDX_P], dp)
         write_report(
             {"tau": tau_f, "centroid": ell.centroid,
              "semi_axes": ell.semi_axes, "orientation": ell.orientation},

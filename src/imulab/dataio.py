@@ -26,7 +26,7 @@ from typing import IO, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import __version__
-from .sensor_model import SPACING_TOL, ArrayRecording, GravityModel, SensorRecording
+from .sensor_model import ArrayRecording, GravityModel, SensorRecording
 from .estimation import bias_and_noise, rms
 
 __all__ = [
@@ -52,6 +52,10 @@ __all__ = [
 _CSV_HEADER = ["t", "gx", "gy", "gz", "ax", "ay", "az"]
 _GYRO_UNITS = ("deg/s", "rad/s")
 _ACCEL_UNITS = ("m/s2",)
+# Largest |bias| or noise std accepted from a recording, SI units. Far beyond
+# any sensor's range, it leaves the stages room to square, sum and propagate
+# the residuals without overflow.
+_MAX_STAT = 1e100
 
 
 class ParseError(ValueError):
@@ -75,8 +79,12 @@ class ArrayManifest:
     accel_units: str = "m/s2"
 
     def __post_init__(self):
-        if self.rate_hz <= 0:
+        if not self.rate_hz > 0:
             raise ConfigError(f"rate_hz must be > 0, got {self.rate_hz}")
+        if not 0 <= self.gravity_mps2 < math.inf:
+            raise ConfigError(
+                f"gravity_mps2 must be finite and >= 0, got {self.gravity_mps2}"
+            )
         if not self.sensor_files:
             raise ConfigError("manifest must list at least one sensor file")
         if self.gyro_units not in _GYRO_UNITS:
@@ -126,11 +134,18 @@ class DatasetSummary:
 
 
 def load_manifest(path: str | os.PathLike) -> ArrayManifest:
+    """Read a manifest file as UTF-8 JSON.
+
+    A file that cannot be read is a ``DataError``, and one that is not UTF-8
+    JSON or holds a missing or invalid field a ``ParseError``; each names it.
+    """
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise DataError(f"cannot read manifest {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     try:
@@ -142,8 +157,8 @@ def load_manifest(path: str | os.PathLike) -> ArrayManifest:
             gyro_units=units.get("gyro", "rad/s"),
             accel_units=units.get("accel", "m/s2"),
         )
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"{path}: missing or malformed manifest field: {exc}") from exc
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise ParseError(f"{path}: missing or invalid manifest field: {exc}") from exc
 
 
 def write_manifest(manifest: ArrayManifest, path: str | os.PathLike) -> None:
@@ -169,11 +184,12 @@ def parse_recording_csv(
 ) -> SensorRecording:
     """Parse one sensor CSV into an SI recording.
 
-    ``stream`` may be an open text stream or a path. Gyro columns are
-    converted from the declared units; time spacing is validated against
-    ``rate_hz`` with ``SPACING_TOL`` slack. Blank lines are skipped; a
-    ``nan`` or ``inf`` value is a ``ParseError`` naming its line; a path
-    that cannot be read is a ``DataError`` naming it.
+    ``stream`` may be an open text stream or a path, read as UTF-8. Gyro
+    columns are converted from the declared units. Blank lines are skipped;
+    a ``nan`` or ``inf`` value, or a file that is not UTF-8, is a
+    ``ParseError`` naming its line or path; a path that cannot be read is a
+    ``DataError`` naming it, and so is a time base that ``SensorRecording``
+    rejects.
     """
     if gyro_units not in _GYRO_UNITS:
         raise ConfigError(f"unknown gyro units {gyro_units!r}")
@@ -181,12 +197,14 @@ def parse_recording_csv(
         text = stream.read()
     else:
         try:
-            with open(stream, "r", newline="") as fh:
+            with open(stream, "r", encoding="utf-8", newline="") as fh:
                 text = fh.read()
         except OSError as exc:
             raise DataError(
                 f"{sensor_id}: cannot read {stream}: {exc.strerror or exc}"
             ) from exc
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{sensor_id}: {stream}: not UTF-8 text: {exc}") from exc
     if not text:
         raise ParseError(f"{sensor_id}: empty file")
     header_line, _, body = text.partition("\n")
@@ -205,17 +223,15 @@ def parse_recording_csv(
         raise _parse_error(sensor_id, body, "expected 7 columns")
     if not np.isfinite(arr).all():
         raise _parse_error(sensor_id, body, "non-finite value")
-    t = arr[:, 0]
-    if np.any(np.diff(t) <= 0):
-        raise DataError(f"{sensor_id}: timestamps not strictly increasing")
-    if t.size > 1 and np.max(np.abs(np.diff(t) - 1.0 / rate_hz)) > SPACING_TOL:
-        raise DataError(f"{sensor_id}: sample spacing inconsistent with {rate_hz} Hz")
     gyro = arr[:, 1:4]
     if gyro_units == "deg/s":
         gyro = np.deg2rad(gyro)
-    return SensorRecording(
-        sensor_id=sensor_id, rate_hz=rate_hz, t=t, gyro=gyro, accel=arr[:, 4:7]
-    )
+    try:
+        return SensorRecording(
+            sensor_id=sensor_id, rate_hz=rate_hz, t=arr[:, 0], gyro=gyro, accel=arr[:, 4:7]
+        )
+    except ValueError as exc:
+        raise DataError(f"{sensor_id}: {exc}") from exc
 
 
 def _parse_error(sensor_id: str, body: str, cause) -> ParseError:
@@ -288,8 +304,24 @@ def write_array(
 
 
 def recording_stats(array: ArrayRecording, gravity: GravityModel) -> list[SensorStats]:
-    """``bias_and_noise`` of each recording, in the array's order."""
-    return [SensorStats(r.sensor_id, *bias_and_noise(r, gravity)) for r in array.recordings]
+    """``bias_and_noise`` of each recording, in the array's order.
+
+    A recording too short to estimate from, or whose bias or noise is not
+    finite or exceeds ``_MAX_STAT``, is a ``DataError`` naming its sensor.
+    """
+    stats = []
+    for r in array.recordings:
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                bias, noise = bias_and_noise(r, gravity)
+        except ValueError as exc:
+            raise DataError(f"{r.sensor_id}: {exc}") from exc
+        if not (np.all(np.abs(bias) <= _MAX_STAT) and np.all(noise <= _MAX_STAT)):
+            raise DataError(
+                f"{r.sensor_id}: bias or noise estimate not finite or above {_MAX_STAT:g}"
+            )
+        stats.append(SensorStats(r.sensor_id, bias, noise))
+    return stats
 
 
 def recording_stats_key(manifest_path: str | os.PathLike, manifest: ArrayManifest) -> dict:

@@ -28,9 +28,7 @@ __all__ = [
     "db_ratio",
     "kde_density",
     "sort_by_quality",
-    "quality_score",
     "bias_score",
-    "estimate_bias",
     "bias_and_noise",
     "wss_check",
 ]
@@ -66,15 +64,6 @@ class RunningStdProfile:
             raise ValueError("std estimates must be >= 0")
         object.__setattr__(self, "window_ends", we)
         object.__setattr__(self, "std_estimates", se)
-
-    def loglog_slope(self) -> float:
-        """Least-squares slope of log10(std) vs log10(window end)."""
-        mask = self.std_estimates > 0
-        if np.count_nonzero(mask) < 2:
-            raise ValueError("need at least two non-zero std estimates to fit a slope")
-        x = np.log10(self.window_ends[mask])
-        y = np.log10(self.std_estimates[mask])
-        return float(np.polyfit(x, y, 1)[0])
 
 
 @dataclass(frozen=True)
@@ -242,11 +231,6 @@ def bias_score(bias: np.ndarray) -> float:
     return rms(scaled)
 
 
-def quality_score(recording: SensorRecording, gravity: GravityModel) -> float:
-    """Scalar badness score of one sensor: ``bias_score`` of its estimated bias."""
-    return bias_score(estimate_bias(recording, gravity)[0])
-
-
 def sort_by_quality(biases: Mapping[str, np.ndarray]) -> list[tuple[str, float]]:
     """Sensor ids with the ``bias_score`` of their six-axis bias, worst first.
 
@@ -261,44 +245,21 @@ def sort_by_quality(biases: Mapping[str, np.ndarray]) -> list[tuple[str, float]]
     return [(sid, score) for score, sid in scored]
 
 
-def _time_mean(res: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-axis time-mean of (N, 6) residuals, and which axes are constant.
-
-    A constant axis takes its exact value rather than the rounded mean.
-    """
-    if res.shape[0] < 2:
-        raise ValueError("need at least two samples to estimate bias")
-    bias = res.mean(axis=0)
-    constant = np.ptp(res, axis=0) == 0
-    bias[constant] = res[0, constant]
-    return bias, constant
-
-
-def estimate_bias(
-    recording: SensorRecording, gravity: GravityModel
-) -> tuple[np.ndarray, np.ndarray]:
-    """Six-axis bias estimate (time-mean of residuals) and its 1-sigma error.
-
-    The per-axis uncertainty is sample std / sqrt(N); it is zero for a
-    noiseless record.
-    """
-    res = residuals(recording, gravity)
-    bias, constant = _time_mean(res)
-    unc = res.std(axis=0, ddof=1) / np.sqrt(recording.n_samples)
-    unc[constant] = 0.0
-    return bias, unc
-
-
 def bias_and_noise(
     recording: SensorRecording, gravity: GravityModel
 ) -> tuple[np.ndarray, np.ndarray]:
     """Six-axis bias estimate and per-axis white-noise std around it.
 
-    The bias is ``estimate_bias``'s; the noise is the sample std (ddof=1) of
-    the residuals after removing it.
+    The bias is the time-mean of the residuals, except that a constant axis
+    takes its exact value rather than the rounded mean; the noise is the
+    sample std (ddof=1) of the residuals after removing the bias.
     """
     res = residuals(recording, gravity)
-    bias, _ = _time_mean(res)
+    if res.shape[0] < 2:
+        raise ValueError("need at least two samples to estimate bias")
+    bias = res.mean(axis=0)
+    constant = np.ptp(res, axis=0) == 0
+    bias[constant] = res[0, constant]
     return bias, (res - bias).std(axis=0, ddof=1)
 
 

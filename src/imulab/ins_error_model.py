@@ -32,8 +32,6 @@ __all__ = [
     "semigroup_check",
     "propagate_mean",
     "propagate_discrete",
-    "array_bias_average",
-    "array_q_scale",
     "ellipsoid_from_cov",
     "check_covariance",
 ]
@@ -68,11 +66,6 @@ class ErrorState:
     def zero(cls) -> "ErrorState":
         z = np.zeros(3)
         return cls(z, z, z, z, z)
-
-    @classmethod
-    def from_vector(cls, x: np.ndarray) -> "ErrorState":
-        x = np.asarray(x, dtype=float).reshape(15)
-        return cls(x[IDX_P], x[IDX_V], x[IDX_EPS], x[IDX_BA], x[IDX_BG])
 
     def to_vector(self) -> np.ndarray:
         return np.concatenate([self.dp, self.dv, self.eps, self.ba, self.bg])
@@ -413,25 +406,6 @@ def propagate_discrete(
         states[k] = x
         covs[k] = p
     return states, covs
-
-
-def array_bias_average(biases: np.ndarray) -> np.ndarray:
-    """Component-wise mean of K six-axis bias vectors."""
-    arr = np.atleast_2d(np.asarray(biases, dtype=float))
-    if arr.size == 0:
-        raise ValueError("biases must be non-empty")
-    if arr.shape[1] != 6:
-        raise ValueError("each bias must be a 6-vector (accel then gyro)")
-    if np.all(arr == arr[0]):
-        return arr[0].copy()
-    return arr.mean(axis=0)
-
-
-def array_q_scale(q_single: np.ndarray, k: int) -> np.ndarray:
-    """Process-noise covariance of a K-sensor average: Q / K elementwise."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return np.asarray(q_single, dtype=float) / k
 
 
 def check_covariance(p: np.ndarray, name: str = "covariance") -> np.ndarray:

@@ -29,7 +29,7 @@ __all__ = [
 ]
 
 # Time-grid slack for the uniform-spacing invariant, seconds: wide enough for
-# timestamps rounded to the microsecond. Recording parsers use the same value.
+# timestamps rounded to the microsecond.
 SPACING_TOL = 1e-6
 
 
@@ -121,7 +121,7 @@ class SensorRecording:
             if np.any(dt <= 0):
                 raise ValueError("timestamps must be strictly increasing")
             if np.max(np.abs(dt - 1.0 / self.rate_hz)) > SPACING_TOL:
-                raise ValueError("timestamps not uniformly spaced at rate_hz")
+                raise ValueError(f"sample spacing inconsistent with {self.rate_hz} Hz")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "gyro", gyro)
         object.__setattr__(self, "accel", accel)

@@ -23,8 +23,6 @@ from imulab.estimation import (
 from imulab.ins_error_model import (
     ErrorState,
     NoiseSpectra,
-    array_bias_average,
-    array_q_scale,
     phi_closed,
     propagate_discrete,
     propagate_mean,
@@ -179,7 +177,7 @@ def test_criterion_06_improvement_matrix(gravity):
 
 def test_criterion_07_array_uncertainty_exact(sys_m, median_spectra):
     q_single = q_closed(sys_m, median_spectra, 100.0)
-    q_array = array_q_scale(q_single, 10)
+    q_array = q_closed(sys_m, median_spectra.scaled(1 / 10), 100.0)
     ratio = np.sqrt(np.diag(q_array)[:9] / np.diag(q_single)[:9])
     err = float(np.abs(ratio - 1 / np.sqrt(10)).max())
     _verdict(7, "array covariance 1/sqrt(K)", err < 1e-6,
@@ -191,7 +189,7 @@ def test_criterion_08_mean_propagation_linear(sys_m):
     worst = 0.0
     for _ in range(10):
         biases = rng.normal(scale=0.1, size=(7, 6))
-        avg = array_bias_average(biases)
+        avg = np.mean(biases, axis=0)
         direct = np.concatenate(propagate_mean(avg[:3], avg[3:], sys_m, 100.0))
         per_sensor = np.mean(
             [np.concatenate(propagate_mean(b[:3], b[3:], sys_m, 100.0))

@@ -36,6 +36,32 @@ def _write_manifest_config(tmp_path: Path, **overrides) -> Path:
     return path
 
 
+def _recording_text(t: np.ndarray, rng: np.random.Generator) -> str:
+    """A hand-written recording at timestamps ``t``: noisy, level, at rest."""
+    rows = np.column_stack([
+        t,
+        rng.normal(0.0, 1e-3, (t.size, 3)),
+        rng.normal(0.0, 1e-2, (t.size, 3)) + [0.0, 0.0, -9.81],
+    ])
+    lines = ["t,gx,gy,gz,ax,ay,az", *(",".join(map(repr, r)) for r in rows.tolist())]
+    return "\n".join(lines) + "\n"
+
+
+def _hand_written_config(tmp_path: Path, recordings: dict, rate_hz: float) -> Path:
+    """Config for a manifest of the given sensor id -> recording text or bytes,
+    written to ``tmp_path``, with outputs under ``tmp_path / "out"``."""
+    files = []
+    for sid, text in recordings.items():
+        (tmp_path / f"{sid}.csv").write_bytes(text if isinstance(text, bytes) else text.encode())
+        files.append({"sensor_id": sid, "path": f"{sid}.csv"})
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"rate_hz": rate_hz, "sensor_files": files}))
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"manifest": str(manifest), "k_grid": [1, 2],
+                               "tau_grid": [0.0, 1.0, 10.0], "out_dir": str(tmp_path / "out")}))
+    return cfg
+
+
 def _write_config(tmp_path: Path, **overrides) -> Path:
     cfg = {
         "seed": 42,
@@ -238,25 +264,12 @@ class TestEstimate:
         """Run estimate on two hand-written 3 Hz recordings whose timestamps
         are rounded to the microsecond; ``jitter`` s is added to one of imu_b's."""
         t = np.round(np.arange(300) / 3.0, 6)
+        t_b = t.copy()
+        t_b[5] += jitter
         rng = np.random.default_rng(0)
-        files = []
-        for sid in ("imu_a", "imu_b"):
-            t_s = t.copy()
-            if sid == "imu_b":
-                t_s[5] += jitter
-            rows = np.column_stack([
-                t_s,
-                rng.normal(0.0, 1e-3, (t.size, 3)),
-                rng.normal(0.0, 1e-2, (t.size, 3)) + [0.0, 0.0, -9.81],
-            ])
-            lines = ["t,gx,gy,gz,ax,ay,az", *(",".join(map(repr, r)) for r in rows.tolist())]
-            (tmp_path / f"{sid}.csv").write_text("\n".join(lines) + "\n")
-            files.append({"sensor_id": sid, "path": f"{sid}.csv"})
-        manifest = tmp_path / "manifest.json"
-        manifest.write_text(json.dumps({"rate_hz": 3.0, "sensor_files": files}))
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({"manifest": str(manifest), "k_grid": [1, 2],
-                                   "out_dir": str(tmp_path / "out")}))
+        cfg = _hand_written_config(
+            tmp_path, {"imu_a": _recording_text(t, rng), "imu_b": _recording_text(t_b, rng)}, 3.0
+        )
         return main(["estimate", "--config", str(cfg)])
 
     def test_microsecond_rounded_timestamps_accepted(self, tmp_path):
@@ -266,6 +279,81 @@ class TestEstimate:
         assert self._estimate_3hz_manifest(tmp_path, 1e-5) == 3
         err = capsys.readouterr().err
         assert "data error: imu_b: sample spacing inconsistent" in err
+
+
+def _with_cell(text: str, row: int, col: int, value: str) -> str:
+    lines = text.split("\n")
+    cells = lines[row].split(",")
+    cells[col] = value
+    lines[row] = ",".join(cells)
+    return "\n".join(lines)
+
+
+def _bad_recordings(case: str) -> dict:
+    """Hand-written 10 Hz recordings, of which the last is bad as ``case`` says."""
+    t = np.arange(20) / 10.0
+    rng = np.random.default_rng(1)
+    good = _recording_text(t, rng)
+    if case == "none":
+        return {"imu_a": good, "imu_b": _recording_text(t, rng)}
+    if case == "single_sample":
+        return {"imu_a": _recording_text(t[:1], rng)}
+    if case == "negative_time":
+        return {"imu_a": good, "imu_b": _recording_text(t - 0.2, rng)}
+    if case == "not_utf8":
+        raw = good.encode()
+        return {"imu_a": good, "imu_b": raw[:40] + b"\xff" + raw[41:]}
+    huge = {"overflowing_noise": "1e200", "noise_above_bound": "1e150"}[case]
+    return {"imu_a": good, "imu_b": _with_cell(good, 6, 4, huge)}
+
+
+# What each bad case of ``_bad_recordings`` makes estimate and propagate report.
+_BAD_RECORDING_ERRORS = {
+    "single_sample": "imu_a: need at least two samples to estimate bias",
+    "negative_time": "imu_b: timestamps must be non-negative",
+    "not_utf8": "imu_b: {dir}/imu_b.csv: not UTF-8 text: 'utf-8' codec can't decode byte 0xff",
+    "overflowing_noise": "imu_b: bias or noise estimate not finite or above 1e+100",
+    "noise_above_bound": "imu_b: bias or noise estimate not finite or above 1e+100",
+}
+
+
+class TestBadRecordings:
+    """A recording that cannot be decoded or yields no usable statistics is a
+    data error naming its sensor, and no stage creates its output directory."""
+
+    @pytest.mark.parametrize("case", list(_BAD_RECORDING_ERRORS))
+    def test_estimate_and_propagate_exit_3(self, tmp_path, capsys, case):
+        cfg = _hand_written_config(tmp_path, _bad_recordings(case), 10.0)
+        message = _BAD_RECORDING_ERRORS[case].format(dir=tmp_path)
+        for cmd in ("estimate", "propagate"):
+            capsys.readouterr()
+            assert main([cmd, "--config", str(cfg)]) == 3, cmd
+            assert f"data error: {message}" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda b: b.replace(b"10.0", b"1\xff.0"), "not UTF-8 text", id="not_utf8"),
+        pytest.param(lambda b: b"[" + b + b"]", "'list' object has no attribute 'get'",
+                     id="not_an_object"),
+        pytest.param(lambda b: b.replace(b'"rate_hz"', b'"rate"'),
+                     "missing or invalid manifest field: 'rate_hz'", id="missing_rate"),
+        pytest.param(lambda b: b.replace(b"10.0", b"-10.0"), "rate_hz must be > 0",
+                     id="negative_rate"),
+        pytest.param(lambda b: b.replace(b"10.0", b"NaN"), "rate_hz must be > 0", id="nan_rate"),
+        pytest.param(lambda b: b.replace(b"{", b'{"gravity_mps2": -9.81, ', 1),
+                     "gravity_mps2 must be", id="negative_gravity"),
+        pytest.param(lambda b: b.replace(b"{", b'{"units": {"gyro": "rad/t"}, ', 1),
+                     "unknown gyro units", id="unknown_units"),
+    ])
+    def test_bad_manifest_exits_3_naming_it(self, tmp_path, capsys, edit, message):
+        cfg = _hand_written_config(tmp_path, _bad_recordings("none"), 10.0)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_bytes(edit(manifest.read_bytes()))
+        for cmd in ("estimate", "propagate"):
+            capsys.readouterr()
+            assert main([cmd, "--config", str(cfg)]) == 3, cmd
+            err = capsys.readouterr().err
+            assert err.startswith(f"data error: {manifest}: ") and message in err, err
 
 
 class TestPropagate:

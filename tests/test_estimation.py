@@ -7,11 +7,9 @@ from imulab.estimation import (
     bias_and_noise,
     bias_score,
     db_ratio,
-    estimate_bias,
     fisher_crlb,
     kde_density,
     mse,
-    quality_score,
     rms,
     running_std_profile,
     sample_mean,
@@ -218,7 +216,7 @@ class TestKde:
 
 
 def _biases(arr, gravity) -> dict:
-    return {r.sensor_id: estimate_bias(r, gravity)[0] for r in arr.recordings}
+    return {r.sensor_id: bias_and_noise(r, gravity)[0] for r in arr.recordings}
 
 
 class TestQualityRanking:
@@ -241,15 +239,16 @@ class TestQualityRanking:
         from imulab.sensor_model import draw_sensor_params
 
         arr = simulate_array(draw_sensor_params(10, 3), gravity, 10.0, 100.0, seed=3)
-        scores = sort_by_quality(_biases(arr, gravity))
+        biases = _biases(arr, gravity)
+        scores = sort_by_quality(biases)
         oracle = sorted(
             arr.recordings,
-            key=lambda r: (-quality_score(r, gravity), r.sensor_id),
+            key=lambda r: (-bias_score(biases[r.sensor_id]), r.sensor_id),
         )
         assert [sid for sid, _ in scores] == [r.sensor_id for r in oracle]
-        assert [s for _, s in scores] == [quality_score(r, gravity) for r in oracle]
+        assert [s for _, s in scores] == [bias_score(biases[r.sensor_id]) for r in oracle]
 
-    def test_noiseless_quality_score_is_bias_score_of_params(self, gravity):
+    def test_noiseless_score_is_bias_score_of_params(self, gravity):
         from imulab.sensor_model import draw_sensor_params
 
         params = [
@@ -259,20 +258,20 @@ class TestQualityRanking:
         arr = simulate_array(params, gravity, 1.0, 100.0, seed=8)
         for p, rec in zip(params, arr.recordings):
             want = bias_score(np.concatenate([p.bias_gyro, p.bias_accel]))
-            assert quality_score(rec, gravity) == pytest.approx(want, rel=1e-12)
+            got = bias_score(bias_and_noise(rec, gravity)[0])
+            assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestEstimateBias:
     def test_noiseless_exact(self, gravity):
         p = SensorErrorParams(bias_accel=[0.1, 0, 0])
         arr = simulate_array([p], gravity, 1.0, 10.0, seed=0)
-        bias, unc = estimate_bias(arr.recordings[0], gravity)
+        bias, _ = bias_and_noise(arr.recordings[0], gravity)
         assert np.allclose(bias, [0, 0, 0, 0.1, 0, 0], atol=1e-14)
-        assert np.all(unc == 0)
 
     def test_within_3sigma_of_truth(self, gravity, median_params):
         arr = simulate_array([median_params], gravity, 100.0, 100.0, seed=11)
-        bias, _ = estimate_bias(arr.recordings[0], gravity)
+        bias, _ = bias_and_noise(arr.recordings[0], gravity)
         n = arr.n_samples
         assert np.all(
             np.abs(bias[:3] - median_params.bias_gyro)
@@ -282,7 +281,7 @@ class TestEstimateBias:
     def test_compensation_recenters_residuals(self, gravity, median_params):
         arr = simulate_array([median_params], gravity, 100.0, 100.0, seed=12)
         rec = arr.recordings[0]
-        bias, _ = estimate_bias(rec, gravity)
+        bias, _ = bias_and_noise(rec, gravity)
         recentred = residuals(rec, gravity) - bias
         n = rec.n_samples
         tol = 3 * max(median_params.sigma_gyro, median_params.sigma_accel) / np.sqrt(n)
@@ -290,16 +289,17 @@ class TestEstimateBias:
 
     def test_single_sample_rejected(self, gravity):
         arr = simulate_array([SensorErrorParams()], gravity, 0.01, 100.0, seed=0)
-        with pytest.raises(ValueError):
-            estimate_bias(arr.recordings[0], gravity)
+        with pytest.raises(ValueError, match="at least two samples"):
+            bias_and_noise(arr.recordings[0], gravity)
 
 
 class TestBiasAndNoise:
-    def test_bias_is_estimate_bias(self, gravity, median_params):
+    def test_bias_is_mean_of_residuals(self, gravity, median_params):
         rec = simulate_array([median_params], gravity, 10.0, 100.0, seed=5).recordings[0]
         bias, noise = bias_and_noise(rec, gravity)
-        assert np.array_equal(bias, estimate_bias(rec, gravity)[0])
-        assert np.array_equal(noise, (residuals(rec, gravity) - bias).std(axis=0, ddof=1))
+        res = residuals(rec, gravity)
+        assert np.array_equal(bias, res.mean(axis=0))  # no axis is constant
+        assert np.array_equal(noise, (res - bias).std(axis=0, ddof=1))
 
     def test_noiseless_axes_have_zero_noise(self, gravity):
         p = SensorErrorParams(bias_gyro=[1e-3, 0, 0], bias_accel=[0.1, 0, 0.2])

@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 from imulab.ins_error_model import (
     ErrorState,
     NoiseSpectra,
-    array_bias_average,
-    array_q_scale,
     build_system,
     check_covariance,
     ellipsoid_from_cov,
@@ -234,17 +232,16 @@ class TestPropagateDiscrete:
 
 
 class TestArrayAveraging:
-    def test_identical_biases(self):
-        b = np.array([1.0, -2, 3, 0.1, 0.2, 0.3])
-        assert np.array_equal(array_bias_average([b, b, b]), b)
+    """The K-sensor average as propagate forms it: the mean bias, and the
+    pooled noise spectra scaled by 1/K."""
 
     def test_opposite_biases_cancel(self):
         b = np.array([1.0, -2, 3, 0.1, 0.2, 0.3])
-        assert np.array_equal(array_bias_average([b, -b]), np.zeros(6))
+        assert np.array_equal(np.mean([b, -b], axis=0), np.zeros(6))
 
     def test_propagation_commutes_with_averaging(self, sys_m, rng):
         biases = rng.normal(size=(10, 6)) * 0.1
-        avg = array_bias_average(biases)
+        avg = np.mean(biases, axis=0)
         direct = np.concatenate(propagate_mean(avg[:3], avg[3:], sys_m, 25.0))
         per_sensor = np.mean(
             [
@@ -259,22 +256,17 @@ class TestArrayAveraging:
 
     def test_q_scale_identity(self, sys_m, median_spectra):
         q = q_closed(sys_m, median_spectra, 10.0)
-        assert np.array_equal(array_q_scale(q, 1), q)
-        scaled = array_q_scale(q, 10)
-        assert np.allclose(scaled, q / 10, rtol=0, atol=0)
+        assert np.array_equal(q_closed(sys_m, median_spectra.scaled(1.0), 10.0), q)
+        scaled = q_closed(sys_m, median_spectra.scaled(1 / 10), 10.0)
         ratio = np.sqrt(np.diag(scaled)[0] / np.diag(q)[0])
         assert ratio == pytest.approx(1 / np.sqrt(10), rel=1e-12)
 
     def test_q_scale_matches_scaled_spectra(self, sys_m, median_spectra):
         for k in (2, 10):
             via_spectra = q_closed(sys_m, median_spectra.scaled(1 / k), 10.0)
-            via_scale = array_q_scale(q_closed(sys_m, median_spectra, 10.0), k)
+            via_scale = q_closed(sys_m, median_spectra, 10.0) / k
             denom = np.abs(via_scale).max()
             assert np.max(np.abs(via_spectra - via_scale)) < 1e-14 * denom
-
-    def test_bad_k(self, sys_m, median_spectra):
-        with pytest.raises(ValueError):
-            array_q_scale(q_closed(sys_m, median_spectra, 1.0), 0)
 
 
 class TestEllipsoid:

@@ -32,6 +32,7 @@ from .dataio import (
     dataset_summary,
     load_manifest,
     parse_recording_csv,
+    read_json,
     read_recording_stats,
     recording_stats,
     recording_stats_key,
@@ -199,15 +200,6 @@ def _recording_stats(
     return stats, manifest
 
 
-def _make_out_dir(config: ExperimentConfig) -> Path:
-    out = Path(config.out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create {out}: {exc.strerror or exc}") from exc
-    return out
-
-
 def _resolve_manifest(config: ExperimentConfig) -> Path:
     if config.manifest is not None:
         return Path(config.manifest)
@@ -249,7 +241,10 @@ def cmd_estimate(config: ExperimentConfig) -> int:
     array = _load_array(manifest_path, manifest)
     gravity = GravityModel(manifest.gravity_mps2)
     stats = recording_stats(array, gravity)
-    out = _make_out_dir(config)
+    k_grid = sorted({k for k in config.k_grid if 1 <= k <= array.n_sensors})
+    if not k_grid:
+        raise ConfigError("k_grid has no entries within the sensor count")
+    out = Path(config.out_dir)
 
     write_recording_stats(out / STATS_FILE, key, stats)
     scores = sort_by_quality({s.sensor_id: s.bias for s in stats})
@@ -264,9 +259,6 @@ def cmd_estimate(config: ExperimentConfig) -> int:
 
     n = array.n_samples
     res = np.stack([residuals(r, gravity) for r in ordered], axis=1)  # (N, K, 6)
-    k_grid = sorted({k for k in config.k_grid if 1 <= k <= array.n_sensors})
-    if not k_grid:
-        raise ConfigError("k_grid has no entries within the sensor count")
 
     cells_gyro, cells_accel = {}, {}
     for k in k_grid:
@@ -345,33 +337,33 @@ def _evaluation_matrix(cells: dict[int, float], n: int, k_grid: list[int]) -> di
     The t0 row is the per-sample noise level of the K-averaged series; the tf
     row is the uncertainty of the full-window mean, smaller by 1/sqrt(N).
     Under the variance law the column ratio is 1/sqrt(N) and the row ratio
-    approaches 1/sqrt(K).
+    approaches 1/sqrt(K). When the K=k_lo cell is 0 (a noiseless worst
+    sensor) the K ratios are undefined and written as None.
     """
     k_lo, k_hi = k_grid[0], k_grid[-1]
     t0 = {f"K{k}": cells[k] for k in k_grid}
     tf = {f"K{k}": cells[k] / np.sqrt(n) for k in k_grid}
-    k_ratio = cells[k_hi] / cells[k_lo]
+    k_ratio = cells[k_hi] / cells[k_lo] if cells[k_lo] else None
     n_ratio = 1.0 / np.sqrt(n)
     return {
         "t0": t0,
         "tf": tf,
         "k_ratio": k_ratio,
         "n_ratio": n_ratio,
-        "nk_ratio": k_ratio * n_ratio,
-        "k_ratio_db": db_ratio(k_ratio),
+        "nk_ratio": None if k_ratio is None else k_ratio * n_ratio,
+        "k_ratio_db": None if k_ratio is None else db_ratio(k_ratio),
         "n_ratio_db": db_ratio(n_ratio),
         "expected_k_ratio": 1.0 / np.sqrt(k_hi / k_lo),
     }
 
 
 def cmd_propagate(config: ExperimentConfig) -> int:
-    gravity, biases, spectra_pool = _propagation_inputs(config)
-    sys_m = build_system(gravity)
-    out = _make_out_dir(config)
-
     taus = np.asarray(sorted(config.tau_grid), dtype=float)
     if np.any(taus < 0):
         raise ConfigError("tau_grid entries must be >= 0")
+    gravity, biases, spectra_pool = _propagation_inputs(config)
+    sys_m = build_system(gravity)
+    out = Path(config.out_dir)
     k_max = len(biases)
     k_grid = sorted({k for k in config.k_grid if 1 <= k <= k_max})
     if not k_grid:
@@ -486,8 +478,8 @@ def _propagation_inputs(
 
 def cmd_report(config: ExperimentConfig) -> int:
     out = Path(config.out_dir)
-    evaluation = _read_optional_json(out / "evaluation_matrix.json")
-    ratios = _read_optional_json(out / "ratio_matrices.json")
+    evaluation = _read_product(out / "evaluation_matrix.json", _has_evaluation_fields)
+    ratios = _read_product(out / "ratio_matrices.json", _has_ratio_fields)
     if evaluation is None and ratios is None:
         raise ConfigError(
             f"no estimate/propagate outputs found in {out}; run those commands first"
@@ -530,24 +522,59 @@ def _collect_db(evaluation, ratios) -> dict:
             out[f"{key}_k_ratio_db"] = evaluation[key]["k_ratio_db"]
             out[f"{key}_n_ratio_db"] = evaluation[key]["n_ratio_db"]
     if ratios is not None:
-        unc = np.asarray(ratios["uncertainty_ratio"], dtype=float)
-        positive = unc[unc > 0]
-        if positive.size:
+        positive = [v for row in ratios["uncertainty_ratio"] for v in row if v > 0]
+        if positive:
             out["uncertainty_ratio_db_mean"] = float(
                 np.mean([db_ratio(v) for v in positive])
             )
     return out
 
 
-def _read_optional_json(path: Path):
+def _read_product(path: Path, has_fields):
+    """A stage product read by ``read_json``, or None if there is none.
+
+    A product that fails ``has_fields`` or holds a non-finite number is a
+    ``DataError`` naming it.
+    """
     if not path.exists():
         return None
-    try:
-        return json.loads(path.read_text())
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: corrupt JSON: {exc}") from exc
+    product = read_json(path)
+    if not (has_fields(product) and _all_finite(product)):
+        raise DataError(f"{path}: missing, non-numeric or non-finite product field")
+    return product
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _has_evaluation_fields(evaluation) -> bool:
+    """Whether ``_collect_db`` can read an ``evaluation_matrix.json`` product."""
+    return isinstance(evaluation, dict) and all(
+        isinstance(block, dict)
+        and _is_number(block.get("n_ratio_db"))
+        and "k_ratio_db" in block
+        and (block["k_ratio_db"] is None or _is_number(block["k_ratio_db"]))
+        for block in (evaluation.get("gyro_dps"), evaluation.get("accel"))
+    )
+
+
+def _has_ratio_fields(ratios) -> bool:
+    """Whether ``_collect_db`` can read a ``ratio_matrices.json`` product."""
+    unc = ratios.get("uncertainty_ratio") if isinstance(ratios, dict) else None
+    return isinstance(unc, list) and all(
+        isinstance(row, list) and all(map(_is_number, row)) for row in unc
+    )
+
+
+def _all_finite(obj) -> bool:
+    if isinstance(obj, float):
+        return bool(np.isfinite(obj))
+    if isinstance(obj, dict):
+        return all(map(_all_finite, obj.values()))
+    if isinstance(obj, list):
+        return all(map(_all_finite, obj))
+    return True
 
 
 def _write_table(columns: dict, stem: Path, fmt: str) -> None:

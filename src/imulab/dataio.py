@@ -36,6 +36,7 @@ __all__ = [
     "ArrayManifest",
     "DatasetSummary",
     "SensorStats",
+    "read_json",
     "load_manifest",
     "write_manifest",
     "parse_recording_csv",
@@ -133,21 +134,29 @@ class DatasetSummary:
         return out
 
 
-def load_manifest(path: str | os.PathLike) -> ArrayManifest:
-    """Read a manifest file as UTF-8 JSON.
+def read_json(path: str | os.PathLike):
+    """Read a JSON data file as UTF-8.
 
     A file that cannot be read is a ``DataError``, and one that is not UTF-8
-    JSON or holds a missing or invalid field a ``ParseError``; each names it.
+    or not JSON a ``ParseError``; each names the path.
     """
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
-        raise DataError(f"cannot read manifest {path}: {exc.strerror or exc}") from exc
+        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def load_manifest(path: str | os.PathLike) -> ArrayManifest:
+    """Read a manifest file with ``read_json``.
+
+    A manifest with a missing or invalid field is a ``ParseError`` naming it.
+    """
+    raw = read_json(path)
     try:
         units = raw.get("units", {})
         return ArrayManifest(
@@ -170,10 +179,7 @@ def write_manifest(manifest: ArrayManifest, path: str | os.PathLike) -> None:
             {"sensor_id": sid, "path": rel} for sid, rel in manifest.sensor_files
         ],
     }
-    try:
-        Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-    except OSError as exc:
-        raise ConfigError(f"cannot write manifest {path}: {exc.strerror or exc}") from exc
+    write_report(payload, "json", path)
 
 
 def parse_recording_csv(
@@ -283,10 +289,6 @@ def write_array(
 ) -> Path:
     """Write per-sensor CSVs plus a manifest; returns the manifest path."""
     out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create {out}: {exc.strerror or exc}") from exc
     files = []
     for rec in array.recordings:
         rel = f"{rec.sensor_id}.csv"
@@ -355,22 +357,24 @@ def read_recording_stats(
 
     None (a miss) when the file is missing, unreadable, not JSON, stored
     under another key, or does not hold six float biases and noises for each
-    of ``sensor_ids`` in order. JSON floats round-trip exactly, so a hit
+    of ``sensor_ids`` in order, each finite and within ``_MAX_STAT`` as
+    ``recording_stats`` requires. JSON floats round-trip exactly, so a hit
     returns the very floats that were written.
     """
     try:
-        raw = json.loads(Path(path).read_bytes())
+        raw = read_json(path)
         if raw["key"] != key or len(set(sensor_ids)) != len(sensor_ids):
             return None
         entries = raw["sensors"]
         if [e["sensor_id"] for e in entries] != list(sensor_ids):
             return None
         if not all(
-            len(e[name]) == 6 and all(type(v) is float for v in e[name])
+            len(e[name]) == 6
+            and all(type(v) is float and abs(v) <= _MAX_STAT for v in e[name])
             for e in entries for name in ("bias", "noise")
         ):
             return None
-    except (OSError, ValueError, KeyError, TypeError):
+    except (DataError, ParseError, KeyError, TypeError):
         return None
     return [
         SensorStats(e["sensor_id"], np.array(e["bias"]), np.array(e["noise"]))
@@ -381,10 +385,9 @@ def read_recording_stats(
 def write_recording_stats(
     path: str | os.PathLike, key: dict, stats: Sequence[SensorStats]
 ) -> None:
-    """Write per-sensor stats under ``key`` as JSON, atomically.
+    """Write per-sensor stats under ``key`` with ``write_report``.
 
-    The same key and stats give the same bytes. A location that cannot be
-    written is a ``ConfigError`` naming it.
+    The same key and stats give the same bytes.
     """
     payload = {
         "key": key,
@@ -392,17 +395,7 @@ def write_recording_stats(
             {"sensor_id": s.sensor_id, "bias": s.bias, "noise": s.noise} for s in stats
         ],
     }
-    text = json.dumps(_jsonable(payload), indent=2) + "\n"
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_text(text)
-        os.replace(tmp, path)
-    except OSError as exc:
-        with contextlib.suppress(OSError):
-            tmp.unlink()
-        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    write_report(payload, "json", path)
 
 
 def dataset_summary(stats: Sequence[SensorStats]) -> DatasetSummary:
@@ -459,6 +452,12 @@ def write_report(report, fmt: str, dest: IO[str] | str | os.PathLike) -> None:
     CSV requires a flat mapping of column name -> sequence of scalars (all of
     one length); an all-empty table still produces the header line. CSV cells
     hold ``repr`` of floats (shortest round trip) and ``str`` of anything else.
+
+    This is the package's only file writer. A path ``dest`` gets its parent
+    directories created, and the text is written to a temporary file beside
+    it that is then renamed over it, so ``dest`` is either complete or left as
+    it was. A directory that cannot be created or a file that cannot be
+    written is a ``ConfigError`` naming it.
     """
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown report format {fmt!r}")
@@ -481,10 +480,22 @@ def write_report(report, fmt: str, dest: IO[str] | str | os.PathLike) -> None:
         buf.write(",".join(payload) + "\n")
         buf.writelines(",".join(row) + "\n" for row in zip(*columns))
     text = buf.getvalue()
-    try:
-        if hasattr(dest, "write"):
+    if hasattr(dest, "write"):
+        try:
             dest.write(text)
-        else:
-            Path(dest).write_text(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write report to {dest}: {exc.strerror or exc}") from exc
+        return
+    path = Path(dest)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"cannot write report to {dest}: {exc.strerror or exc}") from exc
+        raise ConfigError(f"cannot create {path.parent}: {exc.strerror or exc}") from exc
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise ConfigError(f"cannot write report to {path}: {exc.strerror or exc}") from exc

@@ -148,11 +148,15 @@ class ArrayRecording:
         ref = recs[0]
         for r in recs[1:]:
             if r.n_samples != ref.n_samples:
-                raise ValueError("all recordings must share the same sample count")
+                raise ValueError(
+                    f"{r.sensor_id}: {r.n_samples} samples, {ref.sensor_id} has {ref.n_samples}"
+                )
             if r.rate_hz != ref.rate_hz:
-                raise ValueError("all recordings must share the same rate")
+                raise ValueError(
+                    f"{r.sensor_id}: rate {r.rate_hz} Hz, {ref.sensor_id} has {ref.rate_hz} Hz"
+                )
             if np.max(np.abs(r.t - ref.t)) > SPACING_TOL:
-                raise ValueError("all recordings must share the same time base")
+                raise ValueError(f"{r.sensor_id}: time base differs from {ref.sensor_id}'s")
         object.__setattr__(self, "recordings", recs)
 
     @property

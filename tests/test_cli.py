@@ -257,7 +257,7 @@ class TestEstimate:
             assert f"data error: cannot read {rec_dir / 'a_directory'}" in capsys.readouterr().err
         dir_cfg = _write_manifest_config(tmp_path, manifest=str(rec_dir))
         assert main(["estimate", "--config", str(dir_cfg)]) == 3
-        assert f"data error: cannot read manifest {rec_dir}" in capsys.readouterr().err
+        assert f"data error: cannot read {rec_dir}" in capsys.readouterr().err
 
     @staticmethod
     def _estimate_3hz_manifest(tmp_path: Path, jitter: float) -> int:
@@ -300,6 +300,8 @@ def _bad_recordings(case: str) -> dict:
         return {"imu_a": _recording_text(t[:1], rng)}
     if case == "negative_time":
         return {"imu_a": good, "imu_b": _recording_text(t - 0.2, rng)}
+    if case == "short_recording":
+        return {"imu_a": good, "imu_b": _recording_text(t[:-1], rng)}
     if case == "not_utf8":
         raw = good.encode()
         return {"imu_a": good, "imu_b": raw[:40] + b"\xff" + raw[41:]}
@@ -311,6 +313,7 @@ def _bad_recordings(case: str) -> dict:
 _BAD_RECORDING_ERRORS = {
     "single_sample": "imu_a: need at least two samples to estimate bias",
     "negative_time": "imu_b: timestamps must be non-negative",
+    "short_recording": "imu_b: 19 samples, imu_a has 20",
     "not_utf8": "imu_b: {dir}/imu_b.csv: not UTF-8 text: 'utf-8' codec can't decode byte 0xff",
     "overflowing_noise": "imu_b: bias or noise estimate not finite or above 1e+100",
     "noise_above_bound": "imu_b: bias or noise estimate not finite or above 1e+100",
@@ -354,6 +357,34 @@ class TestBadRecordings:
             assert main([cmd, "--config", str(cfg)]) == 3, cmd
             err = capsys.readouterr().err
             assert err.startswith(f"data error: {manifest}: ") and message in err, err
+
+
+def test_noiseless_worst_sensor_gives_null_k_ratios(tmp_path):
+    sensors = [{"bias_gyro_dps": [1, 0, 0], "bias_accel": [0.1, 0, 0]}] * 2
+    cfg = _write_config(tmp_path, sensors=sensors, k_grid=[1, 2])
+    for cmd in ("simulate", "estimate", "propagate", "report"):
+        assert main([cmd, "--config", str(cfg)]) == 0, cmd
+    out = tmp_path / "out"
+    evaluation = json.loads((out / "evaluation_matrix.json").read_text())
+    report = json.loads((out / "report.json").read_text())
+    for key in ("gyro_dps", "accel"):
+        block = evaluation[key]
+        assert block["t0"] == {"K1": 0.0, "K2": 0.0}
+        assert block["k_ratio"] is block["nk_ratio"] is block["k_ratio_db"] is None
+        assert report["db_ratios"][f"{key}_k_ratio_db"] is None
+
+
+@pytest.mark.parametrize("cmd, override", [
+    ("estimate", {"k_grid": [50]}),
+    ("propagate", {"tau_grid": [-1.0, 1.0]}),
+])
+def test_config_error_writes_nothing(tmp_path, capsys, cmd, override):
+    assert main(["simulate", "--config", str(_write_config(tmp_path))]) == 0
+    cfg = _write_manifest_config(tmp_path, out_dir=str(tmp_path / "products"), **override)
+    capsys.readouterr()
+    assert main([cmd, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "products").exists()
 
 
 class TestPropagate:
@@ -479,6 +510,73 @@ class TestReport:
         cfg = _write_config(tmp_path)
         assert main(["report", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("product, edit", [
+        pytest.param("evaluation_matrix.json", lambda raw: [], id="eval_list"),
+        pytest.param("evaluation_matrix.json", lambda raw: {}, id="eval_empty"),
+        pytest.param("evaluation_matrix.json", lambda raw: {"gyro_dps": 1, "accel": 2},
+                     id="eval_numbers_for_blocks"),
+        pytest.param("evaluation_matrix.json",
+                     lambda raw: {**raw, "accel": {"n_ratio_db": -30.0}},
+                     id="eval_missing_k_ratio_db"),
+        pytest.param("evaluation_matrix.json",
+                     lambda raw: {**raw, "accel": {**raw["accel"], "k_ratio_db": "-10"}},
+                     id="eval_string_k_ratio_db"),
+        pytest.param("evaluation_matrix.json",
+                     lambda raw: {**raw, "accel": {**raw["accel"], "k_ratio_db": float("nan")}},
+                     id="eval_nan_k_ratio_db"),
+        pytest.param("evaluation_matrix.json", lambda raw: {**raw, "n_samples": float("inf")},
+                     id="eval_inf_elsewhere"),
+        pytest.param("ratio_matrices.json", lambda raw: [], id="ratios_list"),
+        pytest.param("ratio_matrices.json", lambda raw: {**raw, "uncertainty_ratio": ["a"]},
+                     id="ratios_string_row"),
+        pytest.param("ratio_matrices.json",
+                     lambda raw: {**raw, "uncertainty_ratio": [[0.5, True]]},
+                     id="ratios_bool_cell"),
+        pytest.param("ratio_matrices.json", lambda raw: {**raw, "tau": float("-inf")},
+                     id="ratios_inf_elsewhere"),
+    ])
+    def test_bad_product_exits_3_naming_it(self, tmp_path, capsys, product, edit):
+        cfg = _write_config(tmp_path)
+        for cmd in ("simulate", "estimate", "propagate"):
+            assert main([cmd, "--config", str(cfg)]) == 0, cmd
+        path = tmp_path / "out" / product
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        capsys.readouterr()
+        assert main(["report", "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err.startswith(f"data error: {path}: ")
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_undecodable_product_exits_3_naming_it(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path)
+        for cmd in ("simulate", "estimate"):
+            assert main([cmd, "--config", str(cfg)]) == 0, cmd
+        path = tmp_path / "out" / "evaluation_matrix.json"
+        path.write_bytes(path.read_bytes() + b"\xff")
+        capsys.readouterr()
+        assert main(["report", "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err.startswith(f"data error: {path}: not UTF-8 text")
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_interrupted_write_keeps_previous_file(self, tmp_path, capsys, monkeypatch):
+        cfg = _write_config(tmp_path)
+        for cmd in ("propagate", "report"):
+            assert main([cmd, "--config", str(cfg)]) == 0, cmd
+        out = tmp_path / "out"
+        before = _dir_bytes(out)
+        real_write_text = Path.write_text
+
+        def write_half_then_fail(self, data, *args, **kwargs):
+            real_write_text(self, data[: len(data) // 2], *args, **kwargs)
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+        capsys.readouterr()
+        assert main(["report", "--config", str(cfg)]) == 2
+        dest = out / "report.json"
+        assert f"config error: cannot write report to {dest}: No space left" in (
+            capsys.readouterr().err)
+        assert _dir_bytes(out) == before  # report.json as it was, and no temp file
+
     def test_unwritable_report_exits_2_naming_path(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)
         assert main(["propagate", "--config", str(cfg)]) == 0
@@ -556,7 +654,8 @@ class TestRecordingStats:
             assert (out / "recording_stats.json").read_bytes() == stats
         assert _stage_outputs(out) == hit
 
-    @pytest.mark.parametrize("damage", ["truncated", "not_json", "wrong_shape", "stale_key"])
+    @pytest.mark.parametrize("damage", ["truncated", "not_json", "wrong_shape", "stale_key",
+                                        "non_finite", "above_bound"])
     def test_bad_stats_file_is_a_miss(self, tmp_path, pipeline, damage):
         out = tmp_path / "out"
         path = out / "recording_stats.json"
@@ -565,6 +664,8 @@ class TestRecordingStats:
         raw = json.loads(good)
         if damage == "wrong_shape":
             raw["sensors"][0]["bias"] = raw["sensors"][0]["bias"][:5]
+        elif damage in ("non_finite", "above_bound"):
+            raw["sensors"][1]["noise"][2] = float("nan") if damage == "non_finite" else 1e101
         elif damage == "stale_key":
             # Poisoned values under another version: using them would show.
             raw["key"]["software_version"] = "0.0.0"

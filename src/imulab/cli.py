@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -41,7 +40,6 @@ from .dataio import (
     write_report,
 )
 from .estimation import (
-    bias_score,
     db_ratio,
     kde_density,
     rms,
@@ -78,6 +76,40 @@ EXIT_NUMERIC = 4
 STATS_FILE = "recording_stats.json"
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    """A float or int within float range: not nan, inf or a huge int."""
+    return _is_number(value) and abs(value) <= sys.float_info.max
+
+
+# Config field -> (check, what it requires). Checked before any other rule,
+# so a value of the wrong type is a ConfigError naming its field.
+_FIELD_TYPES = {
+    "seed": (_is_int, "an integer"),
+    "duration_s": (_is_finite, "a finite number"),
+    "rate_hz": (_is_finite, "a finite number"),
+    "gravity_mps2": (_is_finite, "a finite number"),
+    "sensors": (
+        lambda v: v is None or _is_int(v)
+        or (isinstance(v, list) and all(isinstance(d, dict) for d in v)),
+        "an integer or a list of objects",
+    ),
+    "manifest": (lambda v: v is None or isinstance(v, str), "a path"),
+    "out_dir": (lambda v: isinstance(v, str), "a path"),
+    "tau_grid": (lambda v: isinstance(v, list) and all(map(_is_finite, v)),
+                 "a list of finite numbers"),
+    "k_grid": (lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers"),
+    "inject_bias_walk": (lambda v: isinstance(v, bool), "true or false"),
+}
+
+
 @dataclass
 class ExperimentConfig:
     seed: int = 0
@@ -94,6 +126,11 @@ class ExperimentConfig:
     gravity_mps2: float = 9.81
 
     def __post_init__(self):
+        for name, (ok, requirement) in _FIELD_TYPES.items():
+            if not ok(getattr(self, name)):
+                raise ConfigError(
+                    f"{name} must be {requirement}, got {getattr(self, name)!r}"
+                )
         if (self.sensors is None) == (self.manifest is None):
             raise ConfigError("exactly one of 'sensors' or 'manifest' must be set")
         if not self.tau_grid or not self.k_grid:
@@ -140,11 +177,11 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> ExperimentCo
     raw = {}
     if path is not None:
         try:
-            raw = json.loads(Path(path).read_text())
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid config JSON in {path}: {exc}") from exc
+            raw = read_json(path)
+        except (DataError, ParseError) as exc:
+            raise ConfigError(str(exc)) from exc
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{path}: config must be a JSON object")
     if getattr(overrides, "seed", None) is not None:
         raw["seed"] = overrides.seed
     if getattr(overrides, "sensors", None) is not None:
@@ -180,15 +217,14 @@ def _load_array(manifest_path: Path, manifest: ArrayManifest) -> ArrayRecording:
 
 
 def _recording_stats(
-    manifest_path: Path, out: Path
-) -> tuple[list[SensorStats], ArrayManifest]:
-    """Per-sensor stats of a manifest's recordings, in manifest order.
+    manifest_path: Path, manifest: ArrayManifest, out: Path
+) -> list[SensorStats]:
+    """Per-sensor stats of a loaded manifest's recordings, in manifest order.
 
     Taken from ``out/STATS_FILE`` when its key matches the bytes of the
     manifest and recordings; otherwise the recordings are parsed by
     ``_load_array``, with all its checks, and the file is rewritten.
     """
-    manifest = load_manifest(manifest_path)
     key = recording_stats_key(manifest_path, manifest)
     stats = read_recording_stats(
         out / STATS_FILE, key, [sid for sid, _ in manifest.sensor_files]
@@ -197,18 +233,22 @@ def _recording_stats(
         array = _load_array(manifest_path, manifest)
         stats = recording_stats(array, GravityModel(manifest.gravity_mps2))
         write_recording_stats(out / STATS_FILE, key, stats)
-    return stats, manifest
+    return stats
 
 
-def _resolve_manifest(config: ExperimentConfig) -> Path:
+def _manifest_path(config: ExperimentConfig) -> Path:
+    """The configured manifest, or else the one ``simulate`` writes."""
     if config.manifest is not None:
         return Path(config.manifest)
-    path = Path(config.out_dir) / "recordings" / "manifest.json"
-    if not path.exists():
-        raise ConfigError(
-            f"no manifest configured and no prior simulate output at {path}"
-        )
-    return path
+    return Path(config.out_dir) / "recordings" / "manifest.json"
+
+
+def _k_grid(config: ExperimentConfig, n_sensors: int) -> list[int]:
+    """The sorted, distinct entries of ``config.k_grid`` in 1..n_sensors."""
+    k_grid = sorted({k for k in config.k_grid if 1 <= k <= n_sensors})
+    if not k_grid:
+        raise ConfigError("k_grid has no entries within the sensor count")
+    return k_grid
 
 
 def cmd_simulate(config: ExperimentConfig) -> int:
@@ -235,15 +275,17 @@ def _axis_rms_std(series: np.ndarray) -> float:
 
 
 def cmd_estimate(config: ExperimentConfig) -> int:
-    manifest_path = _resolve_manifest(config)
+    manifest_path = _manifest_path(config)
+    if config.manifest is None and not manifest_path.exists():
+        raise ConfigError(
+            f"no manifest configured and no prior simulate output at {manifest_path}"
+        )
     manifest = load_manifest(manifest_path)
+    k_grid = _k_grid(config, len(manifest.sensor_files))
     key = recording_stats_key(manifest_path, manifest)
     array = _load_array(manifest_path, manifest)
     gravity = GravityModel(manifest.gravity_mps2)
     stats = recording_stats(array, gravity)
-    k_grid = sorted({k for k in config.k_grid if 1 <= k <= array.n_sensors})
-    if not k_grid:
-        raise ConfigError("k_grid has no entries within the sensor count")
     out = Path(config.out_dir)
 
     write_recording_stats(out / STATS_FILE, key, stats)
@@ -361,13 +403,9 @@ def cmd_propagate(config: ExperimentConfig) -> int:
     taus = np.asarray(sorted(config.tau_grid), dtype=float)
     if np.any(taus < 0):
         raise ConfigError("tau_grid entries must be >= 0")
-    gravity, biases, spectra_pool = _propagation_inputs(config)
-    sys_m = build_system(gravity)
     out = Path(config.out_dir)
-    k_max = len(biases)
-    k_grid = sorted({k for k in config.k_grid if 1 <= k <= k_max})
-    if not k_grid:
-        raise ConfigError("k_grid has no entries within the sensor count")
+    gravity, k_grid, biases, spectra_pool = _propagation_inputs(config, out)
+    sys_m = build_system(gravity)
     tau_f = float(taus[-1])
 
     results = {}
@@ -377,7 +415,7 @@ def cmd_propagate(config: ExperimentConfig) -> int:
         mean_traj = np.empty((taus.size, 9))
         unc_traj = np.empty((taus.size, 9))
         for i, tau in enumerate(taus):
-            dp, dv, eps = propagate_mean(bias[:3], bias[3:], sys_m, tau)
+            dp, dv, eps = propagate_mean(bias[3:], bias[:3], sys_m, tau)
             mean_traj[i] = np.abs(np.concatenate([dp, dv, eps]))
             q = q_closed(sys_m, spectra, tau)
             unc_traj[i] = np.sqrt(np.diag(q)[:9])
@@ -424,56 +462,51 @@ def _kinematic_columns(traj: np.ndarray) -> dict:
 
 
 def _propagation_inputs(
-    config: ExperimentConfig,
-) -> tuple[GravityModel, np.ndarray, NoiseSpectra]:
-    """Worst-first bias list and pooled noise spectra for propagation.
+    config: ExperimentConfig, out: Path
+) -> tuple[GravityModel, list[int], np.ndarray, NoiseSpectra]:
+    """Gravity, k grid, worst-first biases and pooled noise spectra.
+
+    Both kinds of config give one table: sensor key -> (six-axis bias, gyro
+    first; (sigma_a, sigma_g, sigma_ab, sigma_gb)). Recordings have no
+    bias-walk sigmas and their measured noise is per sample whatever
+    ``noise_interpretation`` says; config params are keyed by their index, so
+    ``sort_by_quality`` ties keep config order. The k grid is checked before
+    any recording stats are read or written.
 
     The pooled spectra average the per-sensor intensities; the array Q then
     scales the pooled single-sensor Q by 1/K (identical-sensor assumption),
     so uncertainty ratios are exact.
     """
-    if config.manifest is not None or config.sensors is None:
-        stats, manifest = _recording_stats(
-            _resolve_manifest(config), Path(config.out_dir)
-        )
-        gravity = GravityModel(manifest.gravity_mps2)
-        by_id = {s.sensor_id: s for s in stats}
-        biases, sig_a, sig_g = [], [], []
-        for sid, _ in sort_by_quality({s.sensor_id: s.bias for s in stats}):
-            _, b, noise = by_id[sid]
-            biases.append(np.concatenate([b[3:], b[:3]]))  # accel first, then gyro
-            sig_g.append(rms(noise[:3]))
-            sig_a.append(rms(noise[3:]))
-        spectra = NoiseSpectra.from_discrete_std(
-            float(np.mean(sig_a)), float(np.mean(sig_g)),
-            0.0, 0.0, manifest.rate_hz,
-        )
-        return gravity, np.array(biases), spectra
-    gravity = config.gravity
-    params = config.sensor_params()
-    params.sort(
-        key=lambda p: bias_score(np.concatenate([p.bias_gyro, p.bias_accel])),
-        reverse=True,
-    )
-    biases = np.array(
-        [np.concatenate([p.bias_accel, p.bias_gyro]) for p in params]
-    )
-    if config.noise_interpretation == "psd":
-        spectra = NoiseSpectra(
-            s_a=float(np.mean([p.sigma_accel**2 for p in params])),
-            s_g=float(np.mean([p.sigma_gyro**2 for p in params])),
-            s_ab=float(np.mean([p.sigma_accel_bias**2 for p in params])),
-            s_gb=float(np.mean([p.sigma_gyro_bias**2 for p in params])),
-        )
+    if config.manifest is not None:
+        manifest_path = _manifest_path(config)
+        manifest = load_manifest(manifest_path)
+        k_grid = _k_grid(config, len(manifest.sensor_files))
+        table = {
+            s.sensor_id: (s.bias, (rms(s.noise[3:]), rms(s.noise[:3]), 0.0, 0.0))
+            for s in _recording_stats(manifest_path, manifest, out)
+        }
+        gravity, rate_hz, psd = GravityModel(manifest.gravity_mps2), manifest.rate_hz, False
+    else:
+        params = config.sensor_params()
+        k_grid = _k_grid(config, len(params))
+        table = {
+            i: (np.concatenate([p.bias_gyro, p.bias_accel]),
+                (p.sigma_accel, p.sigma_gyro, p.sigma_accel_bias, p.sigma_gyro_bias))
+            for i, p in enumerate(params)
+        }
+        gravity, rate_hz = config.gravity, config.rate_hz
+        psd = config.noise_interpretation == "psd"
+    worst_first = sort_by_quality({key: bias for key, (bias, _) in table.items()})
+    ranked = [table[key] for key, _ in worst_first]
+    biases = np.array([bias for bias, _ in ranked])
+    columns = list(zip(*(sigmas for _, sigmas in ranked)))  # worst first
+    if psd:
+        spectra = NoiseSpectra(*(float(np.mean([s**2 for s in col])) for col in columns))
     else:
         spectra = NoiseSpectra.from_discrete_std(
-            float(np.mean([p.sigma_accel for p in params])),
-            float(np.mean([p.sigma_gyro for p in params])),
-            float(np.mean([p.sigma_accel_bias for p in params])),
-            float(np.mean([p.sigma_gyro_bias for p in params])),
-            config.rate_hz,
+            *(float(np.mean(col)) for col in columns), rate_hz
         )
-    return gravity, biases, spectra
+    return gravity, k_grid, biases, spectra
 
 
 def cmd_report(config: ExperimentConfig) -> int:
@@ -485,13 +518,12 @@ def cmd_report(config: ExperimentConfig) -> int:
             f"no estimate/propagate outputs found in {out}; run those commands first"
         )
 
+    manifest_path = _manifest_path(config)
     summary = None
-    try:
-        manifest_path = _resolve_manifest(config)
-    except ConfigError:
-        manifest_path = None
-    if manifest_path is not None and manifest_path.exists():
-        summary = dataset_summary(_recording_stats(manifest_path, out)[0])
+    if manifest_path.exists():
+        summary = dataset_summary(
+            _recording_stats(manifest_path, load_manifest(manifest_path), out)
+        )
 
     bundle = {
         "software_version": __version__,
@@ -500,10 +532,7 @@ def cmd_report(config: ExperimentConfig) -> int:
         "config": {
             f.name: getattr(config, f.name) for f in dataclasses.fields(config)
         },
-        "dataset_summary": None if summary is None else {
-            "per_sensor": summary,
-            "aggregates": summary.aggregates(),
-        },
+        "dataset_summary": summary,
         "evaluation_matrix": evaluation,
         "ratio_matrices": ratios,
         "db_ratios": _collect_db(evaluation, ratios),
@@ -542,10 +571,6 @@ def _read_product(path: Path, has_fields):
     if not (has_fields(product) and _all_finite(product)):
         raise DataError(f"{path}: missing, non-numeric or non-finite product field")
     return product
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _has_evaluation_fields(evaluation) -> bool:

@@ -2,7 +2,8 @@
 
 Interchange formats:
   * manifest: JSON with rate_hz, gravity_mps2, units, and an ordered list of
-    (sensor_id, relative path) pairs
+    (sensor_id, relative path) pairs; a path may not be absolute or hold a
+    ``..`` part, so every recording lies inside the manifest's directory
   * recording: CSV with header ``t,gx,gy,gz,ax,ay,az``, one row per sample
   * reports: JSON (nested) or CSV (column-per-series tables)
 
@@ -14,7 +15,6 @@ module only, driven by the manifest's declared units.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import io
 import json
 import math
@@ -34,7 +34,6 @@ __all__ = [
     "DataError",
     "ConfigError",
     "ArrayManifest",
-    "DatasetSummary",
     "SensorStats",
     "read_json",
     "load_manifest",
@@ -95,6 +94,11 @@ class ArrayManifest:
         object.__setattr__(
             self, "sensor_files", tuple((str(a), str(b)) for a, b in self.sensor_files)
         )
+        for _, rel in self.sensor_files:
+            if Path(rel).is_absolute() or ".." in Path(rel).parts:
+                raise ConfigError(
+                    f"recording path {rel!r} is not inside the manifest's directory"
+                )
 
 
 class SensorStats(NamedTuple):
@@ -104,34 +108,6 @@ class SensorStats(NamedTuple):
     sensor_id: str
     bias: np.ndarray
     noise: np.ndarray
-
-
-@dataclass(frozen=True)
-class DatasetSummary:
-    """Per-sensor and aggregate bias/noise RMS figures (gyro in deg/s)."""
-
-    sensor_ids: tuple[str, ...]
-    gyro_bias_rms_dps: tuple[float, ...]
-    gyro_noise_rms_dps: tuple[float, ...]
-    accel_bias_rms: tuple[float, ...]
-    accel_noise_rms: tuple[float, ...]
-
-    def aggregates(self) -> dict:
-        out = {}
-        for name in (
-            "gyro_bias_rms_dps",
-            "gyro_noise_rms_dps",
-            "accel_bias_rms",
-            "accel_noise_rms",
-        ):
-            vals = sorted(getattr(self, name))
-            # Even counts take the lower-middle element, deterministically.
-            out[name] = {
-                "min": vals[0],
-                "median": vals[(len(vals) - 1) // 2],
-                "max": vals[-1],
-            }
-        return out
 
 
 def read_json(path: str | os.PathLike):
@@ -398,26 +374,35 @@ def write_recording_stats(
     write_report(payload, "json", path)
 
 
-def dataset_summary(stats: Sequence[SensorStats]) -> DatasetSummary:
+def dataset_summary(stats: Sequence[SensorStats]) -> dict:
     """Per-sensor bias/noise RMS table with min/median/max aggregates.
 
-    Bias RMS is the 3-axis RMS of the bias estimate; noise RMS is the 3-axis
-    RMS of the per-axis residual std after bias removal.
+    Returns ``{"per_sensor": {"sensor_ids": [...], <figure>: [...]},
+    "aggregates": {<figure>: {"min", "median", "max"}}}`` for the figures
+    ``gyro_bias_rms_dps``, ``gyro_noise_rms_dps``, ``accel_bias_rms`` and
+    ``accel_noise_rms``. Bias RMS is the 3-axis RMS of the bias estimate;
+    noise RMS is the 3-axis RMS of the per-axis residual std after bias
+    removal; gyro figures are in deg/s.
     """
-    ids, gb, gn, ab, an = [], [], [], [], []
-    for sensor_id, bias, noise in stats:
-        ids.append(sensor_id)
-        gb.append(float(np.rad2deg(rms(bias[:3]))))
-        gn.append(float(np.rad2deg(rms(noise[:3]))))
-        ab.append(rms(bias[3:]))
-        an.append(rms(noise[3:]))
-    return DatasetSummary(
-        sensor_ids=tuple(ids),
-        gyro_bias_rms_dps=tuple(gb),
-        gyro_noise_rms_dps=tuple(gn),
-        accel_bias_rms=tuple(ab),
-        accel_noise_rms=tuple(an),
-    )
+    figures = {
+        "gyro_bias_rms_dps": [float(np.rad2deg(rms(s.bias[:3]))) for s in stats],
+        "gyro_noise_rms_dps": [float(np.rad2deg(rms(s.noise[:3]))) for s in stats],
+        "accel_bias_rms": [rms(s.bias[3:]) for s in stats],
+        "accel_noise_rms": [rms(s.noise[3:]) for s in stats],
+    }
+    aggregates = {}
+    for name, values in figures.items():
+        vals = sorted(values)
+        # Even counts take the lower-middle element, deterministically.
+        aggregates[name] = {
+            "min": vals[0],
+            "median": vals[(len(vals) - 1) // 2],
+            "max": vals[-1],
+        }
+    return {
+        "per_sensor": {"sensor_ids": [s.sensor_id for s in stats], **figures},
+        "aggregates": aggregates,
+    }
 
 
 _NON_FINITE = "reports must not contain non-finite values"
@@ -436,8 +421,6 @@ def _jsonable(obj):
         if not math.isfinite(obj):
             raise ValueError(_NON_FINITE)
         return obj
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, Mapping):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -448,7 +431,7 @@ def _jsonable(obj):
 def write_report(report, fmt: str, dest: IO[str] | str | os.PathLike) -> None:
     """Serialize a report deterministically as JSON or a columnar CSV.
 
-    JSON accepts any nesting of dataclasses, mappings, sequences, and arrays.
+    JSON accepts any nesting of mappings, sequences, and arrays.
     CSV requires a flat mapping of column name -> sequence of scalars (all of
     one length); an all-empty table still produces the header line. CSV cells
     hold ``repr`` of floats (shortest round trip) and ``str`` of anything else.

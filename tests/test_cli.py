@@ -9,6 +9,7 @@ import pytest
 
 from imulab.cli import ExperimentConfig, load_config, main
 from imulab.dataio import ConfigError
+from imulab.estimation import bias_score
 
 
 def _dir_bytes(root: Path) -> dict:
@@ -110,6 +111,27 @@ class TestConfig:
         cfg = load_config(str(path), Ns())
         assert cfg.seed == 99
         assert cfg.fmt == "json"
+
+    @pytest.mark.parametrize("text, field", [
+        (b"[]", None),
+        (b'{"k_grid": 5}', "k_grid"),
+        (b'{"k_grid": ["a"]}', "k_grid"),
+        (b'{"tau_grid": 3}', "tau_grid"),
+        (b'{"duration_s": "10"}', "duration_s"),
+        (b'{"sensors": "4"}', "sensors"),
+        (b'{"sensors": [1]}', "sensors"),
+        (b'{"seed": 1\xff}', None),
+    ])
+    def test_malformed_config_exits_2_naming_it(self, tmp_path, capsys, text, field):
+        """Named by its field, or by its path when no field is at fault."""
+        path = tmp_path / "config.json"
+        path.write_bytes(text)
+        for cmd in ("simulate", "estimate", "propagate", "report"):
+            capsys.readouterr()
+            assert main([cmd, "--config", str(path)]) == 2, cmd
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and (field or str(path)) in err, err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     def test_explicit_sensor_list(self):
         cfg = ExperimentConfig(
@@ -347,6 +369,12 @@ class TestBadRecordings:
                      "gravity_mps2 must be", id="negative_gravity"),
         pytest.param(lambda b: b.replace(b"{", b'{"units": {"gyro": "rad/t"}, ', 1),
                      "unknown gyro units", id="unknown_units"),
+        pytest.param(lambda b: b.replace(b'"imu_b.csv"', b'"../imu_b.csv"'),
+                     "recording path '../imu_b.csv' is not inside", id="parent_path"),
+        pytest.param(lambda b: b.replace(b'"imu_b.csv"', b'"sub/../imu_b.csv"'),
+                     "recording path 'sub/../imu_b.csv' is not inside", id="inner_parent_path"),
+        pytest.param(lambda b: b.replace(b'"imu_b.csv"', b'"/imu_b.csv"'),
+                     "recording path '/imu_b.csv' is not inside", id="absolute_path"),
     ])
     def test_bad_manifest_exits_3_naming_it(self, tmp_path, capsys, edit, message):
         cfg = _hand_written_config(tmp_path, _bad_recordings("none"), 10.0)
@@ -377,6 +405,7 @@ def test_noiseless_worst_sensor_gives_null_k_ratios(tmp_path):
 @pytest.mark.parametrize("cmd, override", [
     ("estimate", {"k_grid": [50]}),
     ("propagate", {"tau_grid": [-1.0, 1.0]}),
+    ("propagate", {"k_grid": [50]}),
 ])
 def test_config_error_writes_nothing(tmp_path, capsys, cmd, override):
     assert main(["simulate", "--config", str(_write_config(tmp_path))]) == 0
@@ -456,6 +485,22 @@ class TestPropagate:
         for k, want in from_params.items():
             got = _read_table(out / f"mean_error_K{k}.csv")
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), k
+
+    def test_bias_score_ties_keep_config_order(self, tmp_path):
+        # Axis-permuted biases: equal bias_score, different K=1 mean error.
+        x = {"bias_gyro_dps": [1.0, 0, 0], "bias_accel": [0.1, 0, 0]}
+        y = {"bias_gyro_dps": [0, 1.0, 0], "bias_accel": [0, 0.1, 0]}
+        scores = {bias_score(np.concatenate([np.deg2rad(s["bias_gyro_dps"]), s["bias_accel"]]))
+                  for s in (x, y)}
+        assert len(scores) == 1
+        for first, second, axis, other in ((x, y, "x", "y"), (y, x, "y", "x")):
+            run = tmp_path / axis
+            run.mkdir()
+            cfg = _write_config(run, sensors=[first, second], k_grid=[1, 2])
+            assert main(["propagate", "--config", str(cfg)]) == 0
+            lines = (run / "out" / "mean_error_K1.csv").read_text().split("\n")
+            row = dict(zip(lines[0].split(","), map(float, lines[-2].split(","))))
+            assert row[f"eps_{axis}"] > 0 and row[f"eps_{other}"] == 0.0
 
     @staticmethod
     def _uncertainty(tmp_path: Path, rate_hz: float, interpretation: str) -> Path:

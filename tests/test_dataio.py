@@ -12,7 +12,6 @@ from imulab.dataio import (
     ArrayManifest,
     ConfigError,
     DataError,
-    DatasetSummary,
     ParseError,
     dataset_summary,
     load_manifest,
@@ -219,8 +218,7 @@ class TestRoundTrips:
         dest = tmp_path / "summary.json"
         write_report(summary, "json", dest)
         raw = json.loads(dest.read_text())
-        rebuilt = DatasetSummary(**{k: tuple(v) for k, v in raw.items()})
-        assert rebuilt == summary
+        assert raw == summary
 
 
 class TestRecordingStatsFile:
@@ -263,13 +261,13 @@ class TestDatasetSummary:
     def test_perfect_sensor_zeros(self, gravity):
         arr = simulate_array([SensorErrorParams()], gravity, 0.1, 100.0, seed=0)
         summary = dataset_summary(recording_stats(arr, gravity))
-        assert summary.gyro_bias_rms_dps == (0.0,)
-        assert summary.accel_noise_rms == (0.0,)
+        assert summary["per_sensor"]["gyro_bias_rms_dps"] == [0.0]
+        assert summary["per_sensor"]["accel_noise_rms"] == [0.0]
 
     def test_synthetic_ranges(self, gravity):
         arr = simulate_array(draw_sensor_params(10, 7), gravity, 100.0, 100.0, seed=7)
         summary = dataset_summary(recording_stats(arr, gravity))
-        agg = summary.aggregates()
+        agg = summary["aggregates"]
         # Drawn inside the reference ranges; estimates add only ~sigma/sqrt(N).
         assert 1.9 < agg["gyro_bias_rms_dps"]["min"]
         assert agg["gyro_bias_rms_dps"]["max"] < 2.4
@@ -277,7 +275,7 @@ class TestDatasetSummary:
 
     def test_aggregate_ordering(self, gravity):
         arr = simulate_array(draw_sensor_params(7, 3), gravity, 2.0, 100.0, seed=3)
-        agg = dataset_summary(recording_stats(arr, gravity)).aggregates()
+        agg = dataset_summary(recording_stats(arr, gravity))["aggregates"]
         for entry in agg.values():
             assert entry["min"] <= entry["median"] <= entry["max"]
 

@@ -97,9 +97,9 @@ _FIELD_TYPES = {
     "rate_hz": (_is_finite, "a finite number"),
     "gravity_mps2": (_is_finite, "a finite number"),
     "sensors": (
-        lambda v: v is None or _is_int(v)
-        or (isinstance(v, list) and all(isinstance(d, dict) for d in v)),
-        "an integer or a list of objects",
+        lambda v: v is None or (_is_int(v) and v >= 1)
+        or (isinstance(v, list) and v and all(isinstance(d, dict) for d in v)),
+        "a positive integer or a non-empty list of objects",
     ),
     "manifest": (lambda v: v is None or isinstance(v, str), "a path"),
     "out_dir": (lambda v: isinstance(v, str), "a path"),
@@ -108,6 +108,10 @@ _FIELD_TYPES = {
     "k_grid": (lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers"),
     "inject_bias_walk": (lambda v: isinstance(v, bool), "true or false"),
 }
+
+# Most samples per recording: the count whose (N, 7) float64 recording table
+# is the largest array numpy can address.
+_MAX_SAMPLES = np.iinfo(np.intp).max // (7 * 8)
 
 
 @dataclass
@@ -143,6 +147,11 @@ class ExperimentConfig:
             )
         if self.duration_s <= 0 or self.rate_hz <= 0:
             raise ConfigError("duration_s and rate_hz must be > 0")
+        if not self.duration_s * self.rate_hz <= _MAX_SAMPLES:
+            raise ConfigError(
+                f"duration_s * rate_hz must be at most {_MAX_SAMPLES:.3g} samples, "
+                f"got {self.duration_s * self.rate_hz:.3g}"
+            )
 
     @property
     def gravity(self) -> GravityModel:
@@ -152,8 +161,6 @@ class ExperimentConfig:
         if self.sensors is None:
             raise ConfigError("this command needs synthetic sensor parameters")
         if isinstance(self.sensors, int):
-            if self.sensors < 1:
-                raise ConfigError("sensor count must be >= 1")
             return draw_sensor_params(self.sensors, self.seed)
         return [_params_from_dict(d) for d in self.sensors]
 

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -120,6 +121,10 @@ class TestConfig:
         (b'{"duration_s": "10"}', "duration_s"),
         (b'{"sensors": "4"}', "sensors"),
         (b'{"sensors": [1]}', "sensors"),
+        (b'{"sensors": []}', "sensors"),
+        (b'{"sensors": 0}', "sensors"),
+        (b'{"duration_s": 1e300}', "duration_s * rate_hz"),
+        (b'{"rate_hz": 1e300, "duration_s": 1e10}', "duration_s * rate_hz"),
         (b'{"seed": 1\xff}', None),
     ])
     def test_malformed_config_exits_2_naming_it(self, tmp_path, capsys, text, field):
@@ -142,16 +147,28 @@ class TestConfig:
         assert params[0].sigma_gyro == pytest.approx(np.deg2rad(0.033))
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
+@pytest.fixture(scope="module")
+def modules_after_cli_import() -> set[str]:
+    """``sys.modules`` of a fresh interpreter after ``import imulab.cli``."""
     import imulab
 
     src = str(Path(imulab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, imulab.cli; print('scipy.stats' in sys.modules)"
+    code = "import sys, imulab.cli; print(*sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    return set(out.stdout.split())
+
+
+def test_cli_import_leaves_scipy_stats_unloaded(modules_after_cli_import):
+    assert "imulab.cli" in modules_after_cli_import
+    assert "scipy.stats" not in modules_after_cli_import
+
+
+def test_cli_import_leaves_process_pools_unloaded(modules_after_cli_import):
+    """``write_array`` imports them only for an array it writes in a pool."""
+    assert not {"multiprocessing", "concurrent.futures"} & modules_after_cli_import
 
 
 class TestSimulate:
@@ -188,6 +205,20 @@ class TestSimulate:
 
     def test_unknown_subcommand_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    def test_failed_pooled_write_exits_2_leaving_no_manifest(self, tmp_path, capsys):
+        """A recording that cannot be written in a worker process fails the
+        stage as it would in-process: no manifest, no temporary file, no
+        live worker."""
+        cfg = _write_config(tmp_path, duration_s=40.0)  # 4 x 4000 x 7 values: pooled
+        blocker = tmp_path / "out" / "recordings" / "sensor_03.csv"
+        blocker.mkdir(parents=True)
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert f"config error: cannot write report to {blocker}" in capsys.readouterr().err
+        written = [p.name for p in blocker.parent.iterdir()]
+        assert "manifest.json" not in written
+        assert not [name for name in written if name.endswith(".tmp")]
+        assert multiprocessing.active_children() == []
 
     def test_out_dir_under_a_regular_file_exits_2(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"

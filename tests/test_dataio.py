@@ -1,12 +1,17 @@
 import io
 import json
+import multiprocessing
+import os
+import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from imulab import dataio
 from imulab.cli import _load_array
 from imulab.dataio import (
     ArrayManifest,
@@ -31,6 +36,12 @@ from imulab.sensor_model import (
     draw_sensor_params,
     simulate_array,
 )
+
+
+def _write_noting_pid(recording, dest, gyro_units):
+    """``write_recording_csv``, then the writing process's id into ``<dest>.pid``."""
+    write_recording_csv(recording, dest, gyro_units)
+    Path(f"{dest}.pid").write_text(str(os.getpid()))
 
 
 class TestParseRecordingCsv:
@@ -211,6 +222,44 @@ class TestRoundTrips:
         for a, b in zip(arr.recordings, back.recordings):
             assert np.array_equal(a.gyro, b.gyro)
             assert np.array_equal(a.accel, b.accel)
+
+    def test_pooled_write_matches_serial_writes(self, tmp_path, gravity):
+        arr = simulate_array(draw_sensor_params(5, 3), gravity, 30.0, 100.0, seed=3)
+        assert arr.n_sensors * arr.n_samples * 7 >= dataio._POOL_MIN_VALUES
+        write_array(arr, tmp_path / "pool", gravity, "deg/s")
+        assert multiprocessing.active_children() == []
+        names = [f"{rec.sensor_id}.csv" for rec in arr.recordings]
+        assert sorted(p.name for p in (tmp_path / "pool").iterdir()) == ["manifest.json", *names]
+        for rec, name in zip(arr.recordings, names):
+            write_recording_csv(rec, tmp_path / "serial" / name, "deg/s")
+            assert (tmp_path / "pool" / name).read_bytes() == \
+                (tmp_path / "serial" / name).read_bytes()
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                        reason="the pool needs two usable CPUs")
+    def test_only_large_arrays_are_written_in_worker_processes(
+        self, tmp_path, gravity, monkeypatch
+    ):
+        monkeypatch.setattr(dataio, "write_recording_csv", _write_noting_pid)
+
+        def writer_pids(name, duration_s):
+            out = tmp_path / name
+            arr = simulate_array(draw_sensor_params(5, 3), gravity, duration_s, 100.0, seed=3)
+            write_array(arr, out, gravity)
+            assert len(list(out.glob("*.pid"))) == 5
+            return {int(p.read_text()) for p in out.glob("*.pid")}
+
+        assert os.getpid() not in writer_pids("large", 30.0)
+        assert writer_pids("small", 1.0) == {os.getpid()}
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, daemon=True)
+        other.start()
+        try:
+            assert writer_pids("large_with_thread", 30.0) == {os.getpid()}
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
 
     def test_summary_report_round_trip(self, tmp_path, gravity):
         arr = simulate_array(draw_sensor_params(4, 2), gravity, 1.0, 100.0, seed=2)

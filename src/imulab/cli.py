@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -152,6 +153,8 @@ class ExperimentConfig:
                 f"duration_s * rate_hz must be at most {_MAX_SAMPLES:.3g} samples, "
                 f"got {self.duration_s * self.rate_hz:.3g}"
             )
+        if isinstance(self.sensors, list):
+            self.sensor_params()  # a bad entry is a config error for every command
 
     @property
     def gravity(self) -> GravityModel:
@@ -162,25 +165,51 @@ class ExperimentConfig:
             raise ConfigError("this command needs synthetic sensor parameters")
         if isinstance(self.sensors, int):
             return draw_sensor_params(self.sensors, self.seed)
-        return [_params_from_dict(d) for d in self.sensors]
+        return [_params_from_dict(d, f"sensors[{i}]") for i, d in enumerate(self.sensors)]
 
 
-def _params_from_dict(d: dict) -> SensorErrorParams:
-    """Build sensor params from a config dict (gyro quantities in deg/s)."""
+# Sensor entry key -> (SensorErrorParams field, whether it is a 3-vector,
+# whether it is given in degrees). An absent key takes the field's default
+# of zero.
+_SENSOR_KEYS = {
+    "bias_gyro_dps": ("bias_gyro", True, True),
+    "bias_accel": ("bias_accel", True, False),
+    "sigma_gyro_dps": ("sigma_gyro", False, True),
+    "sigma_accel": ("sigma_accel", False, False),
+    "sigma_gyro_bias_dps": ("sigma_gyro_bias", False, True),
+    "sigma_accel_bias": ("sigma_accel_bias", False, False),
+}
+
+
+def _params_from_dict(d: dict, entry: str) -> SensorErrorParams:
+    """Build sensor params from the config dict ``entry`` (gyro quantities in
+    deg/s). An unknown key, a value of the wrong type, or one that
+    ``SensorErrorParams`` rejects is a ``ConfigError`` naming the entry and
+    the key or field."""
+    fields = {}
+    for key, value in d.items():
+        if key not in _SENSOR_KEYS:
+            raise ConfigError(
+                f"{entry}: unknown key {key!r}, expected one of {list(_SENSOR_KEYS)}"
+            )
+        name, vector, degrees = _SENSOR_KEYS[key]
+        if vector and not (isinstance(value, list) and len(value) == 3
+                           and all(map(_is_finite, value))):
+            raise ConfigError(f"{entry}: {key} must be a list of 3 finite numbers, got {value!r}")
+        if not vector and not _is_finite(value):
+            raise ConfigError(f"{entry}: {key} must be a finite number, got {value!r}")
+        si = np.deg2rad(np.asarray(value, float)) if degrees else np.asarray(value, float)
+        fields[name] = si if vector else float(si)
     try:
-        return SensorErrorParams(
-            bias_gyro=np.deg2rad(np.asarray(d.get("bias_gyro_dps", [0, 0, 0]), float)),
-            bias_accel=np.asarray(d.get("bias_accel", [0, 0, 0]), float),
-            sigma_gyro=float(np.deg2rad(d.get("sigma_gyro_dps", 0.0))),
-            sigma_accel=float(d.get("sigma_accel", 0.0)),
-            sigma_gyro_bias=float(np.deg2rad(d.get("sigma_gyro_bias_dps", 0.0))),
-            sigma_accel_bias=float(d.get("sigma_accel_bias", 0.0)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad sensor parameter entry: {exc}") from exc
+        return SensorErrorParams(**fields)
+    except ValueError as exc:
+        raise ConfigError(f"{entry}: {exc}") from exc
 
 
 def load_config(path: str | None, overrides: argparse.Namespace) -> ExperimentConfig:
+    """The config file at ``path`` (or the defaults), with every config field
+    that ``overrides`` sets to other than None in its place. A ``sensors``
+    override drops the file's ``manifest``."""
     raw = {}
     if path is not None:
         try:
@@ -189,21 +218,12 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> ExperimentCo
             raise ConfigError(str(exc)) from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
-    if getattr(overrides, "seed", None) is not None:
-        raw["seed"] = overrides.seed
-    if getattr(overrides, "sensors", None) is not None:
-        raw["sensors"] = overrides.sensors
-        raw.pop("manifest", None)
-    if getattr(overrides, "rate", None) is not None:
-        raw["rate_hz"] = overrides.rate
-    if getattr(overrides, "duration", None) is not None:
-        raw["duration_s"] = overrides.duration
-    if getattr(overrides, "out", None) is not None:
-        raw["out_dir"] = overrides.out
-    if getattr(overrides, "format", None) is not None:
-        raw["fmt"] = overrides.format
-    raw.setdefault("sensors", None if raw.get("manifest") else 10)
     known = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    flags = {k: v for k, v in vars(overrides).items() if k in known and v is not None}
+    if "sensors" in flags:
+        raw.pop("manifest", None)
+    raw.update(flags)
+    raw.setdefault("sensors", None if raw.get("manifest") else 10)
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
@@ -224,13 +244,15 @@ def _load_array(manifest_path: Path, manifest: ArrayManifest) -> ArrayRecording:
 
 
 def _recording_stats(
-    manifest_path: Path, manifest: ArrayManifest, out: Path
+    manifest_path: Path, manifest: ArrayManifest, out: Path, writes: list
 ) -> list[SensorStats]:
     """Per-sensor stats of a loaded manifest's recordings, in manifest order.
 
     Taken from ``out/STATS_FILE`` when its key matches the bytes of the
     manifest and recordings; otherwise the recordings are parsed by
-    ``_load_array``, with all its checks, and the file is rewritten.
+    ``_load_array``, with all its checks, and the file's rewrite is appended
+    to ``writes``, the caller's outputs, which it writes once all are
+    computed.
     """
     key = recording_stats_key(manifest_path, manifest)
     stats = read_recording_stats(
@@ -239,7 +261,7 @@ def _recording_stats(
     if stats is None:
         array = _load_array(manifest_path, manifest)
         stats = recording_stats(array, GravityModel(manifest.gravity_mps2))
-        write_recording_stats(out / STATS_FILE, key, stats)
+        writes.append(partial(write_recording_stats, out / STATS_FILE, key, stats))
     return stats
 
 
@@ -260,14 +282,20 @@ def _k_grid(config: ExperimentConfig, n_sensors: int) -> list[int]:
 
 def cmd_simulate(config: ExperimentConfig) -> int:
     params = config.sensor_params()
-    array = simulate_array(
-        params,
-        config.gravity,
-        config.duration_s,
-        config.rate_hz,
-        config.seed,
-        inject_bias_walk=config.inject_bias_walk,
-    )
+    try:
+        array = simulate_array(
+            params,
+            config.gravity,
+            config.duration_s,
+            config.rate_hz,
+            config.seed,
+            inject_bias_walk=config.inject_bias_walk,
+        )
+    except MemoryError as exc:
+        raise ConfigError(
+            f"duration_s * rate_hz = {config.duration_s * config.rate_hz:.3g} samples "
+            f"per sensor do not fit in memory: {exc}"
+        ) from exc
     manifest_path = write_array(
         array, Path(config.out_dir) / "recordings", config.gravity
     )
@@ -411,7 +439,8 @@ def cmd_propagate(config: ExperimentConfig) -> int:
     if np.any(taus < 0):
         raise ConfigError("tau_grid entries must be >= 0")
     out = Path(config.out_dir)
-    gravity, k_grid, biases, spectra_pool = _propagation_inputs(config, out)
+    writes = []  # every output, written once all are computed and finite
+    gravity, k_grid, biases, spectra_pool = _propagation_inputs(config, out, writes)
     sys_m = build_system(gravity)
     tau_f = float(taus[-1])
 
@@ -419,28 +448,25 @@ def cmd_propagate(config: ExperimentConfig) -> int:
     for k in k_grid:
         bias = np.mean(biases[:k], axis=0)
         spectra = spectra_pool.scaled(1.0 / k)
-        mean_traj = np.empty((taus.size, 9))
-        unc_traj = np.empty((taus.size, 9))
-        for i, tau in enumerate(taus):
-            dp, dv, eps = propagate_mean(bias[3:], bias[:3], sys_m, tau)
-            mean_traj[i] = np.abs(np.concatenate([dp, dv, eps]))
-            q = q_closed(sys_m, spectra, tau)
-            unc_traj[i] = np.sqrt(np.diag(q)[:9])
-        _write_table(
-            {"tau": taus, **_kinematic_columns(mean_traj)},
+        mean_traj, unc_traj, p_f, dp_f = _trajectories(sys_m, bias, spectra, taus)
+        finite = np.isfinite(mean_traj).all(axis=1) & np.isfinite(unc_traj).all(axis=1)
+        if not finite.all():
+            raise _overflow_error(config, gravity, bias, spectra, taus[~finite][0])
+        writes.append(partial(
+            _write_table, {"tau": taus, **_kinematic_columns(mean_traj)},
             out / f"mean_error_K{k}", config.fmt,
-        )
-        _write_table(
-            {"tau": taus, **_kinematic_columns(unc_traj)},
+        ))
+        writes.append(partial(
+            _write_table, {"tau": taus, **_kinematic_columns(unc_traj)},
             out / f"uncertainty_K{k}", config.fmt,
-        )
-        # taus is sorted, so the last q and dp are those at tau_f.
-        ell = ellipsoid_from_cov(q[IDX_P, IDX_P], dp)
-        write_report(
+        ))
+        ell = ellipsoid_from_cov(p_f, dp_f)  # taus is sorted: both are at tau_f
+        writes.append(partial(
+            write_report,
             {"tau": tau_f, "centroid": ell.centroid,
              "semi_axes": ell.semi_axes, "orientation": ell.orientation},
             "json", out / f"ellipsoid_K{k}.json",
-        )
+        ))
         results[k] = (mean_traj[-1], unc_traj[-1])
 
     k_lo, k_hi = k_grid[0], k_grid[-1]
@@ -449,7 +475,8 @@ def cmd_propagate(config: ExperimentConfig) -> int:
         unc_ratio = results[k_hi][1] / results[k_lo][1]
     mean_ratio = np.where(np.isfinite(mean_ratio), mean_ratio, 0.0)
     unc_ratio = np.where(np.isfinite(unc_ratio), unc_ratio, 0.0)
-    write_report(
+    writes.append(partial(
+        write_report,
         {
             "tau": tau_f,
             "k_pair": [k_lo, k_hi],
@@ -458,9 +485,72 @@ def cmd_propagate(config: ExperimentConfig) -> int:
             "expected_uncertainty_ratio": 1.0 / np.sqrt(k_hi / k_lo),
         },
         "json", out / "ratio_matrices.json",
-    )
+    ))
+    for write in writes:
+        write()
     print(f"propagation products written to {out}")
     return EXIT_OK
+
+
+def _trajectories(
+    sys_m, bias: np.ndarray, spectra: NoiseSpectra, taus: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Propagated (dp, dv, eps) errors driven by a six-axis bias and noise.
+
+    Returns the |mean error| and 1-sigma uncertainty rows at each tau, then
+    the position covariance block and mean position error at the last tau.
+    An overflow gives inf or nan entries, without a warning.
+    """
+    mean_traj = np.empty((taus.size, 9))
+    unc_traj = np.empty((taus.size, 9))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, tau in enumerate(taus):
+            dp, dv, eps = propagate_mean(bias[3:], bias[:3], sys_m, tau)
+            mean_traj[i] = np.abs(np.concatenate([dp, dv, eps]))
+            q = q_closed(sys_m, spectra, tau)
+            unc_traj[i] = np.sqrt(np.diag(q)[:9])
+    return mean_traj, unc_traj, q[IDX_P, IDX_P], dp
+
+
+def _overflow_error(
+    config: ExperimentConfig, gravity: GravityModel, bias: np.ndarray,
+    spectra: NoiseSpectra, tau: float,
+) -> ValueError:
+    """The error for propagated errors that overflow, first at ``tau``.
+
+    It names the input at fault. At tau = 1 s each error is the sum of its
+    polynomial's coefficients: if it is finite there, the ``tau_grid`` entry
+    is too large; if it overflows even for unit biases and noise, gravity
+    is; else the sensors' biases or noise are.
+    """
+    sys_m = build_system(gravity)
+
+    def overflows(bias, spectra) -> bool:
+        mean_traj, unc_traj, _, _ = _trajectories(sys_m, bias, spectra, np.ones(1))
+        return not (np.isfinite(mean_traj).all() and np.isfinite(unc_traj).all())
+
+    if not overflows(bias, spectra):
+        return ConfigError(f"tau_grid: the propagated errors overflow at tau = {tau:g} s")
+    if overflows(np.ones(6), NoiseSpectra(1.0, 1.0, 1.0, 1.0)):
+        return _input_fault(
+            config, "gravity_mps2",
+            f"{gravity.g_magnitude:g} m/s2 overflows the propagated errors",
+        )
+    return _input_fault(
+        config, "sensors",
+        f"their biases or noise overflow the propagated errors "
+        f"with gravity {gravity.g_magnitude:g} m/s2",
+    )
+
+
+def _input_fault(config: ExperimentConfig, field: str, problem: str) -> ValueError:
+    """A ``ConfigError`` naming a config field, or for a manifest config a
+    ``DataError`` naming the manifest and its field (``sensor_files`` for
+    the sensors)."""
+    if config.manifest is None:
+        return ConfigError(f"{field}: {problem}")
+    field = "sensor_files" if field == "sensors" else field
+    return DataError(f"{config.manifest}: {field}: {problem}")
 
 
 def _kinematic_columns(traj: np.ndarray) -> dict:
@@ -469,7 +559,7 @@ def _kinematic_columns(traj: np.ndarray) -> dict:
 
 
 def _propagation_inputs(
-    config: ExperimentConfig, out: Path
+    config: ExperimentConfig, out: Path, writes: list
 ) -> tuple[GravityModel, list[int], np.ndarray, NoiseSpectra]:
     """Gravity, k grid, worst-first biases and pooled noise spectra.
 
@@ -478,7 +568,8 @@ def _propagation_inputs(
     bias-walk sigmas and their measured noise is per sample whatever
     ``noise_interpretation`` says; config params are keyed by their index, so
     ``sort_by_quality`` ties keep config order. The k grid is checked before
-    any recording stats are read or written.
+    any recording stats are read; a stats-file rewrite is appended to
+    ``writes``. Noise sigmas whose spectra overflow name their source.
 
     The pooled spectra average the per-sensor intensities; the array Q then
     scales the pooled single-sensor Q by 1/K (identical-sensor assumption),
@@ -490,7 +581,7 @@ def _propagation_inputs(
         k_grid = _k_grid(config, len(manifest.sensor_files))
         table = {
             s.sensor_id: (s.bias, (rms(s.noise[3:]), rms(s.noise[:3]), 0.0, 0.0))
-            for s in _recording_stats(manifest_path, manifest, out)
+            for s in _recording_stats(manifest_path, manifest, out, writes)
         }
         gravity, rate_hz, psd = GravityModel(manifest.gravity_mps2), manifest.rate_hz, False
     else:
@@ -507,12 +598,20 @@ def _propagation_inputs(
     ranked = [table[key] for key, _ in worst_first]
     biases = np.array([bias for bias, _ in ranked])
     columns = list(zip(*(sigmas for _, sigmas in ranked)))  # worst first
-    if psd:
-        spectra = NoiseSpectra(*(float(np.mean([s**2 for s in col])) for col in columns))
-    else:
-        spectra = NoiseSpectra.from_discrete_std(
-            *(float(np.mean(col)) for col in columns), rate_hz
-        )
+    try:
+        if psd:
+            spectra = NoiseSpectra(*(float(np.mean([s**2 for s in col])) for col in columns))
+        else:
+            spectra = NoiseSpectra.from_discrete_std(
+                *(float(np.mean(col)) for col in columns), rate_hz
+            )
+    except (OverflowError, ValueError) as exc:
+        names = ("sigma_accel", "sigma_gyro", "sigma_accel_bias", "sigma_gyro_bias")
+        largest = ", ".join(f"{n} {max(col):g}" for n, col in zip(names, columns))
+        raise _input_fault(
+            config, "sensors",
+            f"noise sigmas up to ({largest}) overflow their spectra at rate_hz {rate_hz:g}",
+        ) from exc
     return gravity, k_grid, biases, spectra
 
 
@@ -525,11 +624,19 @@ def cmd_report(config: ExperimentConfig) -> int:
             f"no estimate/propagate outputs found in {out}; run those commands first"
         )
 
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        audit = q_coefficient_audit(config.gravity)
+    if not _all_finite(audit):
+        raise ConfigError(
+            f"gravity_mps2: {config.gravity_mps2:g} m/s2 overflows the Q-coefficient audit"
+        )
+
     manifest_path = _manifest_path(config)
+    writes = []  # every output, written once all are computed
     summary = None
     if manifest_path.exists():
         summary = dataset_summary(
-            _recording_stats(manifest_path, load_manifest(manifest_path), out)
+            _recording_stats(manifest_path, load_manifest(manifest_path), out, writes)
         )
 
     bundle = {
@@ -543,10 +650,12 @@ def cmd_report(config: ExperimentConfig) -> int:
         "evaluation_matrix": evaluation,
         "ratio_matrices": ratios,
         "db_ratios": _collect_db(evaluation, ratios),
-        "q_coefficient_audit": q_coefficient_audit(config.gravity),
+        "q_coefficient_audit": audit,
     }
     dest = out / "report.json"
-    write_report(bundle, "json", dest)
+    writes.append(partial(write_report, bundle, "json", dest))
+    for write in writes:
+        write()
     print(f"report written to {dest}")
     return EXIT_OK
 
@@ -628,12 +737,13 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name)
         p.add_argument("--config", help="experiment config JSON")
+        # Each flag's dest is the config field it overrides.
         p.add_argument("--seed", type=int)
         p.add_argument("--sensors", type=int)
-        p.add_argument("--rate", type=float)
-        p.add_argument("--duration", type=float)
-        p.add_argument("--out")
-        p.add_argument("--format", choices=["csv", "json"])
+        p.add_argument("--rate", dest="rate_hz", type=float)
+        p.add_argument("--duration", dest="duration_s", type=float)
+        p.add_argument("--out", dest="out_dir")
+        p.add_argument("--format", dest="fmt", choices=["csv", "json"])
         p.set_defaults(func=fn)
     return parser
 

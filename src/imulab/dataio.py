@@ -7,9 +7,11 @@ Interchange formats:
   * recording: CSV with header ``t,gx,gy,gz,ax,ay,az``, one row per sample
   * reports: JSON (nested) or CSV (column-per-series tables)
 
-Floats are serialized as shortest round-trip decimals (``repr``), so a
-write-then-parse cycle is bit-exact. Degree/radian conversion happens in this
-module only, driven by the manifest's declared units.
+Every reader and writer takes a file path. Floats are serialized as
+shortest round-trip decimals (``repr``), so a write-then-parse cycle is
+bit-exact. Recordings are written in SI units (rad/s, m/s^2); a manifest read
+from outside the program may declare ``deg/s`` gyro columns, which are
+converted to rad/s on reading, in this module only.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,7 +54,7 @@ __all__ = [
 
 _CSV_HEADER = ["t", "gx", "gy", "gz", "ax", "ay", "az"]
 _GYRO_UNITS = ("deg/s", "rad/s")
-_ACCEL_UNITS = ("m/s2",)
+_ACCEL_UNIT = "m/s2"
 # Largest |bias| or noise std accepted from a recording, SI units. Far beyond
 # any sensor's range, it leaves the stages room to square, sum and propagate
 # the residuals without overflow.
@@ -77,7 +79,6 @@ class ArrayManifest:
     sensor_files: tuple[tuple[str, str], ...]
     gravity_mps2: float = 9.81
     gyro_units: str = "rad/s"
-    accel_units: str = "m/s2"
 
     def __post_init__(self):
         if not self.rate_hz > 0:
@@ -90,8 +91,6 @@ class ArrayManifest:
             raise ConfigError("manifest must list at least one sensor file")
         if self.gyro_units not in _GYRO_UNITS:
             raise ConfigError(f"unknown gyro units {self.gyro_units!r}")
-        if self.accel_units not in _ACCEL_UNITS:
-            raise ConfigError(f"unknown accel units {self.accel_units!r}")
         object.__setattr__(
             self, "sensor_files", tuple((str(a), str(b)) for a, b in self.sensor_files)
         )
@@ -131,17 +130,19 @@ def read_json(path: str | os.PathLike):
 def load_manifest(path: str | os.PathLike) -> ArrayManifest:
     """Read a manifest file with ``read_json``.
 
-    A manifest with a missing or invalid field is a ``ParseError`` naming it.
+    A manifest with a missing or invalid field, accel units other than
+    ``m/s2`` included, is a ``ParseError`` naming it.
     """
     raw = read_json(path)
     try:
         units = raw.get("units", {})
+        if units.get("accel", _ACCEL_UNIT) != _ACCEL_UNIT:
+            raise ConfigError(f"unknown accel units {units['accel']!r}")
         return ArrayManifest(
             rate_hz=float(raw["rate_hz"]),
             sensor_files=tuple((s["sensor_id"], s["path"]) for s in raw["sensor_files"]),
             gravity_mps2=float(raw.get("gravity_mps2", 9.81)),
             gyro_units=units.get("gyro", "rad/s"),
-            accel_units=units.get("accel", "m/s2"),
         )
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise ParseError(f"{path}: missing or invalid manifest field: {exc}") from exc
@@ -151,7 +152,7 @@ def write_manifest(manifest: ArrayManifest, path: str | os.PathLike) -> None:
     payload = {
         "rate_hz": manifest.rate_hz,
         "gravity_mps2": manifest.gravity_mps2,
-        "units": {"gyro": manifest.gyro_units, "accel": manifest.accel_units},
+        "units": {"gyro": manifest.gyro_units, "accel": _ACCEL_UNIT},
         "sensor_files": [
             {"sensor_id": sid, "path": rel} for sid, rel in manifest.sensor_files
         ],
@@ -160,34 +161,28 @@ def write_manifest(manifest: ArrayManifest, path: str | os.PathLike) -> None:
 
 
 def parse_recording_csv(
-    stream: IO[str] | str | os.PathLike,
+    path: str | os.PathLike,
     sensor_id: str,
     rate_hz: float,
     gyro_units: str = "rad/s",
 ) -> SensorRecording:
-    """Parse one sensor CSV into an SI recording.
+    """Parse the UTF-8 sensor CSV at ``path`` into an SI recording.
 
-    ``stream`` may be an open text stream or a path, read as UTF-8. Gyro
-    columns are converted from the declared units. Blank lines are skipped;
-    a ``nan`` or ``inf`` value, or a file that is not UTF-8, is a
+    Gyro columns are converted from the declared units. Blank lines are
+    skipped; a ``nan`` or ``inf`` value, or a file that is not UTF-8, is a
     ``ParseError`` naming its line or path; a path that cannot be read is a
     ``DataError`` naming it, and so is a time base that ``SensorRecording``
     rejects.
     """
     if gyro_units not in _GYRO_UNITS:
         raise ConfigError(f"unknown gyro units {gyro_units!r}")
-    if hasattr(stream, "read"):
-        text = stream.read()
-    else:
-        try:
-            with open(stream, "r", encoding="utf-8", newline="") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise DataError(
-                f"{sensor_id}: cannot read {stream}: {exc.strerror or exc}"
-            ) from exc
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{sensor_id}: {stream}: not UTF-8 text: {exc}") from exc
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise DataError(f"{sensor_id}: cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{sensor_id}: {path}: not UTF-8 text: {exc}") from exc
     if not text:
         raise ParseError(f"{sensor_id}: empty file")
     header_line, _, body = text.partition("\n")
@@ -240,31 +235,21 @@ def _parse_error(sensor_id: str, body: str, cause) -> ParseError:
     return ParseError(f"{sensor_id}: {cause}")
 
 
-def write_recording_csv(
-    recording: SensorRecording,
-    dest: IO[str] | str | os.PathLike,
-    gyro_units: str = "rad/s",
-) -> None:
-    """Write a recording as a ``write_report`` CSV table, one row per sample.
+def write_recording_csv(recording: SensorRecording, dest: str | os.PathLike) -> None:
+    """Write a recording to the path ``dest`` as a ``write_report`` CSV table,
+    one row per sample, in SI units (rad/s, m/s^2).
 
     Cells are shortest round-trip floats; non-finite values are rejected.
     """
-    if gyro_units not in _GYRO_UNITS:
-        raise ConfigError(f"unknown gyro units {gyro_units!r}")
-    gyro = recording.gyro
-    if gyro_units == "deg/s":
-        gyro = np.rad2deg(gyro)
-    cols = [recording.t, *gyro.T, *recording.accel.T]
+    cols = [recording.t, *recording.gyro.T, *recording.accel.T]
     write_report(dict(zip(_CSV_HEADER, cols)), "csv", dest)
 
 
 def write_array(
-    array: ArrayRecording,
-    out_dir: str | os.PathLike,
-    gravity: GravityModel,
-    gyro_units: str = "rad/s",
+    array: ArrayRecording, out_dir: str | os.PathLike, gravity: GravityModel
 ) -> Path:
-    """Write per-sensor CSVs plus a manifest; returns the manifest path.
+    """Write per-sensor SI CSVs plus a manifest declaring rad/s and m/s2;
+    returns the manifest path.
 
     Each recording is one ``write_recording_csv`` call. When the array holds
     at least two recordings and ``_POOL_MIN_VALUES`` values, and this process
@@ -279,13 +264,9 @@ def write_array(
     files = [(rec.sensor_id, f"{rec.sensor_id}.csv") for rec in array.recordings]
     with _recording_map(array) as map_:
         # list() waits for every write and raises the first failure.
-        list(map_(write_recording_csv, array.recordings,
-                  [out / rel for _, rel in files], [gyro_units] * len(files)))
+        list(map_(write_recording_csv, array.recordings, [out / rel for _, rel in files]))
     manifest = ArrayManifest(
-        rate_hz=array.rate_hz,
-        sensor_files=tuple(files),
-        gravity_mps2=gravity.g_magnitude,
-        gyro_units=gyro_units,
+        rate_hz=array.rate_hz, sensor_files=tuple(files), gravity_mps2=gravity.g_magnitude
     )
     manifest_path = out / "manifest.json"
     write_manifest(manifest, manifest_path)
@@ -472,15 +453,16 @@ def _jsonable(obj):
     return obj
 
 
-def write_report(report, fmt: str, dest: IO[str] | str | os.PathLike) -> None:
-    """Serialize a report deterministically as JSON or a columnar CSV.
+def write_report(report, fmt: str, dest: str | os.PathLike) -> None:
+    """Serialize a report deterministically as JSON or a columnar CSV to the
+    path ``dest``.
 
     JSON accepts any nesting of mappings, sequences, and arrays.
     CSV requires a flat mapping of column name -> sequence of scalars (all of
     one length); an all-empty table still produces the header line. CSV cells
     hold ``repr`` of floats (shortest round trip) and ``str`` of anything else.
 
-    This is the package's only file writer. A path ``dest`` gets its parent
+    This is the package's only file writer. ``dest`` gets its parent
     directories created, and the text is written to a temporary file beside
     it that is then renamed over it, so ``dest`` is either complete or left as
     it was. A directory that cannot be created or a file that cannot be
@@ -507,12 +489,6 @@ def write_report(report, fmt: str, dest: IO[str] | str | os.PathLike) -> None:
         buf.write(",".join(payload) + "\n")
         buf.writelines(",".join(row) + "\n" for row in zip(*columns))
     text = buf.getvalue()
-    if hasattr(dest, "write"):
-        try:
-            dest.write(text)
-        except OSError as exc:
-            raise ConfigError(f"cannot write report to {dest}: {exc.strerror or exc}") from exc
-        return
     path = Path(dest)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -103,17 +103,18 @@ def variance_of_mean(sigma: float, n_time: int, n_sensors: int) -> float:
     return sigma**2 / (n_time * n_sensors)
 
 
-def _log_window_grid(n: int, points_per_decade: int = 10) -> np.ndarray:
+# Window ends per decade of ``running_std_profile``'s log grid.
+_POINTS_PER_DECADE = 10
+
+
+def _log_window_grid(n: int) -> np.ndarray:
     """Integer window ends from 2 to n, ~logarithmically spaced."""
-    grid = np.unique(
-        np.round(
-            np.logspace(np.log10(2), np.log10(n), max(2, int(np.log10(n / 2) * points_per_decade) + 1))
-        ).astype(int)
-    )
+    count = max(2, int(np.log10(n / 2) * _POINTS_PER_DECADE) + 1)
+    grid = np.unique(np.round(np.logspace(np.log10(2), np.log10(n), count)).astype(int))
     return grid[(grid >= 2) & (grid <= n)]
 
 
-def running_std_profile(data: np.ndarray, points_per_decade: int = 10) -> RunningStdProfile:
+def running_std_profile(data: np.ndarray) -> RunningStdProfile:
     """Noise density of the growing-window mean of a sensor-averaged series.
 
     The K columns are averaged per time step; at each window end ``n`` (on a
@@ -128,7 +129,7 @@ def running_std_profile(data: np.ndarray, points_per_decade: int = 10) -> Runnin
     if arr.ndim != 2 or arr.shape[0] < 2:
         raise ValueError("data must be an N x K matrix with N >= 2")
     z = arr.mean(axis=1)
-    ends = _log_window_grid(arr.shape[0], points_per_decade)
+    ends = _log_window_grid(arr.shape[0])
     if np.ptp(z) == 0:
         return RunningStdProfile(window_ends=ends, std_estimates=np.zeros(ends.shape))
     # Running sample std via cumulative first/second moments; centering first

@@ -7,7 +7,6 @@ bit-exact I/O. One PASS/FAIL line is printed per criterion.
 """
 
 import dataclasses
-import io
 
 import numpy as np
 import pytest
@@ -260,10 +259,9 @@ def test_criterion_12_bit_exact_round_trip(gravity, tmp_path):
         arr = simulate_array(params, gravity, 1.0, 100.0,
                              seed=int(rng.integers(2**31)))
         rec = arr.recordings[0]
-        buf = io.StringIO()
-        write_recording_csv(rec, buf)
-        back = parse_recording_csv(io.StringIO(buf.getvalue()),
-                                   rec.sensor_id, rec.rate_hz)
+        rec_path = tmp_path / f"rec{case}.csv"
+        write_recording_csv(rec, rec_path)
+        back = parse_recording_csv(rec_path, rec.sensor_id, rec.rate_hz)
         rec_ok = (
             np.array_equal(back.t, rec.t)
             and np.array_equal(back.gyro, rec.gyro)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import multiprocessing
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from imulab.cli import ExperimentConfig, load_config, main
+from imulab.cli import ExperimentConfig, build_parser, load_config, main
 from imulab.dataio import ConfigError
 from imulab.estimation import bias_score
 
@@ -96,22 +97,31 @@ class TestConfig:
         path = tmp_path / "c.json"
         path.write_text('{"sensor_count": 5}')
         with pytest.raises(ConfigError, match="sensor_count"):
-            load_config(str(path), object())
+            load_config(str(path), argparse.Namespace())
 
     def test_cli_flags_override_file(self, tmp_path):
         path = _write_config(tmp_path, seed=1)
-
-        class Ns:
-            seed = 99
-            sensors = None
-            rate = None
-            duration = None
-            out = None
-            format = "json"
-
-        cfg = load_config(str(path), Ns())
+        args = build_parser().parse_args([
+            "simulate", "--config", str(path), "--seed", "99", "--sensors", "3",
+            "--rate", "50", "--duration", "2.5", "--out", "elsewhere", "--format", "json",
+        ])
+        cfg = load_config(args.config, args)
         assert cfg.seed == 99
+        assert cfg.sensors == 3
+        assert cfg.rate_hz == 50.0
+        assert cfg.duration_s == 2.5
+        assert cfg.out_dir == "elsewhere"
         assert cfg.fmt == "json"
+        unset = build_parser().parse_args(["simulate", "--config", str(path)])
+        assert load_config(unset.config, unset) == load_config(str(path), argparse.Namespace())
+
+    def test_sensors_flag_drops_manifest(self, tmp_path):
+        path = _write_manifest_config(tmp_path)
+        args = build_parser().parse_args(["estimate", "--config", str(path), "--sensors", "2"])
+        cfg = load_config(args.config, args)
+        assert cfg.sensors == 2 and cfg.manifest is None
+        args = build_parser().parse_args(["estimate", "--config", str(path)])
+        assert load_config(args.config, args).manifest == json.loads(path.read_text())["manifest"]
 
     @pytest.mark.parametrize("text, field", [
         (b"[]", None),
@@ -126,6 +136,13 @@ class TestConfig:
         (b'{"duration_s": 1e300}', "duration_s * rate_hz"),
         (b'{"rate_hz": 1e300, "duration_s": 1e10}', "duration_s * rate_hz"),
         (b'{"seed": 1\xff}', None),
+        (b'{"sensors": [{"bias_gyro": [1, 0, 0]}]}', "sensors[0]: unknown key 'bias_gyro'"),
+        (b'{"sensors": [{"bias_gyro_dps": "abc"}]}', "sensors[0]: bias_gyro_dps must be"),
+        (b'{"sensors": [{}, {"bias_accel": [1, 2]}]}', "sensors[1]: bias_accel must be"),
+        (b'{"sensors": [{"bias_accel": ["1", 0, 0]}]}', "sensors[0]: bias_accel must be"),
+        (b'{"sensors": [{"sigma_accel": "0.1"}]}', "sensors[0]: sigma_accel must be"),
+        (b'{"sensors": [{"sigma_gyro_dps": true}]}', "sensors[0]: sigma_gyro_dps must be"),
+        (b'{"sensors": [{"sigma_accel": -1}]}', "sensors[0]: sigma_accel must be"),
     ])
     def test_malformed_config_exits_2_naming_it(self, tmp_path, capsys, text, field):
         """Named by its field, or by its path when no field is at fault."""
@@ -202,6 +219,15 @@ class TestSimulate:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert main(["simulate", "--config", str(path)]) == 2
+
+    def test_unallocatable_duration_exits_2_naming_it(self, tmp_path, capsys):
+        # 1e16 samples: an 80 PB time axis, beyond any address space, so the
+        # allocation fails at once.
+        cfg = _write_config(tmp_path, duration_s=1e14)
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: duration_s * rate_hz = 1e+16 samples"), err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_subcommand_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
@@ -400,6 +426,8 @@ class TestBadRecordings:
                      "gravity_mps2 must be", id="negative_gravity"),
         pytest.param(lambda b: b.replace(b"{", b'{"units": {"gyro": "rad/t"}, ', 1),
                      "unknown gyro units", id="unknown_units"),
+        pytest.param(lambda b: b.replace(b"{", b'{"units": {"accel": "g"}, ', 1),
+                     "unknown accel units 'g'", id="unknown_accel_units"),
         pytest.param(lambda b: b.replace(b'"imu_b.csv"', b'"../imu_b.csv"'),
                      "recording path '../imu_b.csv' is not inside", id="parent_path"),
         pytest.param(lambda b: b.replace(b'"imu_b.csv"', b'"sub/../imu_b.csv"'),
@@ -495,6 +523,32 @@ class TestPropagate:
         cfg = _write_config(tmp_path, tau_grid=[-1.0, 1.0])
         assert main(["propagate", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("override, message", [
+        pytest.param({"tau_grid": [0.0, 1e60]},
+                     "tau_grid: the propagated errors overflow at tau = 1e+60 s", id="tau"),
+        pytest.param({"sensors": [{"sigma_accel": 1e200}] * 3},
+                     "sensors: noise sigmas up to (sigma_accel 1e+200,", id="sigma"),
+        pytest.param({"gravity_mps2": 1e200},
+                     "gravity_mps2: 1e+200 m/s2 overflows the propagated errors", id="gravity"),
+    ])
+    def test_overflow_exits_2_naming_field_and_writes_nothing(
+        self, tmp_path, capsys, override, message
+    ):
+        cfg = _write_config(tmp_path, **{"sensors": 3, "duration_s": 2.0, "rate_hz": 10.0,
+                                         "k_grid": [1, 3], **override})
+        assert main(["propagate", "--config", str(cfg)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_overflow_from_manifest_writes_no_stats(self, tmp_path, capsys):
+        assert main(["simulate", "--config", str(_write_config(tmp_path))]) == 0
+        cfg = _write_manifest_config(tmp_path, out_dir=str(tmp_path / "products"),
+                                     tau_grid=[0.0, 1e60])
+        capsys.readouterr()
+        assert main(["propagate", "--config", str(cfg)]) == 2
+        assert "config error: tau_grid: " in capsys.readouterr().err
+        assert not (tmp_path / "products").exists()
+
     def test_manifest_matches_sensors_config_for_noiseless_sensors(self, tmp_path):
         # Listed out of worst-first order, so both paths must sort them alike.
         sensors = [
@@ -581,6 +635,17 @@ class TestReport:
         first = dest.read_bytes()
         assert main(["report", "--config", str(cfg)]) == 0
         assert dest.read_bytes() == first
+
+    def test_overflowing_audit_exits_2_naming_gravity(self, tmp_path, capsys):
+        for cmd in ("simulate", "estimate", "propagate"):
+            assert main([cmd, "--config", str(_write_config(tmp_path))]) == 0
+        before = _dir_bytes(tmp_path / "out")
+        capsys.readouterr()
+        cfg = _write_config(tmp_path, gravity_mps2=1e200)
+        assert main(["report", "--config", str(cfg)]) == 2
+        assert ("config error: gravity_mps2: 1e+200 m/s2 overflows the Q-coefficient audit"
+                in capsys.readouterr().err)
+        assert _dir_bytes(tmp_path / "out") == before
 
     def test_report_without_products_exits_2(self, tmp_path):
         cfg = _write_config(tmp_path)

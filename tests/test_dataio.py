@@ -1,4 +1,3 @@
-import io
 import json
 import multiprocessing
 import os
@@ -38,61 +37,68 @@ from imulab.sensor_model import (
 )
 
 
-def _write_noting_pid(recording, dest, gyro_units):
+def _write_noting_pid(recording, dest):
     """``write_recording_csv``, then the writing process's id into ``<dest>.pid``."""
-    write_recording_csv(recording, dest, gyro_units)
+    write_recording_csv(recording, dest)
     Path(f"{dest}.pid").write_text(str(os.getpid()))
 
 
+def _text_file(directory: Path, text: str) -> Path:
+    """``text`` written byte for byte (no newline translation) to a recording file."""
+    path = directory / "rec.csv"
+    path.write_bytes(text.encode())
+    return path
+
+
 class TestParseRecordingCsv:
-    def test_single_row(self):
+    def test_single_row(self, tmp_path):
         rec = parse_recording_csv(
-            io.StringIO("t,gx,gy,gz,ax,ay,az\n0,0,0,0,0,0,-9.81\n"), "s0", 1.0
+            _text_file(tmp_path, "t,gx,gy,gz,ax,ay,az\n0,0,0,0,0,0,-9.81\n"), "s0", 1.0
         )
         assert rec.n_samples == 1
         assert np.allclose(rec.accel, [[0, 0, -9.81]])
 
-    def test_deg_per_s_conversion(self):
+    def test_deg_per_s_conversion(self, tmp_path):
         rec = parse_recording_csv(
-            io.StringIO("t,gx,gy,gz,ax,ay,az\n0,2.164,0,0,0,0,-9.81\n"),
+            _text_file(tmp_path, "t,gx,gy,gz,ax,ay,az\n0,2.164,0,0,0,0,-9.81\n"),
             "s0", 1.0, gyro_units="deg/s",
         )
         assert rec.gyro[0, 0] == pytest.approx(0.03777, abs=1e-5)
         assert rec.gyro[0, 0] == np.deg2rad(2.164)
 
-    def test_bad_value_names_line(self):
+    def test_bad_value_names_line(self, tmp_path):
         with pytest.raises(ParseError, match="line 2"):
             parse_recording_csv(
-                io.StringIO("t,gx,gy,gz,ax,ay,az\n0,0,0,0,abc,0,0\n"), "s0", 1.0
+                _text_file(tmp_path, "t,gx,gy,gz,ax,ay,az\n0,0,0,0,abc,0,0\n"), "s0", 1.0
             )
 
-    def test_missing_column_rejected(self):
+    def test_missing_column_rejected(self, tmp_path):
         with pytest.raises(ParseError, match="header"):
-            parse_recording_csv(io.StringIO("t,gx,gy,gz,ax,ay\n0,0,0,0,0,0\n"), "s0", 1.0)
+            parse_recording_csv(_text_file(tmp_path, "t,gx,gy,gz,ax,ay\n0,0,0,0,0,0\n"), "s0", 1.0)
 
-    def test_non_monotone_time(self):
+    def test_non_monotone_time(self, tmp_path):
         body = "t,gx,gy,gz,ax,ay,az\n0,0,0,0,0,0,0\n0.5,0,0,0,0,0,0\n0.2,0,0,0,0,0,0\n"
         with pytest.raises(DataError, match="increasing"):
-            parse_recording_csv(io.StringIO(body), "s0", 2.0)
+            parse_recording_csv(_text_file(tmp_path, body), "s0", 2.0)
 
-    def test_unknown_units(self):
+    def test_unknown_units(self, tmp_path):
         with pytest.raises(ConfigError):
-            parse_recording_csv(io.StringIO("t,gx,gy,gz,ax,ay,az\n"), "s0", 1.0, "furlong")
+            parse_recording_csv(_text_file(tmp_path, "t,gx,gy,gz,ax,ay,az\n"), "s0", 1.0, "furlong")
 
-    def test_crlf_accepted(self):
+    def test_crlf_accepted(self, tmp_path):
         body = "t,gx,gy,gz,ax,ay,az\r\n0,1,2,3,4,5,6\r\n"
-        rec = parse_recording_csv(io.StringIO(body), "s0", 1.0)
+        rec = parse_recording_csv(_text_file(tmp_path, body), "s0", 1.0)
         assert np.allclose(rec.gyro, [[1, 2, 3]])
 
-    def test_crlf_with_blank_lines_accepted(self):
+    def test_crlf_with_blank_lines_accepted(self, tmp_path):
         body = "t,gx,gy,gz,ax,ay,az\r\n0,1,2,3,4,5,6\r\n\r\n1,1,2,3,4,5,6\r\n"
-        rec = parse_recording_csv(io.StringIO(body), "s0", 1.0)
+        rec = parse_recording_csv(_text_file(tmp_path, body), "s0", 1.0)
         assert np.array_equal(rec.t, [0.0, 1.0])
 
-    def test_bad_value_after_blank_line_names_file_line(self):
+    def test_bad_value_after_blank_line_names_file_line(self, tmp_path):
         body = "t,gx,gy,gz,ax,ay,az\n0,0,0,0,0,0,0\n\n\n1,0,0,x,0,0,0\n"
         with pytest.raises(ParseError, match=r"s0: line 5: .*'x'"):
-            parse_recording_csv(io.StringIO(body), "s0", 1.0)
+            parse_recording_csv(_text_file(tmp_path, body), "s0", 1.0)
 
     @pytest.mark.parametrize(
         "rows, line",
@@ -104,55 +110,54 @@ class TestParseRecordingCsv:
             ("\n  \n", 3),  # whitespace-only row and nothing else
         ],
     )
-    def test_wrong_column_count_names_line(self, rows, line):
+    def test_wrong_column_count_names_line(self, tmp_path, rows, line):
         with pytest.raises(ParseError, match=f"line {line}: expected 7 columns"):
-            parse_recording_csv(io.StringIO("t,gx,gy,gz,ax,ay,az\n" + rows), "s0", 1.0)
+            parse_recording_csv(_text_file(tmp_path, "t,gx,gy,gz,ax,ay,az\n" + rows), "s0", 1.0)
 
     @pytest.mark.parametrize("body", ["", "\n", "\r\n\r\n\n"])
-    def test_header_only_has_no_data_rows(self, body):
+    def test_header_only_has_no_data_rows(self, tmp_path, body):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ParseError, match="no data rows"):
-                parse_recording_csv(io.StringIO("t,gx,gy,gz,ax,ay,az" + body), "s0", 1.0)
+                parse_recording_csv(_text_file(tmp_path, "t,gx,gy,gz,ax,ay,az" + body), "s0", 1.0)
 
-    def test_empty_file(self):
+    def test_empty_file(self, tmp_path):
         with pytest.raises(ParseError, match="empty file"):
-            parse_recording_csv(io.StringIO(""), "s0", 1.0)
+            parse_recording_csv(_text_file(tmp_path, ""), "s0", 1.0)
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN", "1e999"])
-    def test_non_finite_value_names_file_line(self, bad):
+    def test_non_finite_value_names_file_line(self, tmp_path, bad):
         body = f"t,gx,gy,gz,ax,ay,az\n0,0,0,0,0,0,0\n\n1,0,0,0,{bad},0,0\n2,0,0,0,0,0,0\n"
         with pytest.raises(ParseError, match="s0: line 4: non-finite value"):
-            parse_recording_csv(io.StringIO(body), "s0", 1.0)
+            parse_recording_csv(_text_file(tmp_path, body), "s0", 1.0)
 
-    def test_first_bad_line_named_when_non_finite_precedes_malformed(self):
+    def test_first_bad_line_named_when_non_finite_precedes_malformed(self, tmp_path):
         body = "t,gx,gy,gz,ax,ay,az\n0,0,0,0,0,0,0\n1,inf,0,0,0,0,0\n2,x,0,0,0,0,0\n"
         with pytest.raises(ParseError, match="s0: line 3: non-finite value"):
-            parse_recording_csv(io.StringIO(body), "s0", 1.0)
+            parse_recording_csv(_text_file(tmp_path, body), "s0", 1.0)
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(
         st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=6, max_size=6),
         min_size=1, max_size=20,
     ))
-    def test_values_match_python_float(self, rows):
+    def test_values_match_python_float(self, tmp_path_factory, rows):
         # Any shortest-repr or hand-written decimal parses to float()'s double.
         lines = [",".join([str(i), *(repr(v) for v in row[:3]), *(f"{v:.17g}" for v in row[3:])])
                  for i, row in enumerate(rows)]
         text = "t,gx,gy,gz,ax,ay,az\n" + "\n".join(lines) + "\n"
-        rec = parse_recording_csv(io.StringIO(text), "s0", 1.0)
+        rec = parse_recording_csv(_text_file(tmp_path_factory.mktemp("rows"), text), "s0", 1.0)
         expected = np.array([[float(v) for v in line.split(",")] for line in lines])
         assert np.array_equal(rec.t, expected[:, 0])
         assert np.array_equal(rec.gyro, expected[:, 1:4])
         assert np.array_equal(rec.accel, expected[:, 4:7])
 
 
-def _row_by_row_csv(recording, gyro_units):
+def _row_by_row_csv(recording):
     """The recording writer's former rule: one ``repr(float(v))`` cell at a time."""
-    gyro = np.rad2deg(recording.gyro) if gyro_units == "deg/s" else recording.gyro
     lines = ["t,gx,gy,gz,ax,ay,az"]
     for i in range(recording.n_samples):
-        vals = [recording.t[i], *gyro[i], *recording.accel[i]]
+        vals = [recording.t[i], *recording.gyro[i], *recording.accel[i]]
         lines.append(",".join(repr(float(v)) for v in vals))
     return "\n".join(lines) + "\n"
 
@@ -166,16 +171,16 @@ class TestWriteRecordingCsv:
         accel[7, 0] = -0.0
         return SensorRecording(rec.sensor_id, rec.rate_hz, rec.t, gyro, accel)
 
-    @pytest.mark.parametrize("units", ["rad/s", "deg/s"])
+    @pytest.mark.parametrize("units", ["rad/s"])  # recordings are written in SI only
     def test_matches_row_by_row_rule(self, tmp_path, recording, units):
         dest = tmp_path / "rec.csv"
-        write_recording_csv(recording, dest, units)
+        write_recording_csv(recording, dest)
         text = dest.read_text()
-        assert text == _row_by_row_csv(recording, units)
+        assert text == _row_by_row_csv(recording)
         assert "-0.0," in text
-        buf = io.StringIO()
-        write_recording_csv(recording, buf, units)
-        assert buf.getvalue() == text
+        again = tmp_path / "again.csv"
+        write_recording_csv(recording, again)
+        assert again.read_text() == text
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_recording_rejected(self, tmp_path, recording, bad):
@@ -191,13 +196,13 @@ class TestWriteRecordingCsv:
 
 class TestRoundTrips:
     @pytest.mark.parametrize("seed", range(5))
-    def test_recording_bit_exact(self, gravity, seed):
+    def test_recording_bit_exact(self, tmp_path, gravity, seed):
         params = draw_sensor_params(1, seed)
         arr = simulate_array(params, gravity, 1.0, 100.0, seed=seed)
         rec = arr.recordings[0]
-        buf = io.StringIO()
-        write_recording_csv(rec, buf)
-        back = parse_recording_csv(io.StringIO(buf.getvalue()), rec.sensor_id, rec.rate_hz)
+        dest = tmp_path / "rec.csv"
+        write_recording_csv(rec, dest)
+        back = parse_recording_csv(dest, rec.sensor_id, rec.rate_hz)
         assert np.array_equal(back.t, rec.t)
         assert np.array_equal(back.gyro, rec.gyro)
         assert np.array_equal(back.accel, rec.accel)
@@ -213,6 +218,11 @@ class TestRoundTrips:
         write_manifest(manifest, path)
         assert load_manifest(path) == manifest
 
+    def test_written_manifest_declares_si_units(self, tmp_path, gravity):
+        arr = simulate_array(draw_sensor_params(2, 1), gravity, 0.1, 100.0, seed=1)
+        raw = json.loads(write_array(arr, tmp_path, gravity).read_text())
+        assert raw["units"] == {"gyro": "rad/s", "accel": "m/s2"}
+
     def test_array_round_trip(self, tmp_path, gravity):
         arr = simulate_array(draw_sensor_params(3, 1), gravity, 0.5, 100.0, seed=1)
         manifest_path = write_array(arr, tmp_path, gravity)
@@ -226,12 +236,12 @@ class TestRoundTrips:
     def test_pooled_write_matches_serial_writes(self, tmp_path, gravity):
         arr = simulate_array(draw_sensor_params(5, 3), gravity, 30.0, 100.0, seed=3)
         assert arr.n_sensors * arr.n_samples * 7 >= dataio._POOL_MIN_VALUES
-        write_array(arr, tmp_path / "pool", gravity, "deg/s")
+        write_array(arr, tmp_path / "pool", gravity)
         assert multiprocessing.active_children() == []
         names = [f"{rec.sensor_id}.csv" for rec in arr.recordings]
         assert sorted(p.name for p in (tmp_path / "pool").iterdir()) == ["manifest.json", *names]
         for rec, name in zip(arr.recordings, names):
-            write_recording_csv(rec, tmp_path / "serial" / name, "deg/s")
+            write_recording_csv(rec, tmp_path / "serial" / name)
             assert (tmp_path / "pool" / name).read_bytes() == \
                 (tmp_path / "serial" / name).read_bytes()
 

@@ -7,7 +7,6 @@ from .sensor_model import (
     GravityModel,
     SensorErrorParams,
     SensorRecording,
-    gravity_rms,
     residuals,
     simulate_array,
 )
@@ -15,10 +14,8 @@ from .estimation import (
     db_ratio,
     fisher_crlb,
     kde_density,
-    mse,
     rms,
     running_std_profile,
-    sample_mean,
     variance_of_mean,
     wss_check,
 )
@@ -38,16 +35,13 @@ __all__ = [
     "GravityModel",
     "SensorErrorParams",
     "SensorRecording",
-    "gravity_rms",
     "residuals",
     "simulate_array",
     "db_ratio",
     "fisher_crlb",
     "kde_density",
-    "mse",
     "rms",
     "running_std_profile",
-    "sample_mean",
     "variance_of_mean",
     "wss_check",
     "ErrorState",

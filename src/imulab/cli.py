@@ -19,6 +19,7 @@ import sys
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -27,7 +28,6 @@ from .dataio import (
     ArrayManifest,
     ConfigError,
     DataError,
-    ParseError,
     SensorStats,
     dataset_summary,
     load_manifest,
@@ -73,8 +73,13 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 # Per-sensor bias/noise stats of the recordings, written by ``estimate`` into
-# its output directory and reused by ``propagate`` and ``report``.
+# its output directory and only read by ``propagate`` and ``report``.
 STATS_FILE = "recording_stats.json"
+
+# What a stage returns: its outputs as pending writes, in the order ``main``
+# runs them once the stage has computed them all, and the line ``main``
+# prints after the last.
+Stage = tuple[list[Callable[[], object]], str]
 
 
 def _is_number(value) -> bool:
@@ -96,7 +101,7 @@ _FIELD_TYPES = {
     "seed": (_is_int, "an integer"),
     "duration_s": (_is_finite, "a finite number"),
     "rate_hz": (_is_finite, "a finite number"),
-    "gravity_mps2": (_is_finite, "a finite number"),
+    "gravity_mps2": (lambda v: _is_finite(v) and v >= 0, "a finite number >= 0"),
     "sensors": (
         lambda v: v is None or (_is_int(v) and v >= 1)
         or (isinstance(v, list) and v and all(isinstance(d, dict) for d in v)),
@@ -104,8 +109,8 @@ _FIELD_TYPES = {
     ),
     "manifest": (lambda v: v is None or isinstance(v, str), "a path"),
     "out_dir": (lambda v: isinstance(v, str), "a path"),
-    "tau_grid": (lambda v: isinstance(v, list) and all(map(_is_finite, v)),
-                 "a list of finite numbers"),
+    "tau_grid": (lambda v: isinstance(v, list) and all(_is_finite(t) and t >= 0 for t in v),
+                 "a list of finite numbers >= 0"),
     "k_grid": (lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers"),
     "inject_bias_walk": (lambda v: isinstance(v, bool), "true or false"),
 }
@@ -214,7 +219,7 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> ExperimentCo
     if path is not None:
         try:
             raw = read_json(path)
-        except (DataError, ParseError) as exc:
+        except DataError as exc:
             raise ConfigError(str(exc)) from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
@@ -244,32 +249,43 @@ def _load_array(manifest_path: Path, manifest: ArrayManifest) -> ArrayRecording:
 
 
 def _recording_stats(
-    manifest_path: Path, manifest: ArrayManifest, out: Path, writes: list
+    manifest_path: Path, manifest: ArrayManifest, out: Path
 ) -> list[SensorStats]:
     """Per-sensor stats of a loaded manifest's recordings, in manifest order.
 
     Taken from ``out/STATS_FILE`` when its key matches the bytes of the
     manifest and recordings; otherwise the recordings are parsed by
-    ``_load_array``, with all its checks, and the file's rewrite is appended
-    to ``writes``, the caller's outputs, which it writes once all are
-    computed.
+    ``_load_array``, with all its checks, and the file is left as it is.
     """
-    key = recording_stats_key(manifest_path, manifest)
     stats = read_recording_stats(
-        out / STATS_FILE, key, [sid for sid, _ in manifest.sensor_files]
+        out / STATS_FILE, recording_stats_key(manifest_path, manifest),
+        [sid for sid, _ in manifest.sensor_files],
     )
     if stats is None:
         array = _load_array(manifest_path, manifest)
         stats = recording_stats(array, GravityModel(manifest.gravity_mps2))
-        writes.append(partial(write_recording_stats, out / STATS_FILE, key, stats))
     return stats
 
 
-def _manifest_path(config: ExperimentConfig) -> Path:
-    """The configured manifest, or else the one ``simulate`` writes."""
+def _recordings(config: ExperimentConfig) -> tuple[Path, ArrayManifest] | None:
+    """The manifest a stage reads, and its path.
+
+    A configured manifest must load. Otherwise it is the manifest that
+    ``simulate`` wrote into ``out_dir``, or None if there is none.
+    """
     if config.manifest is not None:
-        return Path(config.manifest)
-    return Path(config.out_dir) / "recordings" / "manifest.json"
+        path = Path(config.manifest)
+    else:
+        path = Path(config.out_dir) / "recordings" / "manifest.json"
+        if not path.exists():
+            return None
+    return path, load_manifest(path)
+
+
+def _model_gravity(config: ExperimentConfig, manifest: ArrayManifest | None) -> GravityModel:
+    """Gravity of the INS error model: for a manifest config the manifest's,
+    otherwise the config's."""
+    return config.gravity if config.manifest is None else GravityModel(manifest.gravity_mps2)
 
 
 def _k_grid(config: ExperimentConfig, n_sensors: int) -> list[int]:
@@ -280,7 +296,7 @@ def _k_grid(config: ExperimentConfig, n_sensors: int) -> list[int]:
     return k_grid
 
 
-def cmd_simulate(config: ExperimentConfig) -> int:
+def cmd_simulate(config: ExperimentConfig) -> Stage:
     params = config.sensor_params()
     try:
         array = simulate_array(
@@ -296,12 +312,11 @@ def cmd_simulate(config: ExperimentConfig) -> int:
             f"duration_s * rate_hz = {config.duration_s * config.rate_hz:.3g} samples "
             f"per sensor do not fit in memory: {exc}"
         ) from exc
-    manifest_path = write_array(
-        array, Path(config.out_dir) / "recordings", config.gravity
+    rec_dir = Path(config.out_dir) / "recordings"
+    return [partial(write_array, array, rec_dir, config.gravity)], (
+        f"wrote {array.n_sensors} recordings ({array.n_samples} samples each) "
+        f"-> {rec_dir / 'manifest.json'}"
     )
-    print(f"wrote {array.n_sensors} recordings ({array.n_samples} samples each) "
-          f"-> {manifest_path}")
-    return EXIT_OK
 
 
 def _axis_rms_std(series: np.ndarray) -> float:
@@ -309,28 +324,27 @@ def _axis_rms_std(series: np.ndarray) -> float:
     return rms(series.std(axis=0, ddof=1))
 
 
-def cmd_estimate(config: ExperimentConfig) -> int:
-    manifest_path = _manifest_path(config)
-    if config.manifest is None and not manifest_path.exists():
+def cmd_estimate(config: ExperimentConfig) -> Stage:
+    recordings = _recordings(config)
+    if recordings is None:
         raise ConfigError(
-            f"no manifest configured and no prior simulate output at {manifest_path}"
+            f"no manifest configured and no prior simulate output in {config.out_dir}"
         )
-    manifest = load_manifest(manifest_path)
+    manifest_path, manifest = recordings
     k_grid = _k_grid(config, len(manifest.sensor_files))
     key = recording_stats_key(manifest_path, manifest)
     array = _load_array(manifest_path, manifest)
     gravity = GravityModel(manifest.gravity_mps2)
     stats = recording_stats(array, gravity)
-    out = Path(config.out_dir)
+    out, fmt = Path(config.out_dir), config.fmt
 
-    write_recording_stats(out / STATS_FILE, key, stats)
     scores = sort_by_quality({s.sensor_id: s.bias for s in stats})
-    write_report(
-        {"order_worst_first": [sid for sid, _ in scores],
-         "scores": {sid: s for sid, s in scores}},
-        "json",
-        out / "quality.json",
-    )
+    writes = [
+        partial(write_recording_stats, out / STATS_FILE, key, stats),
+        partial(write_report, {"order_worst_first": [sid for sid, _ in scores],
+                               "scores": {sid: s for sid, s in scores}},
+                "json", out / "quality.json"),
+    ]
     by_id = {r.sensor_id: r for r in array.recordings}
     ordered = [by_id[sid] for sid, _ in scores]
 
@@ -344,20 +358,16 @@ def cmd_estimate(config: ExperimentConfig) -> int:
         gyro_cal = gyro - gyro.mean(axis=0)
         accel_cal = accel - accel.mean(axis=0)
 
-        t = ordered[0].t
-        _write_table(
-            {
-                "t": t,
-                "gyro_raw_rms_dps": np.rad2deg(np.sqrt((gyro**2).mean(axis=1))),
-                "accel_raw_rms": np.sqrt((accel**2).mean(axis=1)),
-                "gyro_cal_rms_dps": np.rad2deg(np.sqrt((gyro_cal**2).mean(axis=1))),
-                "accel_cal_rms": np.sqrt((accel_cal**2).mean(axis=1)),
-            },
-            out / f"series_K{k}", config.fmt,
-        )
-
-        _write_table(_kde_table(gyro, gyro_cal, accel, accel_cal),
-                     out / f"kde_K{k}", config.fmt)
+        series = {
+            "t": ordered[0].t,
+            "gyro_raw_rms_dps": np.rad2deg(np.sqrt((gyro**2).mean(axis=1))),
+            "accel_raw_rms": np.sqrt((accel**2).mean(axis=1)),
+            "gyro_cal_rms_dps": np.rad2deg(np.sqrt((gyro_cal**2).mean(axis=1))),
+            "accel_cal_rms": np.sqrt((accel_cal**2).mean(axis=1)),
+        }
+        writes.append(partial(write_report, series, fmt, out / f"series_K{k}.{fmt}"))
+        writes.append(partial(write_report, _kde_table(gyro, gyro_cal, accel, accel_cal),
+                              fmt, out / f"kde_K{k}.{fmt}"))
 
         # Growing-window noise-density profile with CRLB reference lines.
         prof_g = running_std_profile(gyro_cal.mean(axis=1, keepdims=True))
@@ -365,16 +375,14 @@ def cmd_estimate(config: ExperimentConfig) -> int:
         sg = float(gyro_cal.mean(axis=1).std(ddof=1))
         sa = float(accel_cal.mean(axis=1).std(ddof=1))
         ends = prof_g.window_ends
-        _write_table(
-            {
-                "window_end_s": ends / array.rate_hz,
-                "gyro_std_dps": np.rad2deg(prof_g.std_estimates),
-                "accel_std": prof_a.std_estimates,
-                "gyro_crlb_sqrt_dps": np.rad2deg(sg / np.sqrt(ends)),
-                "accel_crlb_sqrt": sa / np.sqrt(ends),
-            },
-            out / f"running_std_K{k}", config.fmt,
-        )
+        profile = {
+            "window_end_s": ends / array.rate_hz,
+            "gyro_std_dps": np.rad2deg(prof_g.std_estimates),
+            "accel_std": prof_a.std_estimates,
+            "gyro_crlb_sqrt_dps": np.rad2deg(sg / np.sqrt(ends)),
+            "accel_crlb_sqrt": sa / np.sqrt(ends),
+        }
+        writes.append(partial(write_report, profile, fmt, out / f"running_std_K{k}.{fmt}"))
 
         cells_gyro[k] = float(np.rad2deg(_axis_rms_std(gyro_cal)))
         cells_accel[k] = _axis_rms_std(accel_cal)
@@ -385,9 +393,8 @@ def cmd_estimate(config: ExperimentConfig) -> int:
         "gyro_dps": _evaluation_matrix(cells_gyro, n, k_grid),
         "accel": _evaluation_matrix(cells_accel, n, k_grid),
     }
-    write_report(evaluation, "json", out / "evaluation_matrix.json")
-    print(f"estimation products written to {out}")
-    return EXIT_OK
+    writes.append(partial(write_report, evaluation, "json", out / "evaluation_matrix.json"))
+    return writes, f"estimation products written to {out}"
 
 
 def _kde_table(gyro, gyro_cal, accel, accel_cal) -> dict:
@@ -415,7 +422,9 @@ def _evaluation_matrix(cells: dict[int, float], n: int, k_grid: list[int]) -> di
     row is the uncertainty of the full-window mean, smaller by 1/sqrt(N).
     Under the variance law the column ratio is 1/sqrt(N) and the row ratio
     approaches 1/sqrt(K). When the K=k_lo cell is 0 (a noiseless worst
-    sensor) the K ratios are undefined and written as None.
+    sensor) the K ratios are undefined and written as None; when only the
+    K=k_hi cell is 0 (noise that cancels in the mean) ``k_ratio`` is 0 and
+    its dB value, minus infinity, is written as None.
     """
     k_lo, k_hi = k_grid[0], k_grid[-1]
     t0 = {f"K{k}": cells[k] for k in k_grid}
@@ -428,19 +437,17 @@ def _evaluation_matrix(cells: dict[int, float], n: int, k_grid: list[int]) -> di
         "k_ratio": k_ratio,
         "n_ratio": n_ratio,
         "nk_ratio": None if k_ratio is None else k_ratio * n_ratio,
-        "k_ratio_db": None if k_ratio is None else db_ratio(k_ratio),
+        "k_ratio_db": db_ratio(k_ratio) if k_ratio else None,
         "n_ratio_db": db_ratio(n_ratio),
         "expected_k_ratio": 1.0 / np.sqrt(k_hi / k_lo),
     }
 
 
-def cmd_propagate(config: ExperimentConfig) -> int:
+def cmd_propagate(config: ExperimentConfig) -> Stage:
     taus = np.asarray(sorted(config.tau_grid), dtype=float)
-    if np.any(taus < 0):
-        raise ConfigError("tau_grid entries must be >= 0")
-    out = Path(config.out_dir)
-    writes = []  # every output, written once all are computed and finite
-    gravity, k_grid, biases, spectra_pool = _propagation_inputs(config, out, writes)
+    out, fmt = Path(config.out_dir), config.fmt
+    writes = []
+    gravity, k_grid, biases, spectra_pool = _propagation_inputs(config, out)
     sys_m = build_system(gravity)
     tau_f = float(taus[-1])
 
@@ -452,14 +459,10 @@ def cmd_propagate(config: ExperimentConfig) -> int:
         finite = np.isfinite(mean_traj).all(axis=1) & np.isfinite(unc_traj).all(axis=1)
         if not finite.all():
             raise _overflow_error(config, gravity, bias, spectra, taus[~finite][0])
-        writes.append(partial(
-            _write_table, {"tau": taus, **_kinematic_columns(mean_traj)},
-            out / f"mean_error_K{k}", config.fmt,
-        ))
-        writes.append(partial(
-            _write_table, {"tau": taus, **_kinematic_columns(unc_traj)},
-            out / f"uncertainty_K{k}", config.fmt,
-        ))
+        writes.append(partial(write_report, {"tau": taus, **_kinematic_columns(mean_traj)},
+                              fmt, out / f"mean_error_K{k}.{fmt}"))
+        writes.append(partial(write_report, {"tau": taus, **_kinematic_columns(unc_traj)},
+                              fmt, out / f"uncertainty_K{k}.{fmt}"))
         ell = ellipsoid_from_cov(p_f, dp_f)  # taus is sorted: both are at tau_f
         writes.append(partial(
             write_report,
@@ -486,10 +489,7 @@ def cmd_propagate(config: ExperimentConfig) -> int:
         },
         "json", out / "ratio_matrices.json",
     ))
-    for write in writes:
-        write()
-    print(f"propagation products written to {out}")
-    return EXIT_OK
+    return writes, f"propagation products written to {out}"
 
 
 def _trajectories(
@@ -559,7 +559,7 @@ def _kinematic_columns(traj: np.ndarray) -> dict:
 
 
 def _propagation_inputs(
-    config: ExperimentConfig, out: Path, writes: list
+    config: ExperimentConfig, out: Path
 ) -> tuple[GravityModel, list[int], np.ndarray, NoiseSpectra]:
     """Gravity, k grid, worst-first biases and pooled noise spectra.
 
@@ -568,23 +568,23 @@ def _propagation_inputs(
     bias-walk sigmas and their measured noise is per sample whatever
     ``noise_interpretation`` says; config params are keyed by their index, so
     ``sort_by_quality`` ties keep config order. The k grid is checked before
-    any recording stats are read; a stats-file rewrite is appended to
-    ``writes``. Noise sigmas whose spectra overflow name their source.
+    any recording stats are read. Noise sigmas whose spectra overflow name
+    their source.
 
     The pooled spectra average the per-sensor intensities; the array Q then
     scales the pooled single-sensor Q by 1/K (identical-sensor assumption),
     so uncertainty ratios are exact.
     """
     if config.manifest is not None:
-        manifest_path = _manifest_path(config)
-        manifest = load_manifest(manifest_path)
+        manifest_path, manifest = _recordings(config)
         k_grid = _k_grid(config, len(manifest.sensor_files))
         table = {
             s.sensor_id: (s.bias, (rms(s.noise[3:]), rms(s.noise[:3]), 0.0, 0.0))
-            for s in _recording_stats(manifest_path, manifest, out, writes)
+            for s in _recording_stats(manifest_path, manifest, out)
         }
-        gravity, rate_hz, psd = GravityModel(manifest.gravity_mps2), manifest.rate_hz, False
+        rate_hz, psd = manifest.rate_hz, False
     else:
+        manifest = None
         params = config.sensor_params()
         k_grid = _k_grid(config, len(params))
         table = {
@@ -592,8 +592,7 @@ def _propagation_inputs(
                 (p.sigma_accel, p.sigma_gyro, p.sigma_accel_bias, p.sigma_gyro_bias))
             for i, p in enumerate(params)
         }
-        gravity, rate_hz = config.gravity, config.rate_hz
-        psd = config.noise_interpretation == "psd"
+        rate_hz, psd = config.rate_hz, config.noise_interpretation == "psd"
     worst_first = sort_by_quality({key: bias for key, (bias, _) in table.items()})
     ranked = [table[key] for key, _ in worst_first]
     biases = np.array([bias for bias, _ in ranked])
@@ -612,10 +611,10 @@ def _propagation_inputs(
             config, "sensors",
             f"noise sigmas up to ({largest}) overflow their spectra at rate_hz {rate_hz:g}",
         ) from exc
-    return gravity, k_grid, biases, spectra
+    return _model_gravity(config, manifest), k_grid, biases, spectra
 
 
-def cmd_report(config: ExperimentConfig) -> int:
+def cmd_report(config: ExperimentConfig) -> Stage:
     out = Path(config.out_dir)
     evaluation = _read_product(out / "evaluation_matrix.json", _has_evaluation_fields)
     ratios = _read_product(out / "ratio_matrices.json", _has_ratio_fields)
@@ -623,25 +622,22 @@ def cmd_report(config: ExperimentConfig) -> int:
         raise ConfigError(
             f"no estimate/propagate outputs found in {out}; run those commands first"
         )
-
+    manifest_path, manifest = _recordings(config) or (None, None)
+    gravity = _model_gravity(config, manifest)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        audit = q_coefficient_audit(config.gravity)
+        audit = q_coefficient_audit(gravity)
     if not _all_finite(audit):
-        raise ConfigError(
-            f"gravity_mps2: {config.gravity_mps2:g} m/s2 overflows the Q-coefficient audit"
+        raise _input_fault(
+            config, "gravity_mps2",
+            f"{gravity.g_magnitude:g} m/s2 overflows the Q-coefficient audit",
         )
-
-    manifest_path = _manifest_path(config)
-    writes = []  # every output, written once all are computed
     summary = None
-    if manifest_path.exists():
-        summary = dataset_summary(
-            _recording_stats(manifest_path, load_manifest(manifest_path), out, writes)
-        )
+    if manifest is not None:
+        summary = dataset_summary(_recording_stats(manifest_path, manifest, out))
 
     bundle = {
         "software_version": __version__,
-        "gravity_mps2": config.gravity_mps2,
+        "gravity_mps2": gravity.g_magnitude,
         "noise_interpretation": config.noise_interpretation,
         "config": {
             f.name: getattr(config, f.name) for f in dataclasses.fields(config)
@@ -653,11 +649,7 @@ def cmd_report(config: ExperimentConfig) -> int:
         "q_coefficient_audit": audit,
     }
     dest = out / "report.json"
-    writes.append(partial(write_report, bundle, "json", dest))
-    for write in writes:
-        write()
-    print(f"report written to {dest}")
-    return EXIT_OK
+    return [partial(write_report, bundle, "json", dest)], f"report written to {dest}"
 
 
 def _collect_db(evaluation, ratios) -> dict:
@@ -718,10 +710,6 @@ def _all_finite(obj) -> bool:
     return True
 
 
-def _write_table(columns: dict, stem: Path, fmt: str) -> None:
-    write_report(columns, fmt, stem.with_suffix(f".{fmt}"))
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="imulab",
@@ -749,18 +737,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand and return its exit code.
+
+    The stage computes every output first; only then are its writes run, in
+    order, and its line printed.
+    """
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
-        config = load_config(args.config, args)
-        return args.func(config)
+        writes, done = args.func(load_config(args.config, args))
+        for write in writes:
+            write()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ParseError, DataError) as exc:
+    except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:
@@ -769,6 +763,8 @@ def main(argv: list[str] | None = None) -> int:
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    print(done)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

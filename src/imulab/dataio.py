@@ -33,7 +33,6 @@ from .sensor_model import ArrayRecording, GravityModel, SensorRecording
 from .estimation import bias_and_noise, rms
 
 __all__ = [
-    "ParseError",
     "DataError",
     "ConfigError",
     "ArrayManifest",
@@ -61,12 +60,9 @@ _ACCEL_UNIT = "m/s2"
 _MAX_STAT = 1e100
 
 
-class ParseError(ValueError):
-    """Malformed recording or report file."""
-
-
 class DataError(ValueError):
-    """Well-formed file with physically inconsistent content."""
+    """A data file that cannot be read, is malformed, or holds physically
+    inconsistent content."""
 
 
 class ConfigError(ValueError):
@@ -113,8 +109,8 @@ class SensorStats(NamedTuple):
 def read_json(path: str | os.PathLike):
     """Read a JSON data file as UTF-8.
 
-    A file that cannot be read is a ``DataError``, and one that is not UTF-8
-    or not JSON a ``ParseError``; each names the path.
+    A file that cannot be read, is not UTF-8 or is not JSON is a
+    ``DataError`` naming the path.
     """
     path = Path(path)
     try:
@@ -122,16 +118,16 @@ def read_json(path: str | os.PathLike):
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+        raise DataError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def load_manifest(path: str | os.PathLike) -> ArrayManifest:
     """Read a manifest file with ``read_json``.
 
     A manifest with a missing or invalid field, accel units other than
-    ``m/s2`` included, is a ``ParseError`` naming it.
+    ``m/s2`` included, is a ``DataError`` naming it.
     """
     raw = read_json(path)
     try:
@@ -145,7 +141,7 @@ def load_manifest(path: str | os.PathLike) -> ArrayManifest:
             gyro_units=units.get("gyro", "rad/s"),
         )
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
-        raise ParseError(f"{path}: missing or invalid manifest field: {exc}") from exc
+        raise DataError(f"{path}: missing or invalid manifest field: {exc}") from exc
 
 
 def write_manifest(manifest: ArrayManifest, path: str | os.PathLike) -> None:
@@ -169,10 +165,10 @@ def parse_recording_csv(
     """Parse the UTF-8 sensor CSV at ``path`` into an SI recording.
 
     Gyro columns are converted from the declared units. Blank lines are
-    skipped; a ``nan`` or ``inf`` value, or a file that is not UTF-8, is a
-    ``ParseError`` naming its line or path; a path that cannot be read is a
-    ``DataError`` naming it, and so is a time base that ``SensorRecording``
-    rejects.
+    skipped. A path that cannot be read or is not UTF-8, a malformed line or
+    a ``nan`` or ``inf`` value, and a time base that ``SensorRecording``
+    rejects are each a ``DataError`` naming the sensor, and the path or line
+    where there is one.
     """
     if gyro_units not in _GYRO_UNITS:
         raise ConfigError(f"unknown gyro units {gyro_units!r}")
@@ -182,17 +178,17 @@ def parse_recording_csv(
     except OSError as exc:
         raise DataError(f"{sensor_id}: cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{sensor_id}: {path}: not UTF-8 text: {exc}") from exc
+        raise DataError(f"{sensor_id}: {path}: not UTF-8 text: {exc}") from exc
     if not text:
-        raise ParseError(f"{sensor_id}: empty file")
+        raise DataError(f"{sensor_id}: empty file")
     header_line, _, body = text.partition("\n")
     header = header_line.rstrip("\r").split(",")
     if [h.strip() for h in header] != _CSV_HEADER:
-        raise ParseError(
+        raise DataError(
             f"{sensor_id}: bad header {header!r}, expected {','.join(_CSV_HEADER)}"
         )
     if not body.strip("\r\n"):
-        raise ParseError(f"{sensor_id}: no data rows")
+        raise DataError(f"{sensor_id}: no data rows")
     try:
         arr = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
     except ValueError as exc:
@@ -212,7 +208,7 @@ def parse_recording_csv(
         raise DataError(f"{sensor_id}: {exc}") from exc
 
 
-def _parse_error(sensor_id: str, body: str, cause) -> ParseError:
+def _parse_error(sensor_id: str, body: str, cause) -> DataError:
     """Error naming the first malformed or non-finite line of a recording body.
 
     Only called once the vectorised parse has failed or found a non-finite
@@ -225,14 +221,14 @@ def _parse_error(sensor_id: str, body: str, cause) -> ParseError:
         if row == [""]:
             continue
         if len(row) != len(_CSV_HEADER):
-            return ParseError(f"{sensor_id}: line {lineno}: expected 7 columns")
+            return DataError(f"{sensor_id}: line {lineno}: expected 7 columns")
         try:
             vals = [float(v) for v in row]
         except ValueError as exc:
-            return ParseError(f"{sensor_id}: line {lineno}: {exc}")
+            return DataError(f"{sensor_id}: line {lineno}: {exc}")
         if not all(map(math.isfinite, vals)):
-            return ParseError(f"{sensor_id}: line {lineno}: non-finite value")
-    return ParseError(f"{sensor_id}: {cause}")
+            return DataError(f"{sensor_id}: line {lineno}: non-finite value")
+    return DataError(f"{sensor_id}: {cause}")
 
 
 def write_recording_csv(recording: SensorRecording, dest: str | os.PathLike) -> None:
@@ -375,7 +371,7 @@ def read_recording_stats(
             for e in entries for name in ("bias", "noise")
         ):
             return None
-    except (DataError, ParseError, KeyError, TypeError):
+    except (DataError, KeyError, TypeError):
         return None
     return [
         SensorStats(e["sensor_id"], np.array(e["bias"]), np.array(e["noise"]))

@@ -1,6 +1,6 @@
 """Parametric estimation of stationary sensor errors.
 
-Sample means over time and sensors, the sigma^2/(N*K) variance law and its
+The sigma^2/(N*K) variance law of the mean over time and sensors and its
 CRLB counterpart, growing-window noise-density profiles, KDE densities,
 quality ranking of sensors, and a two-part wide-sense-stationarity check.
 """
@@ -16,14 +16,11 @@ from .sensor_model import GravityModel, SensorRecording
 from .sensor_model import MEMS_ERROR_RANGES, residuals
 
 __all__ = [
-    "MeanEstimate",
     "RunningStdProfile",
     "WssVerdict",
-    "sample_mean",
     "variance_of_mean",
     "running_std_profile",
     "rms",
-    "mse",
     "fisher_crlb",
     "db_ratio",
     "kde_density",
@@ -32,20 +29,6 @@ __all__ = [
     "bias_and_noise",
     "wss_check",
 ]
-
-
-@dataclass(frozen=True)
-class MeanEstimate:
-    value: float
-    n_time: int
-    n_sensors: int
-    predicted_variance: float | None = None
-
-    def __post_init__(self):
-        if self.n_time < 1 or self.n_sensors < 1:
-            raise ValueError("n_time and n_sensors must be >= 1")
-        if self.predicted_variance is not None and self.predicted_variance < 0:
-            raise ValueError("predicted_variance must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -73,25 +56,6 @@ class WssVerdict:
     mean_drift_threshold: float
     acf_whiteness_threshold: float
     passed: bool
-
-
-def sample_mean(data: np.ndarray, sigma: float | None = None) -> MeanEstimate:
-    """Grand sample mean of an N x K measurement matrix.
-
-    If the per-sample noise std ``sigma`` is supplied, the model-predicted
-    estimator variance sigma^2/(N*K) is attached.
-    """
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    if arr.ndim != 2 or arr.size == 0:
-        raise ValueError("data must be a non-empty N x K matrix")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("data must be finite")
-    n, k = arr.shape
-    predicted = None if sigma is None else variance_of_mean(sigma, n, k)
-    return MeanEstimate(value=float(arr.mean()), n_time=n, n_sensors=k,
-                        predicted_variance=predicted)
 
 
 def variance_of_mean(sigma: float, n_time: int, n_sensors: int) -> float:
@@ -149,14 +113,6 @@ def rms(values: np.ndarray) -> float:
     if arr.size == 0:
         raise ValueError("values must be non-empty")
     return float(np.sqrt(np.mean(arr**2)))
-
-
-def mse(estimates: np.ndarray, truth: float) -> float:
-    """Mean squared error of a batch of estimates against a scalar truth."""
-    arr = np.asarray(estimates, dtype=float)
-    if arr.size == 0:
-        raise ValueError("estimates must be non-empty")
-    return float(np.mean((arr - truth) ** 2))
 
 
 def fisher_crlb(sigma: float, n: int) -> tuple[float, float]:

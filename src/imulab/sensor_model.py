@@ -25,7 +25,6 @@ __all__ = [
     "median_sensor_params",
     "simulate_array",
     "residuals",
-    "gravity_rms",
 ]
 
 # Time-grid slack for the uniform-spacing invariant, seconds: wide enough for
@@ -308,7 +307,3 @@ def residuals(recording: SensorRecording, gravity: GravityModel) -> np.ndarray:
     out[:, 3:] = recording.accel + gravity.nav_gravity
     return out
 
-
-def gravity_rms(gravity: GravityModel) -> float:
-    """3-axis RMS of the gravity vector, |g| / sqrt(3)."""
-    return float(np.linalg.norm(gravity.nav_gravity) / np.sqrt(3.0))

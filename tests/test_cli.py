@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import multiprocessing
 import os
@@ -12,6 +13,8 @@ import pytest
 from imulab.cli import ExperimentConfig, build_parser, load_config, main
 from imulab.dataio import ConfigError
 from imulab.estimation import bias_score
+from imulab.ins_error_model import q_coefficient_audit
+from imulab.sensor_model import GravityModel
 
 
 def _dir_bytes(root: Path) -> dict:
@@ -128,6 +131,8 @@ class TestConfig:
         (b'{"k_grid": 5}', "k_grid"),
         (b'{"k_grid": ["a"]}', "k_grid"),
         (b'{"tau_grid": 3}', "tau_grid"),
+        (b'{"tau_grid": [-5, 1]}', "tau_grid"),
+        (b'{"gravity_mps2": -1}', "gravity_mps2"),
         (b'{"duration_s": "10"}', "duration_s"),
         (b'{"sensors": "4"}', "sensors"),
         (b'{"sensors": [1]}', "sensors"),
@@ -144,8 +149,10 @@ class TestConfig:
         (b'{"sensors": [{"sigma_gyro_dps": true}]}', "sensors[0]: sigma_gyro_dps must be"),
         (b'{"sensors": [{"sigma_accel": -1}]}', "sensors[0]: sigma_accel must be"),
     ])
-    def test_malformed_config_exits_2_naming_it(self, tmp_path, capsys, text, field):
+    def test_malformed_config_exits_2_naming_it(self, tmp_path, capsys, monkeypatch, text,
+                                                field):
         """Named by its field, or by its path when no field is at fault."""
+        monkeypatch.chdir(tmp_path)  # so the default out_dir would show below
         path = tmp_path / "config.json"
         path.write_bytes(text)
         for cmd in ("simulate", "estimate", "propagate", "report"):
@@ -461,6 +468,27 @@ def test_noiseless_worst_sensor_gives_null_k_ratios(tmp_path):
         assert report["db_ratios"][f"{key}_k_ratio_db"] is None
 
 
+def test_cancelling_gyro_noise_gives_null_k_ratio_db(tmp_path):
+    """sensor_01's gyro columns negate sensor_00's, so the K=2 mean gyro is
+    exactly 0: ``k_ratio`` is a measured 0, and its dB value is null."""
+    t = np.arange(200) / 10.0
+    rng = np.random.default_rng(2)
+    rows = [np.loadtxt(io.StringIO(_recording_text(t, rng)), delimiter=",", skiprows=1)
+            for _ in range(2)]
+    rows[1][:, 1:4] = -rows[0][:, 1:4]
+    texts = ["t,gx,gy,gz,ax,ay,az\n" + "".join(",".join(map(repr, r)) + "\n" for r in x.tolist())
+             for x in rows]
+    cfg = _hand_written_config(tmp_path, {"sensor_00": texts[0], "sensor_01": texts[1]}, 10.0)
+    for cmd in ("estimate", "propagate", "report"):
+        assert main([cmd, "--config", str(cfg)]) == 0, cmd
+    out = tmp_path / "out"
+    gyro = json.loads((out / "evaluation_matrix.json").read_text())["gyro_dps"]
+    assert gyro["t0"]["K2"] == 0.0 < gyro["t0"]["K1"]
+    assert gyro["k_ratio"] == 0.0 and gyro["k_ratio_db"] is None
+    db = json.loads((out / "report.json").read_text())["db_ratios"]
+    assert db["gyro_dps_k_ratio_db"] is None and db["accel_k_ratio_db"] < 0
+
+
 @pytest.mark.parametrize("cmd, override", [
     ("estimate", {"k_grid": [50]}),
     ("propagate", {"tau_grid": [-1.0, 1.0]}),
@@ -647,6 +675,44 @@ class TestReport:
                 in capsys.readouterr().err)
         assert _dir_bytes(tmp_path / "out") == before
 
+    def test_manifest_config_takes_the_manifests_gravity(self, tmp_path):
+        assert main(["simulate", "--config", str(_write_config(tmp_path, gravity_mps2=9.7))]) == 0
+        cfg = _write_manifest_config(tmp_path)
+        for cmd in ("estimate", "propagate", "report"):
+            assert main([cmd, "--config", str(cfg)]) == 0, cmd
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["gravity_mps2"] == 9.7
+        assert report["config"]["gravity_mps2"] == 9.81
+        audit = json.loads(json.dumps(q_coefficient_audit(GravityModel(9.7))))
+        assert audit != json.loads(json.dumps(q_coefficient_audit(GravityModel(9.81))))
+        assert report["q_coefficient_audit"] == audit
+
+    def test_overflowing_manifest_gravity_exits_3_naming_it(self, tmp_path, capsys):
+        assert main(["simulate", "--config", str(_write_config(tmp_path))]) == 0
+        cfg = _write_manifest_config(tmp_path)
+        for cmd in ("estimate", "propagate"):
+            assert main([cmd, "--config", str(cfg)]) == 0, cmd
+        manifest = tmp_path / "out" / "recordings" / "manifest.json"
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "gravity_mps2": 1e200}))
+        before = _dir_bytes(tmp_path / "out")
+        capsys.readouterr()
+        assert main(["report", "--config", str(cfg)]) == 3
+        assert (f"data error: {manifest}: gravity_mps2: 1e+200 m/s2 overflows the "
+                "Q-coefficient audit" in capsys.readouterr().err)
+        assert _dir_bytes(tmp_path / "out") == before
+
+    def test_missing_manifest_exits_3_keeping_the_report(self, tmp_path, capsys):
+        assert main(["simulate", "--config", str(_write_config(tmp_path))]) == 0
+        for cmd in ("estimate", "propagate", "report"):
+            assert main([cmd, "--config", str(_write_manifest_config(tmp_path))]) == 0, cmd
+        before = _dir_bytes(tmp_path / "out")
+        missing = tmp_path / "elsewhere" / "manifest.json"
+        cfg = _write_manifest_config(tmp_path, manifest=str(missing))
+        capsys.readouterr()
+        assert main(["report", "--config", str(cfg)]) == 3
+        assert f"data error: cannot read {missing}" in capsys.readouterr().err
+        assert _dir_bytes(tmp_path / "out") == before
+
     def test_report_without_products_exits_2(self, tmp_path):
         cfg = _write_config(tmp_path)
         assert main(["report", "--config", str(cfg)]) == 2
@@ -736,7 +802,7 @@ def _stage_outputs(out: Path) -> dict:
 
 
 class TestRecordingStats:
-    """estimate stores per-sensor stats; propagate and report reuse them."""
+    """estimate stores per-sensor stats; propagate and report only read them."""
 
     @pytest.fixture()
     def pipeline(self, tmp_path):
@@ -788,11 +854,10 @@ class TestRecordingStats:
     def test_hit_and_miss_give_identical_outputs(self, tmp_path, pipeline):
         out = tmp_path / "out"
         hit = _stage_outputs(out)
-        stats = (out / "recording_stats.json").read_bytes()
+        (out / "recording_stats.json").unlink()
         for cmd in ("propagate", "report"):
-            (out / "recording_stats.json").unlink()
             assert main([cmd, "--config", str(pipeline)]) == 0, cmd
-            assert (out / "recording_stats.json").read_bytes() == stats
+            assert not (out / "recording_stats.json").exists()
         assert _stage_outputs(out) == hit
 
     @pytest.mark.parametrize("damage", ["truncated", "not_json", "wrong_shape", "stale_key",
@@ -816,8 +881,8 @@ class TestRecordingStats:
             "truncated": good[: len(good) // 2],
             "not_json": b"\x00\xffnot json",
         }.get(damage, json.dumps(raw).encode())
+        path.write_bytes(bad)
         for cmd in ("propagate", "report"):
-            path.write_bytes(bad)
             assert main([cmd, "--config", str(pipeline)]) == 0, cmd
-            assert path.read_bytes() == good
+            assert path.read_bytes() == bad
         assert _stage_outputs(out) == hit

@@ -16,7 +16,6 @@ from imulab.dataio import (
     ArrayManifest,
     ConfigError,
     DataError,
-    ParseError,
     dataset_summary,
     load_manifest,
     parse_recording_csv,
@@ -67,13 +66,13 @@ class TestParseRecordingCsv:
         assert rec.gyro[0, 0] == np.deg2rad(2.164)
 
     def test_bad_value_names_line(self, tmp_path):
-        with pytest.raises(ParseError, match="line 2"):
+        with pytest.raises(DataError, match="line 2"):
             parse_recording_csv(
                 _text_file(tmp_path, "t,gx,gy,gz,ax,ay,az\n0,0,0,0,abc,0,0\n"), "s0", 1.0
             )
 
     def test_missing_column_rejected(self, tmp_path):
-        with pytest.raises(ParseError, match="header"):
+        with pytest.raises(DataError, match="header"):
             parse_recording_csv(_text_file(tmp_path, "t,gx,gy,gz,ax,ay\n0,0,0,0,0,0\n"), "s0", 1.0)
 
     def test_non_monotone_time(self, tmp_path):
@@ -97,7 +96,7 @@ class TestParseRecordingCsv:
 
     def test_bad_value_after_blank_line_names_file_line(self, tmp_path):
         body = "t,gx,gy,gz,ax,ay,az\n0,0,0,0,0,0,0\n\n\n1,0,0,x,0,0,0\n"
-        with pytest.raises(ParseError, match=r"s0: line 5: .*'x'"):
+        with pytest.raises(DataError, match=r"s0: line 5: .*'x'"):
             parse_recording_csv(_text_file(tmp_path, body), "s0", 1.0)
 
     @pytest.mark.parametrize(
@@ -111,29 +110,29 @@ class TestParseRecordingCsv:
         ],
     )
     def test_wrong_column_count_names_line(self, tmp_path, rows, line):
-        with pytest.raises(ParseError, match=f"line {line}: expected 7 columns"):
+        with pytest.raises(DataError, match=f"line {line}: expected 7 columns"):
             parse_recording_csv(_text_file(tmp_path, "t,gx,gy,gz,ax,ay,az\n" + rows), "s0", 1.0)
 
     @pytest.mark.parametrize("body", ["", "\n", "\r\n\r\n\n"])
     def test_header_only_has_no_data_rows(self, tmp_path, body):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ParseError, match="no data rows"):
+            with pytest.raises(DataError, match="no data rows"):
                 parse_recording_csv(_text_file(tmp_path, "t,gx,gy,gz,ax,ay,az" + body), "s0", 1.0)
 
     def test_empty_file(self, tmp_path):
-        with pytest.raises(ParseError, match="empty file"):
+        with pytest.raises(DataError, match="empty file"):
             parse_recording_csv(_text_file(tmp_path, ""), "s0", 1.0)
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN", "1e999"])
     def test_non_finite_value_names_file_line(self, tmp_path, bad):
         body = f"t,gx,gy,gz,ax,ay,az\n0,0,0,0,0,0,0\n\n1,0,0,0,{bad},0,0\n2,0,0,0,0,0,0\n"
-        with pytest.raises(ParseError, match="s0: line 4: non-finite value"):
+        with pytest.raises(DataError, match="s0: line 4: non-finite value"):
             parse_recording_csv(_text_file(tmp_path, body), "s0", 1.0)
 
     def test_first_bad_line_named_when_non_finite_precedes_malformed(self, tmp_path):
         body = "t,gx,gy,gz,ax,ay,az\n0,0,0,0,0,0,0\n1,inf,0,0,0,0,0\n2,x,0,0,0,0,0\n"
-        with pytest.raises(ParseError, match="s0: line 3: non-finite value"):
+        with pytest.raises(DataError, match="s0: line 3: non-finite value"):
             parse_recording_csv(_text_file(tmp_path, body), "s0", 1.0)
 
     @settings(max_examples=50, deadline=None)

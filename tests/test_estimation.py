@@ -9,39 +9,13 @@ from imulab.estimation import (
     db_ratio,
     fisher_crlb,
     kde_density,
-    mse,
     rms,
     running_std_profile,
-    sample_mean,
     sort_by_quality,
     variance_of_mean,
     wss_check,
 )
 from imulab.sensor_model import SensorErrorParams, residuals, simulate_array
-
-finite_floats = st.floats(-1e6, 1e6, allow_nan=False)
-
-
-class TestSampleMean:
-    def test_two_element_column(self):
-        assert sample_mean(np.array([[1.0], [3.0]])).value == 2.0
-
-    @given(c=finite_floats, n=st.integers(1, 20), k=st.integers(1, 5))
-    def test_constant_matrix(self, c, n, k):
-        est = sample_mean(np.full((n, k), c))
-        assert est.value == pytest.approx(c, rel=1e-12, abs=1e-12)
-        assert (est.n_time, est.n_sensors) == (n, k)
-
-    def test_monte_carlo_variance_law(self, rng):
-        # 1000 repetitions, sigma=1, N=100, K=10: Var(mean) near 1/(N*K).
-        trials = rng.normal(size=(1000, 100, 10))
-        means = trials.mean(axis=(1, 2))
-        ratio = means.var(ddof=1) / variance_of_mean(1.0, 100, 10)
-        assert 0.8 <= ratio <= 1.2
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            sample_mean(np.empty((0, 3)))
 
 
 class TestVarianceOfMean:
@@ -55,6 +29,13 @@ class TestVarianceOfMean:
     def test_bad_counts(self):
         with pytest.raises(ValueError):
             variance_of_mean(1.0, 0, 1)
+
+    def test_monte_carlo_variance_law(self, rng):
+        # 1000 repetitions, sigma=1, N=100, K=10: Var(mean) near 1/(N*K).
+        trials = rng.normal(size=(1000, 100, 10))
+        means = trials.mean(axis=(1, 2))
+        ratio = means.var(ddof=1) / variance_of_mean(1.0, 100, 10)
+        assert 0.8 <= ratio <= 1.2
 
 
 class TestRunningStdProfile:
@@ -106,14 +87,6 @@ class TestScalarMetrics:
     def test_rms_empty(self):
         with pytest.raises(ValueError):
             rms(np.array([]))
-
-    def test_mse_exact(self):
-        assert mse(np.array([2.0, 2.0]), 2.0) == 0.0
-        assert mse(np.array([1.0, 3.0]), 2.0) == 1.0
-
-    def test_mse_monte_carlo(self, rng):
-        means = rng.normal(size=(10**4, 100)).mean(axis=1)
-        assert mse(means, 0.0) == pytest.approx(0.01, rel=0.2)
 
     def test_fisher_crlb_unit(self):
         assert fisher_crlb(1.0, 1) == (1.0, 1.0)

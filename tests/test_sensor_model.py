@@ -7,7 +7,6 @@ from imulab.sensor_model import (
     SensorErrorParams,
     SensorRecording,
     draw_sensor_params,
-    gravity_rms,
     residuals,
     simulate_array,
 )
@@ -120,17 +119,6 @@ class TestResiduals:
         res = residuals(arr.recordings[0], gravity)
         expected = np.concatenate([p.bias_gyro, p.bias_accel])
         assert np.allclose(res, expected, atol=1e-12)
-
-
-class TestGravityRms:
-    def test_standard_gravity(self):
-        assert gravity_rms(GravityModel(9.81)) == pytest.approx(5.664, abs=1e-3)
-
-    def test_zero_gravity(self):
-        assert gravity_rms(GravityModel(0.0)) == 0.0
-
-    def test_sqrt3_gravity(self):
-        assert gravity_rms(GravityModel(np.sqrt(3))) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestRecordingInvariants:

@@ -48,9 +48,7 @@ from .estimation import (
     sort_by_quality,
 )
 from .ins_error_model import (
-    IDX_EPS,
     IDX_P,
-    IDX_V,
     NoiseSpectra,
     build_system,
     ellipsoid_from_cov,
@@ -98,7 +96,7 @@ def _is_finite(value) -> bool:
 # Config field -> (check, what it requires). Checked before any other rule,
 # so a value of the wrong type is a ConfigError naming its field.
 _FIELD_TYPES = {
-    "seed": (_is_int, "an integer"),
+    "seed": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
     "duration_s": (_is_finite, "a finite number"),
     "rate_hz": (_is_finite, "a finite number"),
     "gravity_mps2": (lambda v: _is_finite(v) and v >= 0, "a finite number >= 0"),
@@ -153,10 +151,11 @@ class ExperimentConfig:
             )
         if self.duration_s <= 0 or self.rate_hz <= 0:
             raise ConfigError("duration_s and rate_hz must be > 0")
-        if not self.duration_s * self.rate_hz <= _MAX_SAMPLES:
+        samples = self.duration_s * self.rate_hz  # simulate_array rounds it to a count
+        if not (samples <= _MAX_SAMPLES and round(samples) >= 2):
             raise ConfigError(
-                f"duration_s * rate_hz must be at most {_MAX_SAMPLES:.3g} samples, "
-                f"got {self.duration_s * self.rate_hz:.3g}"
+                f"duration_s * rate_hz must round to between 2 and {_MAX_SAMPLES:.3g} samples, "
+                f"got {samples:.3g}"
             )
         if isinstance(self.sensors, list):
             self.sensor_params()  # a bad entry is a config error for every command
@@ -501,15 +500,12 @@ def _trajectories(
     the position covariance block and mean position error at the last tau.
     An overflow gives inf or nan entries, without a warning.
     """
-    mean_traj = np.empty((taus.size, 9))
-    unc_traj = np.empty((taus.size, 9))
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, tau in enumerate(taus):
-            dp, dv, eps = propagate_mean(bias[3:], bias[:3], sys_m, tau)
-            mean_traj[i] = np.abs(np.concatenate([dp, dv, eps]))
-            q = q_closed(sys_m, spectra, tau)
-            unc_traj[i] = np.sqrt(np.diag(q)[:9])
-    return mean_traj, unc_traj, q[IDX_P, IDX_P], dp
+        dp, dv, eps = propagate_mean(bias[3:], bias[:3], sys_m, taus)
+        q = q_closed(sys_m, spectra, taus)
+        mean_traj = np.abs(np.concatenate([dp, dv, eps], axis=1))
+        unc_traj = np.sqrt(np.diagonal(q, axis1=1, axis2=2)[:, :9])
+    return mean_traj, unc_traj, q[-1, IDX_P, IDX_P], dp[-1]
 
 
 def _overflow_error(

@@ -254,13 +254,18 @@ def write_array(
     for this call only; otherwise they run here, one after another. Either
     way every file has the same bytes and is written whole by
     ``write_report``. The manifest is written only after every recording is;
-    if one fails, its error is raised and there is no manifest.
+    if one fails, its error is raised and there is no manifest. Running out
+    of memory is a ``ConfigError`` naming ``out_dir`` and the sample count.
     """
     out = Path(out_dir)
     files = [(rec.sensor_id, f"{rec.sensor_id}.csv") for rec in array.recordings]
-    with _recording_map(array) as map_:
-        # list() waits for every write and raises the first failure.
-        list(map_(write_recording_csv, array.recordings, [out / rel for _, rel in files]))
+    try:
+        with _recording_map(array) as map_:
+            # list() waits for every write and raises the first failure.
+            list(map_(write_recording_csv, array.recordings, [out / rel for _, rel in files]))
+    except MemoryError as exc:
+        raise ConfigError(f"{out}: recordings of {array.n_samples} samples per sensor "
+                          f"do not fit in memory: {str(exc) or 'MemoryError'}") from exc
     manifest = ArrayManifest(
         rate_hz=array.rate_hz, sensor_files=tuple(files), gravity_mps2=gravity.g_magnitude
     )
@@ -295,11 +300,17 @@ def _recording_map(array: ArrayRecording):
     # Deferred: both are slow to import, and only a large array needs them.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     # fork, not spawn: a spawned worker imports numpy and the package afresh,
     # 0.3-0.6 s for a two-worker pool on 2 CPUs, more than the pool saves.
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        yield pool.map
+        try:
+            yield pool.map
+        except BrokenProcessPool as exc:
+            # A worker that dies without raising, as the out-of-memory killer
+            # leaves it, breaks the pool.
+            raise MemoryError(f"a writer process died: {exc}") from exc
 
 
 def recording_stats(array: ArrayRecording, gravity: GravityModel) -> list[SensorStats]:

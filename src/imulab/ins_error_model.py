@@ -4,6 +4,11 @@ State ordering (fixed): position error 0-2, velocity error 3-5, misalignment
 6-8, accel bias 9-11, gyro bias 12-14. The system matrix F is nilpotent
 (F^4 = 0), so the transition matrix exp(F*tau) is an exact cubic polynomial
 in tau and the process-noise integral Q(tau) has a closed polynomial form.
+
+``phi_closed``, ``q_closed`` and ``propagate_mean`` take a tau or an array of
+taus and evaluate their polynomials over all of it at once. The powers
+tau**1 ... tau**7 are taken one numpy scalar at a time, so an array call is
+bit-identical to the stacked single-tau calls.
 """
 
 from __future__ import annotations
@@ -176,42 +181,46 @@ def build_system(gravity: GravityModel) -> SystemMatrices:
     return SystemMatrices(F=f, F23=f23, G=g_mat)
 
 
-def phi_closed(sys: SystemMatrices, tau: float) -> np.ndarray:
-    """Exact state-transition matrix exp(F*tau), assembled blockwise.
+def _powers(tau) -> np.ndarray:
+    """tau**0 ... tau**7 for a tau or an array of taus, shape (8,) + tau.shape.
+
+    One numpy scalar at a time: numpy's array ``**`` differs from the scalar
+    ``pow`` in the last bit for some taus, and a Python float's ``**`` raises
+    ``OverflowError`` where a numpy scalar gives inf.
+    """
+    tau = np.asarray(tau, dtype=float)
+    if np.any(tau < 0):
+        raise ValueError("tau must be >= 0")
+    powers = np.array([[t**n for t in tau.flat] for n in range(8)])
+    return powers.reshape((8,) + tau.shape)
+
+
+def phi_closed(sys: SystemMatrices, tau) -> np.ndarray:
+    """Exact state-transition matrix exp(F*tau), assembled blockwise, for a
+    tau or an array of taus; shape tau.shape + (15, 15).
 
     Equals I + F*tau + F^2*tau^2/2 + F^3*tau^3/6; the series terminates
     because F^4 = 0, so no truncation error is involved.
     """
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
-    return _phi_stack(sys, [tau])[0]
-
-
-def _phi_stack(sys: SystemMatrices, taus: list[float]) -> np.ndarray:
-    """``phi_closed`` for each of ``taus``, shape (len(taus), 15, 15).
-
-    The powers of tau are taken one Python float at a time, so each matrix
-    is bit-identical to a single-tau call.
-    """
-    t1 = np.array(taus, dtype=float)[:, None, None]
-    t2 = np.array([t**2 / 2 for t in taus], dtype=float)[:, None, None]
-    t3 = np.array([t**3 / 6 for t in taus], dtype=float)[:, None, None]
+    t = _powers(tau)[..., None, None]
+    t1, t2, t3 = t[1], t[2] / 2, t[3] / 6
     f23 = sys.F23
-    phi = np.zeros((len(taus), 15, 15))
-    phi[:, range(15), range(15)] = 1.0
-    phi[:, IDX_P, IDX_V] = _I3 * t1
-    phi[:, IDX_P, IDX_EPS] = f23 * t2
-    phi[:, IDX_P, IDX_BA] = _I3 * t2
-    phi[:, IDX_P, IDX_BG] = f23 * t3
-    phi[:, IDX_V, IDX_EPS] = f23 * t1
-    phi[:, IDX_V, IDX_BA] = _I3 * t1
-    phi[:, IDX_V, IDX_BG] = f23 * t2
-    phi[:, IDX_EPS, IDX_BG] = _I3 * t1
+    phi = np.zeros(t.shape[1:-2] + (15, 15))
+    phi[..., range(15), range(15)] = 1.0
+    phi[..., IDX_P, IDX_V] = _I3 * t1
+    phi[..., IDX_P, IDX_EPS] = f23 * t2
+    phi[..., IDX_P, IDX_BA] = _I3 * t2
+    phi[..., IDX_P, IDX_BG] = f23 * t3
+    phi[..., IDX_V, IDX_EPS] = f23 * t1
+    phi[..., IDX_V, IDX_BA] = _I3 * t1
+    phi[..., IDX_V, IDX_BG] = f23 * t2
+    phi[..., IDX_EPS, IDX_BG] = _I3 * t1
     return phi
 
 
-def q_closed(sys: SystemMatrices, spectra: NoiseSpectra, tau: float) -> np.ndarray:
-    """Closed-form process-noise covariance Q(tau) = int_0^tau Phi G S G' Phi' ds.
+def q_closed(sys: SystemMatrices, spectra: NoiseSpectra, tau) -> np.ndarray:
+    """Closed-form process-noise covariance Q(tau) = int_0^tau Phi G S G' Phi' ds
+    for a tau or an array of taus; shape tau.shape + (15, 15).
 
     All coefficients were re-derived from the integral and cross-checked
     against :func:`q_numeric_oracle`; one coefficient in circulation for the
@@ -219,48 +228,30 @@ def q_closed(sys: SystemMatrices, spectra: NoiseSpectra, tau: float) -> np.ndarr
     :func:`q_coefficient_audit`) and the integral value sigma_a^2 * tau is
     used here.
     """
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
+    t = _powers(tau)[..., None, None]
     f23 = sys.F23
     f23sq = f23 @ f23.T  # diag(g^2, g^2, 0)
     s_a, s_g, s_ab, s_gb = spectra.s_a, spectra.s_g, spectra.s_ab, spectra.s_gb
-    t = tau
+    s_g_ab = s_g * f23sq + s_ab * _I3  # the s_g and s_ab terms share their powers
 
-    q_pp = s_gb * f23sq * t**7 / 252 + (s_g * f23sq + s_ab * _I3) * t**5 / 20 \
-        + s_a * _I3 * t**3 / 3
-    q_vv = s_gb * f23sq * t**5 / 20 + (s_g * f23sq + s_ab * _I3) * t**3 / 3 \
-        + s_a * _I3 * t
-    q_ee = s_gb * _I3 * t**3 / 3 + s_g * _I3 * t
-    q_pv = s_gb * f23sq * t**6 / 72 + (s_g * f23sq + s_ab * _I3) * t**4 / 8 \
-        + s_a * _I3 * t**2 / 2
-    q_pe = s_gb * f23 * t**5 / 30 + s_g * f23 * t**3 / 6
-    q_ve = s_gb * f23 * t**4 / 8 + s_g * f23 * t**2 / 2
-    q_pba = s_ab * _I3 * t**3 / 6
-    q_pbg = s_gb * f23 * t**4 / 24
-    q_vba = s_ab * _I3 * t**2 / 2
-    q_vbg = s_gb * f23 * t**3 / 6
-    q_ebg = s_gb * _I3 * t**2 / 2
-    q_baba = s_ab * _I3 * t
-    q_bgbg = s_gb * _I3 * t
-
-    q = np.zeros((15, 15))
-    q[IDX_P, IDX_P] = q_pp
-    q[IDX_V, IDX_V] = q_vv
-    q[IDX_EPS, IDX_EPS] = q_ee
-    q[IDX_BA, IDX_BA] = q_baba
-    q[IDX_BG, IDX_BG] = q_bgbg
+    q = np.zeros(t.shape[1:-2] + (15, 15))
     for idx_a, idx_b, block in (
-        (IDX_P, IDX_V, q_pv),
-        (IDX_P, IDX_EPS, q_pe),
-        (IDX_P, IDX_BA, q_pba),
-        (IDX_P, IDX_BG, q_pbg),
-        (IDX_V, IDX_EPS, q_ve),
-        (IDX_V, IDX_BA, q_vba),
-        (IDX_V, IDX_BG, q_vbg),
-        (IDX_EPS, IDX_BG, q_ebg),
+        (IDX_P, IDX_P, s_gb * f23sq * t[7] / 252 + s_g_ab * t[5] / 20 + s_a * _I3 * t[3] / 3),
+        (IDX_V, IDX_V, s_gb * f23sq * t[5] / 20 + s_g_ab * t[3] / 3 + s_a * _I3 * t[1]),
+        (IDX_EPS, IDX_EPS, s_gb * _I3 * t[3] / 3 + s_g * _I3 * t[1]),
+        (IDX_BA, IDX_BA, s_ab * _I3 * t[1]),
+        (IDX_BG, IDX_BG, s_gb * _I3 * t[1]),
+        (IDX_P, IDX_V, s_gb * f23sq * t[6] / 72 + s_g_ab * t[4] / 8 + s_a * _I3 * t[2] / 2),
+        (IDX_P, IDX_EPS, s_gb * f23 * t[5] / 30 + s_g * f23 * t[3] / 6),
+        (IDX_P, IDX_BA, s_ab * _I3 * t[3] / 6),
+        (IDX_P, IDX_BG, s_gb * f23 * t[4] / 24),
+        (IDX_V, IDX_EPS, s_gb * f23 * t[4] / 8 + s_g * f23 * t[2] / 2),
+        (IDX_V, IDX_BA, s_ab * _I3 * t[2] / 2),
+        (IDX_V, IDX_BG, s_gb * f23 * t[3] / 6),
+        (IDX_EPS, IDX_BG, s_gb * _I3 * t[2] / 2),
     ):
-        q[idx_a, idx_b] = block
-        q[idx_b, idx_a] = block.T
+        q[..., idx_a, idx_b] = block
+        q[..., idx_b, idx_a] = np.swapaxes(block, -1, -2)
     return q
 
 
@@ -283,7 +274,7 @@ def q_numeric_oracle(
     s_diag = np.repeat([spectra.s_a, spectra.s_g, spectra.s_ab, spectra.s_gb], 3)
     gsg = sys.G @ np.diag(s_diag) @ sys.G.T
     h = tau / steps
-    phi = _phi_stack(sys, [i * h for i in range(steps + 1)])
+    phi = phi_closed(sys, np.arange(steps + 1) * h)
     terms = phi @ gsg @ phi.transpose(0, 2, 1)
     weights = np.where(np.arange(steps + 1) % 2, 4.0, 2.0)
     weights[[0, -1]] = 1.0
@@ -352,23 +343,23 @@ def semigroup_check(
 
 
 def propagate_mean(
-    bias_a: np.ndarray, bias_g: np.ndarray, sys: SystemMatrices, tau: float
+    bias_a: np.ndarray, bias_g: np.ndarray, sys: SystemMatrices, tau
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Deterministic kinematic error after ``tau`` driven by constant biases.
+    """Deterministic kinematic error after ``tau`` driven by constant biases;
+    for a tau or an array of taus, dp, dv and eps have shape tau.shape + (3,).
 
     With zero initial kinematics: dp = ba*tau^2/2 + F23 bg tau^3/6,
     dv = ba*tau + F23 bg tau^2/2, eps = bg*tau. Position drifts cubically
     through the gravity coupling, except on the down channel where the
     coupling vanishes.
     """
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
+    t = _powers(tau)[..., None]
     ba = np.asarray(bias_a, dtype=float).reshape(3)
     bg = np.asarray(bias_g, dtype=float).reshape(3)
-    f23 = sys.F23
-    dp = ba * tau**2 / 2 + f23 @ bg * tau**3 / 6
-    dv = ba * tau + f23 @ bg * tau**2 / 2
-    eps = bg * tau
+    f23bg = sys.F23 @ bg
+    dp = ba * t[2] / 2 + f23bg * t[3] / 6
+    dv = ba * t[1] + f23bg * t[2] / 2
+    eps = bg * t[1]
     return dp, dv, eps
 
 

@@ -140,6 +140,8 @@ class TestConfig:
         (b'{"sensors": 0}', "sensors"),
         (b'{"duration_s": 1e300}', "duration_s * rate_hz"),
         (b'{"rate_hz": 1e300, "duration_s": 1e10}', "duration_s * rate_hz"),
+        (b'{"duration_s": 0.01}', "duration_s * rate_hz"),
+        (b'{"seed": -1}', "seed"),
         (b'{"seed": 1\xff}', None),
         (b'{"sensors": [{"bias_gyro": [1, 0, 0]}]}', "sensors[0]: unknown key 'bias_gyro'"),
         (b'{"sensors": [{"bias_gyro_dps": "abc"}]}', "sensors[0]: bias_gyro_dps must be"),

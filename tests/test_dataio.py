@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+import re
 import threading
 import warnings
 from pathlib import Path
@@ -40,6 +41,22 @@ def _write_noting_pid(recording, dest):
     """``write_recording_csv``, then the writing process's id into ``<dest>.pid``."""
     write_recording_csv(recording, dest)
     Path(f"{dest}.pid").write_text(str(os.getpid()))
+
+
+_TEST_PID = os.getpid()
+
+
+def _write_killing_worker(recording, dest):
+    """A ``write_recording_csv`` whose worker process dies, as one killed for
+    memory does; in the test process itself it only fails."""
+    if os.getpid() == _TEST_PID:
+        raise AssertionError("expected to run in a worker process")
+    os._exit(1)
+
+
+def _write_out_of_memory(recording, dest):
+    """A ``write_recording_csv`` that runs out of memory."""
+    raise MemoryError()
 
 
 def _text_file(directory: Path, text: str) -> Path:
@@ -269,6 +286,29 @@ class TestRoundTrips:
             release.set()
             other.join(timeout=10)
         assert not other.is_alive()
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                        reason="the pool needs two usable CPUs")
+    def test_dead_worker_is_a_config_error_naming_dir_and_samples(
+        self, tmp_path, gravity, monkeypatch
+    ):
+        monkeypatch.setattr(dataio, "write_recording_csv", _write_killing_worker)
+        arr = simulate_array(draw_sensor_params(5, 3), gravity, 30.0, 100.0, seed=3)
+        with pytest.raises(ConfigError, match=rf"{re.escape(str(tmp_path))}: .* 3000 samples"
+                           r" per sensor do not fit in memory"):
+            write_array(arr, tmp_path, gravity)
+        assert not (tmp_path / "manifest.json").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_memory_error_is_a_config_error_naming_dir_and_samples(
+        self, tmp_path, gravity, monkeypatch
+    ):
+        monkeypatch.setattr(dataio, "write_recording_csv", _write_out_of_memory)
+        arr = simulate_array(draw_sensor_params(2, 3), gravity, 1.0, 100.0, seed=3)
+        with pytest.raises(ConfigError, match=rf"{re.escape(str(tmp_path))}: .* 100 samples"
+                           r" per sensor do not fit in memory"):
+            write_array(arr, tmp_path, gravity)
+        assert list(tmp_path.iterdir()) == []
 
     def test_summary_report_round_trip(self, tmp_path, gravity):
         arr = simulate_array(draw_sensor_params(4, 2), gravity, 1.0, 100.0, seed=2)

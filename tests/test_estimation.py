@@ -7,15 +7,14 @@ from imulab.estimation import (
     bias_and_noise,
     bias_score,
     db_ratio,
-    fisher_crlb,
     kde_density,
     rms,
     running_std_profile,
     sort_by_quality,
-    variance_of_mean,
     wss_check,
 )
 from imulab.sensor_model import SensorErrorParams, residuals, simulate_array
+from oracles import fisher_crlb, variance_of_mean
 
 
 class TestVarianceOfMean:

@@ -1,6 +1,9 @@
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -19,6 +22,20 @@ def test_every_exported_name_resolves(module_name):
     assert len(set(exported)) == len(exported), "duplicate names in __all__"
     missing = [name for name in exported if not hasattr(module, name)]
     assert not missing, f"{module_name}.__all__ names undefined attributes: {missing}"
+
+
+def test_package_import_loads_no_submodule():
+    """``import imulab`` defines ``__version__`` only: the API is imported
+    from its submodules, so the package root loads none of them, nor numpy."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH")]))}
+    code = "import sys, imulab; print(*sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    loaded = set(out.stdout.split())
+    assert "imulab" in loaded
+    assert not {m for m in loaded if m.startswith("imulab.")}
+    assert "numpy" not in loaded
 
 
 def test_pyproject_version_is_the_package_version():

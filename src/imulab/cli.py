@@ -30,6 +30,7 @@ from .dataio import (
     DataError,
     SensorStats,
     dataset_summary,
+    is_finite,
     load_manifest,
     parse_recording_csv,
     read_json,
@@ -80,26 +81,17 @@ STATS_FILE = "recording_stats.json"
 Stage = tuple[list[Callable[[], object]], str]
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_finite(value) -> bool:
-    """A float or int within float range: not nan, inf or a huge int."""
-    return _is_number(value) and abs(value) <= sys.float_info.max
 
 
 # Config field -> (check, what it requires). Checked before any other rule,
 # so a value of the wrong type is a ConfigError naming its field.
 _FIELD_TYPES = {
     "seed": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
-    "duration_s": (_is_finite, "a finite number"),
-    "rate_hz": (_is_finite, "a finite number"),
-    "gravity_mps2": (lambda v: _is_finite(v) and v >= 0, "a finite number >= 0"),
+    "duration_s": (is_finite, "a finite number"),
+    "rate_hz": (is_finite, "a finite number"),
+    "gravity_mps2": (lambda v: is_finite(v) and v >= 0, "a finite number >= 0"),
     "sensors": (
         lambda v: v is None or (_is_int(v) and v >= 1)
         or (isinstance(v, list) and v and all(isinstance(d, dict) for d in v)),
@@ -107,7 +99,7 @@ _FIELD_TYPES = {
     ),
     "manifest": (lambda v: v is None or isinstance(v, str), "a path"),
     "out_dir": (lambda v: isinstance(v, str), "a path"),
-    "tau_grid": (lambda v: isinstance(v, list) and all(_is_finite(t) and t >= 0 for t in v),
+    "tau_grid": (lambda v: isinstance(v, list) and all(is_finite(t) and t >= 0 for t in v),
                  "a list of finite numbers >= 0"),
     "k_grid": (lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers"),
     "inject_bias_walk": (lambda v: isinstance(v, bool), "true or false"),
@@ -198,9 +190,9 @@ def _params_from_dict(d: dict, entry: str) -> SensorErrorParams:
             )
         name, vector, degrees = _SENSOR_KEYS[key]
         if vector and not (isinstance(value, list) and len(value) == 3
-                           and all(map(_is_finite, value))):
+                           and all(map(is_finite, value))):
             raise ConfigError(f"{entry}: {key} must be a list of 3 finite numbers, got {value!r}")
-        if not vector and not _is_finite(value):
+        if not vector and not is_finite(value):
             raise ConfigError(f"{entry}: {key} must be a finite number, got {value!r}")
         si = np.deg2rad(np.asarray(value, float)) if degrees else np.asarray(value, float)
         fields[name] = si if vector else float(si)
@@ -685,9 +677,9 @@ def _has_evaluation_fields(evaluation) -> bool:
     """Whether ``_collect_db`` can read an ``evaluation_matrix.json`` product."""
     return isinstance(evaluation, dict) and all(
         isinstance(block, dict)
-        and _is_number(block.get("n_ratio_db"))
+        and is_finite(block.get("n_ratio_db"))
         and "k_ratio_db" in block
-        and (block["k_ratio_db"] is None or _is_number(block["k_ratio_db"]))
+        and (block["k_ratio_db"] is None or is_finite(block["k_ratio_db"]))
         for block in (evaluation.get("gyro_dps"), evaluation.get("accel"))
     )
 
@@ -696,18 +688,17 @@ def _has_ratio_fields(ratios) -> bool:
     """Whether ``_collect_db`` can read a ``ratio_matrices.json`` product."""
     unc = ratios.get("uncertainty_ratio") if isinstance(ratios, dict) else None
     return isinstance(unc, list) and all(
-        isinstance(row, list) and all(map(_is_number, row)) for row in unc
+        isinstance(row, list) and all(map(is_finite, row)) for row in unc
     )
 
 
 def _all_finite(obj) -> bool:
-    if isinstance(obj, float):
-        return bool(np.isfinite(obj))
+    """Whether every float in nested dicts and lists ``is_finite``."""
     if isinstance(obj, dict):
         return all(map(_all_finite, obj.values()))
     if isinstance(obj, list):
         return all(map(_all_finite, obj))
-    return True
+    return not isinstance(obj, float) or is_finite(obj)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -751,6 +742,10 @@ def main(argv: list[str] | None = None) -> int:
         writes, done = args.func(load_config(args.config, args))
         for write in writes:
             write()
+    except (np.linalg.LinAlgError, FloatingPointError) as exc:
+        # First: LinAlgError is a ValueError, which the last clause takes.
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -760,9 +755,6 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (np.linalg.LinAlgError, FloatingPointError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     print(done)
     return EXIT_OK
 

@@ -21,6 +21,7 @@ import io
 import json
 import math
 import os
+import sys
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,6 +39,8 @@ __all__ = [
     "ArrayManifest",
     "SensorStats",
     "read_json",
+    "is_number",
+    "is_finite",
     "load_manifest",
     "write_manifest",
     "parse_recording_csv",
@@ -87,9 +90,6 @@ class ArrayManifest:
             raise ConfigError("manifest must list at least one sensor file")
         if self.gyro_units not in _GYRO_UNITS:
             raise ConfigError(f"unknown gyro units {self.gyro_units!r}")
-        object.__setattr__(
-            self, "sensor_files", tuple((str(a), str(b)) for a, b in self.sensor_files)
-        )
         for _, rel in self.sensor_files:
             if Path(rel).is_absolute() or ".." in Path(rel).parts:
                 raise ConfigError(
@@ -123,23 +123,42 @@ def read_json(path: str | os.PathLike):
         raise DataError(f"{path}: invalid JSON: {exc}") from exc
 
 
+def is_number(value) -> bool:
+    """Whether a JSON value is a float (nan and inf included) or an int within
+    float range; a bool is not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, float) or abs(value) <= sys.float_info.max
+
+
+def is_finite(value) -> bool:
+    """Whether a JSON value is an ``is_number`` other than nan and inf."""
+    return is_number(value) and math.isfinite(value)
+
+
 def load_manifest(path: str | os.PathLike) -> ArrayManifest:
     """Read a manifest file with ``read_json``.
 
-    A manifest with a missing or invalid field, accel units other than
-    ``m/s2`` included, is a ``DataError`` naming it.
+    Values are taken as they are, never converted: ``rate_hz`` and
+    ``gravity_mps2`` must be ``is_number``s, each ``sensor_id`` and ``path`` a
+    string. A manifest with a missing or invalid field, accel units other
+    than ``m/s2`` included, is a ``DataError`` naming it.
     """
     raw = read_json(path)
     try:
         units = raw.get("units", {})
         if units.get("accel", _ACCEL_UNIT) != _ACCEL_UNIT:
             raise ConfigError(f"unknown accel units {units['accel']!r}")
-        return ArrayManifest(
-            rate_hz=float(raw["rate_hz"]),
-            sensor_files=tuple((s["sensor_id"], s["path"]) for s in raw["sensor_files"]),
-            gravity_mps2=float(raw.get("gravity_mps2", 9.81)),
-            gyro_units=units.get("gyro", "rad/s"),
-        )
+        rate_hz, gravity = raw["rate_hz"], raw.get("gravity_mps2", 9.81)
+        files = tuple((s["sensor_id"], s["path"]) for s in raw["sensor_files"])
+        for name, value in (("rate_hz", rate_hz), ("gravity_mps2", gravity)):
+            if not is_number(value):
+                raise ConfigError(f"{name} must be a number within float range, got {value!r}")
+        for i, pair in enumerate(files):
+            for key, value in zip(("sensor_id", "path"), pair):
+                if not isinstance(value, str):
+                    raise ConfigError(f"sensor_files[{i}].{key} must be a string, got {value!r}")
+        return ArrayManifest(rate_hz, files, gravity, units.get("gyro", "rad/s"))
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise DataError(f"{path}: missing or invalid manifest field: {exc}") from exc
 
@@ -165,11 +184,19 @@ def parse_recording_csv(
     """Parse the UTF-8 sensor CSV at ``path`` into an SI recording.
 
     Gyro columns are converted from the declared units. Blank lines are
-    skipped. A path that cannot be read or is not UTF-8, a malformed line or
-    a ``nan`` or ``inf`` value, and a time base that ``SensorRecording``
-    rejects are each a ``DataError`` naming the sensor, and the path or line
-    where there is one.
+    skipped. A path that cannot be read or is not UTF-8, a recording that
+    does not fit in memory, a malformed line or a ``nan`` or ``inf`` value,
+    and a time base that ``SensorRecording`` rejects are each a
+    ``DataError`` naming the sensor, and the path or line where there is one.
     """
+    try:
+        return _parse_recording(path, sensor_id, rate_hz, gyro_units)
+    except MemoryError as exc:
+        raise DataError(f"{sensor_id}: {path} does not fit in memory: "
+                        f"{str(exc) or 'MemoryError'}") from exc
+
+
+def _parse_recording(path, sensor_id: str, rate_hz: float, gyro_units: str) -> SensorRecording:
     if gyro_units not in _GYRO_UNITS:
         raise ConfigError(f"unknown gyro units {gyro_units!r}")
     try:
@@ -190,7 +217,7 @@ def parse_recording_csv(
     if not body.strip("\r\n"):
         raise DataError(f"{sensor_id}: no data rows")
     try:
-        arr = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
+        arr = _read_rows(body)
     except ValueError as exc:
         raise _parse_error(sensor_id, body, exc) from exc
     if arr.shape[1] != len(_CSV_HEADER):
@@ -208,36 +235,45 @@ def parse_recording_csv(
         raise DataError(f"{sensor_id}: {exc}") from exc
 
 
+def _read_rows(text: str) -> np.ndarray:
+    """The recording reader: ``text``'s comma-separated rows as an (N, columns) array."""
+    return np.loadtxt(io.StringIO(text), delimiter=",", comments=None, ndmin=2)
+
+
 def _parse_error(sensor_id: str, body: str, cause) -> DataError:
     """Error naming the first malformed or non-finite line of a recording body.
 
-    Only called once the vectorised parse has failed or found a non-finite
-    value: its row numbers skip blank lines, so the file line is found by
-    rescanning (the header is line 1). Falls back to ``cause`` if no line is
-    malformed by this scan's rules.
+    Only called once ``_read_rows`` has rejected the body or found a
+    non-finite value in it. Its row numbers skip blank lines, so each line is
+    checked again, in file numbering (the header is line 1): for 7 cells, then
+    by ``_read_rows``, then for finite values. A line the reader rejects names
+    its first cell that the reader rejects among zeros, or else the reader's
+    message. Falls back to ``cause`` if no line fails.
     """
     for lineno, line in enumerate(body.split("\n"), start=2):
-        row = line.rstrip("\r").split(",")
-        if row == [""]:
+        cells = line.rstrip("\r").split(",")
+        if cells == [""]:
             continue
-        if len(row) != len(_CSV_HEADER):
+        if len(cells) != len(_CSV_HEADER):
             return DataError(f"{sensor_id}: line {lineno}: expected 7 columns")
         try:
-            vals = [_cell_float(v) for v in row]
+            row = _read_rows(line)
         except ValueError as exc:
-            return DataError(f"{sensor_id}: line {lineno}: {exc}")
-        if not all(map(math.isfinite, vals)):
+            bad = next((c for j, c in enumerate(cells) if not _reads_alone(cells, j)), None)
+            problem = exc if bad is None else f"could not convert string to float: {bad!r}"
+            return DataError(f"{sensor_id}: line {lineno}: {problem}")
+        if not np.isfinite(row).all():
             return DataError(f"{sensor_id}: line {lineno}: non-finite value")
     return DataError(f"{sensor_id}: {cause}")
 
 
-def _cell_float(cell: str) -> float:
-    """``float`` of a recording cell, refusing what ``np.loadtxt`` refuses and
-    ``float`` takes: ``_`` digit separators and non-ASCII digits. Both take
-    surrounding Unicode whitespace."""
-    if "_" in cell or not cell.strip().isascii():
-        raise ValueError(f"could not convert string to float: {cell!r}")
-    return float(cell)
+def _reads_alone(cells: list[str], j: int) -> bool:
+    """Whether ``_read_rows`` takes ``cells[j]`` in a row whose other cells are 0."""
+    try:
+        _read_rows(",".join(["0"] * j + [cells[j]] + ["0"] * (len(cells) - j - 1)))
+    except ValueError:
+        return False
+    return True
 
 
 def write_recording_csv(recording: SensorRecording, dest: str | os.PathLike) -> None:

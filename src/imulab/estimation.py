@@ -9,8 +9,7 @@ that the estimates are checked against are test oracles, in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -31,26 +30,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RunningStdProfile:
-    """Estimated std of the growing-window mean, on a log grid of window ends."""
+class RunningStdProfile(NamedTuple):
+    """Estimated std (>= 0) of the growing-window mean at each int window end."""
 
     window_ends: np.ndarray
     std_estimates: np.ndarray
 
-    def __post_init__(self):
-        we = np.asarray(self.window_ends, dtype=int)
-        se = np.asarray(self.std_estimates, dtype=float)
-        if we.shape != se.shape:
-            raise ValueError("window_ends and std_estimates must have equal length")
-        if np.any(se < 0):
-            raise ValueError("std estimates must be >= 0")
-        object.__setattr__(self, "window_ends", we)
-        object.__setattr__(self, "std_estimates", se)
 
-
-@dataclass(frozen=True)
-class WssVerdict:
+class WssVerdict(NamedTuple):
     mean_drift_stat: float
     acf_whiteness_stat: float
     mean_drift_threshold: float

@@ -18,6 +18,7 @@ discrete propagation and the LTI composition identity of Q.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,8 +96,6 @@ class NoiseSpectra:
         The bias-walk sigmas are already continuous intensities (per sqrt(s))
         and enter as plain squares.
         """
-        if rate_hz <= 0:
-            raise ValueError("rate_hz must be > 0")
         return cls(
             s_a=sigma_accel**2 / rate_hz,
             s_g=sigma_gyro**2 / rate_hz,
@@ -110,27 +109,13 @@ class NoiseSpectra:
         )
 
 
-@dataclass(frozen=True)
-class Ellipsoid:
-    """1-sigma position-error ellipsoid: centroid, semi-axes, orientation."""
+class Ellipsoid(NamedTuple):
+    """1-sigma position-error ellipsoid: centroid, semi-axes (>= 0, descending)
+    and orthonormal orientation, one axis per column."""
 
     centroid: np.ndarray
     semi_axes: np.ndarray
     orientation: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.centroid, dtype=float).reshape(3)
-        s = np.asarray(self.semi_axes, dtype=float).reshape(3)
-        r = np.asarray(self.orientation, dtype=float).reshape(3, 3)
-        if np.any(s < 0):
-            raise ValueError("semi_axes must be non-negative")
-        if np.any(np.diff(s) > 0):
-            raise ValueError("semi_axes must be sorted descending")
-        if np.max(np.abs(r @ r.T - _I3)) > 1e-10:
-            raise ValueError("orientation must be orthonormal")
-        object.__setattr__(self, "centroid", c)
-        object.__setattr__(self, "semi_axes", s)
-        object.__setattr__(self, "orientation", r)
 
 
 def build_system(gravity: GravityModel) -> SystemMatrices:
@@ -342,10 +327,7 @@ def ellipsoid_from_cov(p_block: np.ndarray, centroid: np.ndarray) -> Ellipsoid:
     column's largest-magnitude entry is positive, then flipped to a
     right-handed triad.
     """
-    p = np.asarray(p_block, dtype=float)
-    if p.shape != (3, 3):
-        raise ValueError("p_block must be 3x3")
-    p = check_covariance(p, "p_block")
+    p = check_covariance(p_block, "p_block")
     eigvals, eigvecs = np.linalg.eigh(p)
     order = np.argsort(eigvals)[::-1]
     eigvals = np.clip(eigvals[order], 0.0, None)

@@ -3,8 +3,10 @@
 Measurement model for a stationary, leveled sensor triad pair: gyros read a
 constant turn-on bias plus white noise (MEMS gyros cannot resolve Earth
 rotation), accelerometers read the negative gravity projection plus bias and
-white noise. All internal quantities are SI (rad/s, m/s^2); degree-based I/O
-happens only in :mod:`imulab.dataio`.
+white noise. All internal quantities are SI (rad/s, m/s^2). Degrees appear
+only at the edges: ``dataio`` converts a ``deg/s`` manifest's gyro columns on
+reading and writes ``dataset_summary``'s gyro figures in deg/s; ``cli`` converts
+the config's ``*_dps`` sensor keys and writes the ``*_dps`` fields of its products.
 """
 
 from __future__ import annotations

@@ -346,6 +346,21 @@ class TestEstimate:
             assert main([cmd, "--config", str(cfg)]) == 3, cmd
             assert f"data error: sensor_02: line 6: {problem}" in capsys.readouterr().err
 
+    def test_recording_beyond_memory_exits_3_naming_it(self, tmp_path, simulated, capsys,
+                                                         monkeypatch):
+        from imulab import dataio
+
+        def out_of_memory(text):
+            raise MemoryError("Unable to allocate 728. TiB")
+
+        monkeypatch.setattr(dataio, "_read_rows", out_of_memory)
+        capsys.readouterr()
+        assert main(["estimate", "--config", str(simulated)]) == 3
+        path = tmp_path / "out" / "recordings" / "sensor_00.csv"
+        assert capsys.readouterr().err.startswith(
+            f"data error: sensor_00: {path} does not fit in memory: Unable to allocate")
+        assert not (tmp_path / "out" / "quality.json").exists()
+
     def test_duplicate_sensor_id_exits_3(self, tmp_path, simulated, capsys):
         manifest = tmp_path / "out" / "recordings" / "manifest.json"
         raw = json.loads(manifest.read_text())
@@ -469,6 +484,19 @@ class TestBadRecordings:
                      "recording path 'sub/../imu_b.csv' is not inside", id="inner_parent_path"),
         pytest.param(lambda b: b.replace(b'"imu_b.csv"', b'"/imu_b.csv"'),
                      "recording path '/imu_b.csv' is not inside", id="absolute_path"),
+        pytest.param(lambda b: b.replace(b"10.0", b"true"),
+                     "rate_hz must be a number within float range, got True", id="bool_rate"),
+        pytest.param(lambda b: b.replace(b"{", b'{"gravity_mps2": false, ', 1),
+                     "gravity_mps2 must be a number within float range, got False",
+                     id="bool_gravity"),
+        pytest.param(lambda b: b.replace(b"10.0", b'"10.0"'),
+                     "rate_hz must be a number within float range, got '10.0'", id="string_rate"),
+        pytest.param(lambda b: b.replace(b"10.0", b"1" + b"0" * 400),
+                     "rate_hz must be a number within float range, got 1000", id="huge_int_rate"),
+        pytest.param(lambda b: b.replace(b'"imu_a"', b"null"),
+                     "sensor_files[0].sensor_id must be a string, got None", id="null_sensor_id"),
+        pytest.param(lambda b: b.replace(b'"imu_b.csv"', b"7"),
+                     "sensor_files[1].path must be a string, got 7", id="number_path"),
     ])
     def test_bad_manifest_exits_3_naming_it(self, tmp_path, capsys, edit, message):
         cfg = _hand_written_config(tmp_path, _bad_recordings("none"), 10.0)
@@ -515,6 +543,81 @@ def test_cancelling_gyro_noise_gives_null_k_ratio_db(tmp_path):
     assert gyro["k_ratio"] == 0.0 and gyro["k_ratio_db"] is None
     db = json.loads((out / "report.json").read_text())["db_ratios"]
     assert db["gyro_dps_k_ratio_db"] is None and db["accel_k_ratio_db"] < 0
+
+
+def _json_leaves(obj, at=""):
+    """(location, value) of each scalar in nested JSON dicts and lists."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _json_leaves(value, f"{at}.{key}")
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _json_leaves(value, f"{at}[{i}]")
+    else:
+        yield at, obj
+
+
+def test_deg_per_s_manifest_matches_rad_per_s(tmp_path):
+    """The simulated recordings rewritten with gyro columns in deg/s, under a
+    manifest that declares them so, give the same worst-first order and the
+    same products, to a relative 1e-12, through estimate, propagate and report."""
+    assert main(["simulate", "--config", str(_write_config(tmp_path))]) == 0
+    rad_dir, deg_dir = tmp_path / "out" / "recordings", tmp_path / "deg_recordings"
+    deg_dir.mkdir()
+    manifest = json.loads((rad_dir / "manifest.json").read_text())
+    for entry in manifest["sensor_files"]:
+        rows = _read_table(rad_dir / entry["path"])
+        rows[:, 1:4] = np.rad2deg(rows[:, 1:4])
+        lines = ["t,gx,gy,gz,ax,ay,az", *(",".join(map(repr, r)) for r in rows.tolist())]
+        (deg_dir / entry["path"]).write_text("\n".join(lines) + "\n")
+    manifest["units"]["gyro"] = "deg/s"
+    (deg_dir / "manifest.json").write_text(json.dumps(manifest))
+    for units, rec_dir in (("rad", rad_dir), ("deg", deg_dir)):
+        cfg = _write_manifest_config(tmp_path, manifest=str(rec_dir / "manifest.json"),
+                                     out_dir=str(tmp_path / units))
+        for cmd in ("estimate", "propagate", "report"):
+            assert main([cmd, "--config", str(cfg)]) == 0, (units, cmd)
+
+    rad, deg = tmp_path / "rad", tmp_path / "deg"
+    order = [json.loads((d / "quality.json").read_text())["order_worst_first"]
+             for d in (rad, deg)]
+    assert order[0] == order[1]
+    products = sorted(p.name for p in rad.iterdir() if p.name != "recording_stats.json")
+    assert products == sorted(p.name for p in deg.iterdir() if p.name != "recording_stats.json")
+    for name in products:
+        if name.endswith(".csv"):
+            want, got = _read_table(rad / name), _read_table(deg / name)
+            assert got.shape == want.shape, name
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), name
+            continue
+        want, got = (json.loads((d / name).read_text()) for d in (rad, deg))
+        if name == "report.json":  # its config block echoes the two configs
+            del want["config"], got["config"]
+        pairs = list(zip(_json_leaves(want), _json_leaves(got), strict=True))
+        for (at, a), (at_got, b) in pairs:
+            assert at == at_got, (name, at)
+            if isinstance(a, float):
+                assert abs(b - a) <= 1e-12 * abs(a), (name, at, a, b)
+            else:
+                assert a == b, (name, at)
+
+
+def test_json_tables_equal_csv_tables(tmp_path):
+    """Every table that ``fmt: csv`` writes, ``fmt: json`` writes with the same
+    columns, in order, and the same values."""
+    for fmt in ("csv", "json"):
+        cfg = _write_config(tmp_path, fmt=fmt, out_dir=str(tmp_path / fmt))
+        for cmd in ("simulate", "estimate", "propagate"):
+            assert main([cmd, "--config", str(cfg)]) == 0, (fmt, cmd)
+    tables = sorted((tmp_path / "csv").glob("*.csv"))
+    assert len(tables) == 10  # series, kde and running_std for K1 and K4; two per K from propagate
+    for table in tables:
+        header, *rows = table.read_text().splitlines()
+        columns = dict(zip(header.split(","), zip(*(map(float, r.split(",")) for r in rows))))
+        as_json = json.loads((tmp_path / "json" / f"{table.stem}.json").read_text())
+        assert list(as_json) == list(columns), table.name
+        for name, values in columns.items():
+            assert as_json[name] == list(values), (table.name, name)
 
 
 @pytest.mark.parametrize("cmd, override", [
@@ -574,6 +677,18 @@ class TestPropagate:
         # accel bias alone drives dp_x ~ tau^2; gyro bias tilts and adds tau^3.
         assert rows[100.0]["dv_x"] / rows[10.0]["dv_x"] == pytest.approx(10, rel=0.5)
         assert rows[100.0]["dp_y"] / rows[10.0]["dp_y"] == pytest.approx(1000, rel=1e-6)
+
+    def test_linalg_failure_exits_4(self, tmp_path, capsys, monkeypatch):
+        import imulab.cli as cli
+
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(cli, "ellipsoid_from_cov", failing)
+        assert main(["propagate", "--config", str(_write_config(tmp_path))]) == 4
+        assert capsys.readouterr().err.startswith(
+            "numerical failure: Eigenvalues did not converge")
+        assert not (tmp_path / "out").exists()
 
     def test_negative_tau_exits_2(self, tmp_path):
         cfg = _write_config(tmp_path, tau_grid=[-1.0, 1.0])
@@ -769,6 +884,12 @@ class TestReport:
                      id="ratios_bool_cell"),
         pytest.param("ratio_matrices.json", lambda raw: {**raw, "tau": float("-inf")},
                      id="ratios_inf_elsewhere"),
+        pytest.param("ratio_matrices.json",
+                     lambda raw: {**raw, "uncertainty_ratio": [[0.5, 10**400]]},
+                     id="ratios_huge_int_cell"),
+        pytest.param("evaluation_matrix.json",
+                     lambda raw: {**raw, "accel": {**raw["accel"], "n_ratio_db": -10**400}},
+                     id="eval_huge_int_n_ratio_db"),
     ])
     def test_bad_product_exits_3_naming_it(self, tmp_path, capsys, product, edit):
         cfg = _write_config(tmp_path)

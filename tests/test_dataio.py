@@ -152,6 +152,27 @@ class TestParseRecordingCsv:
         with pytest.raises(DataError, match="s0: line 3: non-finite value"):
             parse_recording_csv(_text_file(tmp_path, body), "s0", 1.0)
 
+    @pytest.mark.parametrize("rows, message", [
+        # np.loadtxt strips the ASCII separators \x1c-\x1f around a number,
+        # where float() refuses them.
+        pytest.param("0.5,\x1c0,0,0,0,0,0\n1,0,0,x,0,0,0\n",
+                     "s0: line 4: could not convert string to float: 'x'",
+                     id="separator_then_bad_value"),
+        pytest.param("0.5,0\x1f,0,0,0,0,0\n1,0,0,nan,0,0,0\n", "s0: line 4: non-finite value",
+                     id="separator_then_nan"),
+        # float() takes '0\r'; np.loadtxt ends the line there.
+        pytest.param("0.5,0\r,0,0,0,0,0\n", "s0: line 3: ", id="carriage_return_mid_line"),
+    ])
+    def test_error_names_the_line_the_reader_rejects(self, tmp_path, rows, message):
+        text = "t,gx,gy,gz,ax,ay,az\n0,0,0,0,0,0,0\n" + rows
+        with pytest.raises(DataError) as info:
+            parse_recording_csv(_text_file(tmp_path, text), "s0", 2.0)
+        assert str(info.value).startswith(message)
+        # Every line before the named one parses.
+        named = int(re.match(r"s0: line (\d+): ", message).group(1))
+        before = "\n".join(text.split("\n")[: named - 1]) + "\n"
+        assert parse_recording_csv(_text_file(tmp_path, before), "s0", 2.0).n_samples == named - 2
+
     @settings(max_examples=50, deadline=None)
     @given(st.lists(
         st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=6, max_size=6),

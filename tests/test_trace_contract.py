@@ -1,4 +1,5 @@
-"""The pipeline runs under the benchmark's tracer.
+"""The pipeline runs under the benchmark's tracer, and the benchmark can
+reduce what the tracer records.
 
 ``perfbench/tracing.py`` replaces every function that ``imulab.cli`` imports
 by a timing wrapper in ``cli``'s namespace. Such a wrapper cannot be pickled
@@ -6,10 +7,20 @@ by a timing wrapper in ``cli``'s namespace. Such a wrapper cannot be pickled
 ``cli`` handed to a process pool would fail in traced runs only. This test
 runs the four stages under the tracer at a size whose recordings are written
 in the pool.
+
+It then passes the recorded spans through ``perfbench/run.py``'s
+``per_layer`` step, with ``BENCHMARK.json``'s per-layer names. ``run.py``
+reports a crashed worker as exit 2, so an exit 1 from it is an exception
+raised in ``run.py`` itself, and the one a package change can cause is there:
+``dataio.parse_recording_csv.useful_ratio`` divides the sensor count by the
+traced parse calls. Those are the calls made through ``cli``'s imported
+name; a parse moved elsewhere, such as into a pool inside ``dataio``, leaves
+none, and the division raises ``ZeroDivisionError``.
 """
 
 import importlib.util
 import json
+import math
 import multiprocessing
 import sys
 from pathlib import Path
@@ -17,12 +28,13 @@ from pathlib import Path
 import imulab
 import imulab.cli as cli
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
 STAGES = ("simulate", "estimate", "propagate", "report")
 
 
-def _tracing_module(monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _perfbench_module(monkeypatch, stem: str, name: str):
+    """``perfbench/<stem>.py`` loaded, unchanged, as module ``name`` for this test."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / f"{stem}.py")
     module = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
     spec.loader.exec_module(module)
@@ -41,7 +53,8 @@ def test_stages_run_under_the_tracer(tmp_path, monkeypatch):
         "out_dir": str(tmp_path / "out"),
     }))
     original = cli.parse_recording_csv
-    tracer = _tracing_module(monkeypatch).Tracer()
+    tracing = _perfbench_module(monkeypatch, "tracing", "perfbench_tracing")
+    tracer = tracing.Tracer()
     tracer.install(imulab)
     try:
         assert cli.parse_recording_csv is not original  # the tracer is in place
@@ -54,3 +67,13 @@ def test_stages_run_under_the_tracer(tmp_path, monkeypatch):
     names = {span.name for span in tracer.spans}
     assert {f"cli.{stage}" for stage in STAGES} <= names
     assert multiprocessing.active_children() == []
+
+    # run.py imports its sibling as ``workloads``, the name perfbench/ on sys.path gives it.
+    _perfbench_module(monkeypatch, "workloads", "workloads")
+    run = _perfbench_module(monkeypatch, "run", "perfbench_run")
+    metrics = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
+    raw = {"sensors": 4, "passes": [{"traced": True, "trace": tracing.summarize(tracer.spans)}]}
+    values, _ = run.per_layer(raw, metrics)
+    assert sorted(values) == sorted(metrics)
+    assert all(math.isfinite(v) for v in values.values()), values
+    assert values["dataio.parse_recording_csv.calls"] == 4

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import sys
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -344,11 +345,10 @@ def cmd_estimate(config: ExperimentConfig) -> Stage:
     ordered = [by_id[sid] for sid, _ in scores]
 
     n = array.n_samples
-    res = np.stack([residuals(r, gravity) for r in ordered], axis=1)  # (N, K, 6)
+    worst_first = (residuals(r, gravity) for r in ordered)
 
     cells_gyro, cells_accel = {}, {}
-    for k in k_grid:
-        avg = res[:, :k, :].mean(axis=1)  # (N, 6)
+    for k, avg in _prefix_means(worst_first, k_grid, n):  # avg: (N, 6)
         gyro, accel = avg[:, :3], avg[:, 3:]
         gyro_cal = gyro - gyro.mean(axis=0)
         accel_cal = accel - accel.mean(axis=0)
@@ -390,6 +390,24 @@ def cmd_estimate(config: ExperimentConfig) -> Stage:
     }
     writes.append(partial(write_report, evaluation, "json", out / "evaluation_matrix.json"))
     return writes, f"estimation products written to {out}"
+
+
+def _prefix_means(
+    arrays: Iterator[np.ndarray], k_grid: list[int], n: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """(k, mean of the first k of ``arrays``) for each k of the sorted
+    ``k_grid``, the arrays being (n, 6).
+
+    One running sum, started from zeros and divided by k: bit for bit
+    ``np.stack(arrays, axis=1)[:, :k].mean(axis=1)``, without the stack and
+    without drawing an array beyond the last k.
+    """
+    total, summed = np.zeros((n, 6)), 0
+    for k in k_grid:
+        for a in itertools.islice(arrays, k - summed):
+            total += a
+        summed = k
+        yield k, total / k
 
 
 def _kde_table(gyro, gyro_cal, accel, accel_cal) -> dict:

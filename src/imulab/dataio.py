@@ -18,11 +18,13 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
 import sys
 import threading
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
@@ -183,11 +185,13 @@ def parse_recording_csv(
 ) -> SensorRecording:
     """Parse the UTF-8 sensor CSV at ``path`` into an SI recording.
 
-    Gyro columns are converted from the declared units. Blank lines are
-    skipped. A path that cannot be read or is not UTF-8, a recording that
-    does not fit in memory, a malformed line or a ``nan`` or ``inf`` value,
-    and a time base that ``SensorRecording`` rejects are each a
-    ``DataError`` naming the sensor, and the path or line where there is one.
+    The file is read as a stream of lines; only a file at fault is read
+    whole, to name the fault. Gyro columns are converted from the declared
+    units. Blank lines are skipped. A path that cannot be read or is not
+    UTF-8, a recording that does not fit in memory, a malformed line or a
+    ``nan`` or ``inf`` value, and a time base that ``SensorRecording``
+    rejects are each a ``DataError`` naming the sensor, and the path or line
+    where there is one.
     """
     try:
         return _parse_recording(path, sensor_id, rate_hz, gyro_units)
@@ -199,6 +203,47 @@ def parse_recording_csv(
 def _parse_recording(path, sensor_id: str, rate_hz: float, gyro_units: str) -> SensorRecording:
     if gyro_units not in _GYRO_UNITS:
         raise ConfigError(f"unknown gyro units {gyro_units!r}")
+    arr = _streamed_rows(path)
+    if arr is None:
+        arr = _whole_rows(path, sensor_id)
+    gyro = arr[:, 1:4]
+    if gyro_units == "deg/s":
+        gyro = np.deg2rad(gyro)
+    try:
+        return SensorRecording(
+            sensor_id=sensor_id, rate_hz=rate_hz, t=arr[:, 0], gyro=gyro, accel=arr[:, 4:7]
+        )
+    except ValueError as exc:
+        raise DataError(f"{sensor_id}: {exc}") from exc
+
+
+def _streamed_rows(path) -> np.ndarray | None:
+    r"""The recording at ``path`` read line by line, or None if it fails any
+    check that ``_whole_rows`` makes.
+
+    ``newline="\n"`` splits lines where ``_whole_rows``' ``io.StringIO``
+    does, so an array returned here is the one ``_whole_rows`` returns, and
+    only a recording at fault is read whole. A warning, such as the reader's
+    for a body with no rows, is a failure too, so that ``_whole_rows`` alone
+    decides what to report.
+    """
+    try:
+        with open(path, "r", encoding="utf-8", newline="\n") as fh, \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if [h.strip() for h in fh.readline().split(",")] != _CSV_HEADER:
+                return None
+            arr = _read_rows(fh)
+    except (OSError, ValueError, Warning):
+        return None
+    if arr.shape[1] != len(_CSV_HEADER) or not np.isfinite(arr).all():
+        return None
+    return arr
+
+
+def _whole_rows(path, sensor_id: str) -> np.ndarray:
+    """The recording at ``path`` read whole and checked: its rows as an
+    (N, 7) array of finite values, or a ``DataError`` naming the fault."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             text = fh.read()
@@ -217,27 +262,20 @@ def _parse_recording(path, sensor_id: str, rate_hz: float, gyro_units: str) -> S
     if not body.strip("\r\n"):
         raise DataError(f"{sensor_id}: no data rows")
     try:
-        arr = _read_rows(body)
+        arr = _read_rows(io.StringIO(body))
     except ValueError as exc:
         raise _parse_error(sensor_id, body, exc) from exc
     if arr.shape[1] != len(_CSV_HEADER):
         raise _parse_error(sensor_id, body, "expected 7 columns")
     if not np.isfinite(arr).all():
         raise _parse_error(sensor_id, body, "non-finite value")
-    gyro = arr[:, 1:4]
-    if gyro_units == "deg/s":
-        gyro = np.deg2rad(gyro)
-    try:
-        return SensorRecording(
-            sensor_id=sensor_id, rate_hz=rate_hz, t=arr[:, 0], gyro=gyro, accel=arr[:, 4:7]
-        )
-    except ValueError as exc:
-        raise DataError(f"{sensor_id}: {exc}") from exc
+    return arr
 
 
-def _read_rows(text: str) -> np.ndarray:
-    """The recording reader: ``text``'s comma-separated rows as an (N, columns) array."""
-    return np.loadtxt(io.StringIO(text), delimiter=",", comments=None, ndmin=2)
+def _read_rows(lines) -> np.ndarray:
+    """The recording reader: the comma-separated rows of an iterable of
+    lines as an (N, columns) array."""
+    return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
 
 
 def _parse_error(sensor_id: str, body: str, cause) -> DataError:
@@ -257,7 +295,7 @@ def _parse_error(sensor_id: str, body: str, cause) -> DataError:
         if len(cells) != len(_CSV_HEADER):
             return DataError(f"{sensor_id}: line {lineno}: expected 7 columns")
         try:
-            row = _read_rows(line)
+            row = _read_rows(io.StringIO(line))
         except ValueError as exc:
             bad = next((c for j, c in enumerate(cells) if not _reads_alone(cells, j)), None)
             problem = exc if bad is None else f"could not convert string to float: {bad!r}"
@@ -270,7 +308,8 @@ def _parse_error(sensor_id: str, body: str, cause) -> DataError:
 def _reads_alone(cells: list[str], j: int) -> bool:
     """Whether ``_read_rows`` takes ``cells[j]`` in a row whose other cells are 0."""
     try:
-        _read_rows(",".join(["0"] * j + [cells[j]] + ["0"] * (len(cells) - j - 1)))
+        row = ",".join(["0"] * j + [cells[j]] + ["0"] * (len(cells) - j - 1))
+        _read_rows(io.StringIO(row))
     except ValueError:
         return False
     return True
@@ -298,12 +337,16 @@ def write_array(
     calls run in a pool of up to one forked worker process per CPU that lives
     for this call only; otherwise they run here, one after another. Either
     way every file has the same bytes and is written whole by
-    ``write_report``. The manifest is written only after every recording is;
-    if one fails, its error is raised and there is no manifest. Running out
-    of memory is a ``ConfigError`` naming ``out_dir`` and the sample count.
+    ``write_report``. A manifest already in ``out_dir`` is removed before the
+    first recording is written, and the new one is written only after every
+    recording is; if one fails, its error is raised and there is no
+    manifest, so no manifest lists recordings of two runs. Running out of
+    memory is a ``ConfigError`` naming ``out_dir`` and the sample count.
     """
     out = Path(out_dir)
     files = [(rec.sensor_id, f"{rec.sensor_id}.csv") for rec in array.recordings]
+    manifest_path = out / "manifest.json"
+    write_report(None, "json", manifest_path)  # removes it
     try:
         with _recording_map(array) as map_:
             # list() waits for every write and raises the first failure. The
@@ -318,7 +361,6 @@ def write_array(
     manifest = ArrayManifest(
         rate_hz=array.rate_hz, sensor_files=tuple(files), gravity_mps2=gravity.g_magnitude
     )
-    manifest_path = out / "manifest.json"
     write_manifest(manifest, manifest_path)
     return manifest_path
 
@@ -511,26 +553,34 @@ def _jsonable(obj):
 
 def write_report(report, fmt: str, dest: str | os.PathLike) -> None:
     """Serialize a report deterministically as JSON or a columnar CSV to the
-    path ``dest``.
+    path ``dest``, or remove ``dest`` if ``report`` is None.
 
     JSON accepts any nesting of mappings, sequences, and arrays.
     CSV requires a flat mapping of column name -> sequence of scalars (all of
     one length); an all-empty table still produces the header line. CSV cells
-    hold ``repr`` of floats (shortest round trip) and ``str`` of anything else.
+    hold ``str`` of each value, for a float its ``repr`` (shortest round
+    trip), filled into one row template.
 
     This is the package's only file writer. ``dest`` gets its parent
     directories created, and the text is written to a temporary file beside
     it that is then renamed over it, so ``dest`` is either complete or left as
     it was. A directory that cannot be created or a file that cannot be
-    written is a ``ConfigError`` naming it.
+    written or removed is a ``ConfigError`` naming it.
     """
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown report format {fmt!r}")
+    path = Path(dest)
+    if report is None:
+        try:
+            path.unlink()
+        except (FileNotFoundError, NotADirectoryError):
+            pass  # there is no such file
+        except OSError as exc:
+            raise ConfigError(f"cannot remove {path}: {exc.strerror or exc}") from exc
+        return
     payload = _jsonable(report)
-    buf = io.StringIO()
     if fmt == "json":
-        json.dump(payload, buf, indent=2)
-        buf.write("\n")
+        text = json.dumps(payload, indent=2) + "\n"
     else:
         if not isinstance(payload, dict) or not all(
             isinstance(v, list) for v in payload.values()
@@ -538,14 +588,11 @@ def write_report(report, fmt: str, dest: str | os.PathLike) -> None:
             raise ConfigError("csv reports require a mapping of columns to sequences")
         if len({len(v) for v in payload.values()}) > 1:
             raise ConfigError("csv report columns must share one length")
-        columns = [
-            [repr(v) if isinstance(v, float) else str(v) for v in col]
-            for col in payload.values()
-        ]
-        buf.write(",".join(payload) + "\n")
-        buf.writelines(",".join(row) + "\n" for row in zip(*columns))
-    text = buf.getvalue()
-    path = Path(dest)
+        columns = list(payload.values())
+        n_rows = len(columns[0]) if columns else 0
+        template = ",".join(["%s"] * len(columns)) + "\n"
+        cells = tuple(itertools.chain.from_iterable(zip(*columns)))
+        text = ",".join(payload) + "\n" + (template * n_rows) % cells
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
     except OSError as exc:

@@ -2,15 +2,19 @@
 
 No pipeline stage calls these, so they live beside the tests rather than in
 the package: the sigma^2/(N*K) variance law and the CRLB of a Gaussian mean
-(acceptance criteria 4 and 10), the LTI composition identity of Q, and
+(acceptance criteria 4 and 10), the LTI composition identity of Q,
 step-by-step discrete propagation, the reference for ``q_closed``
-(criterion 3).
+(criterion 3), and the whole-text recording reader that the streaming
+``dataio.parse_recording_csv`` replaced.
 """
 
 from __future__ import annotations
 
+import io
+
 import numpy as np
 
+from imulab.dataio import ConfigError, DataError
 from imulab.ins_error_model import (
     NoiseSpectra,
     SystemMatrices,
@@ -18,6 +22,9 @@ from imulab.ins_error_model import (
     phi_closed,
     q_closed,
 )
+from imulab.sensor_model import SensorRecording
+
+_CSV_HEADER = ["t", "gx", "gy", "gz", "ax", "ay", "az"]
 
 
 def variance_of_mean(sigma: float, n_time: int, n_sensors: int) -> float:
@@ -93,3 +100,79 @@ def propagate_discrete(
         states[k] = x
         covs[k] = p
     return states, covs
+
+
+def whole_text_parse_recording(
+    path, sensor_id: str, rate_hz: float, gyro_units: str = "rad/s"
+) -> SensorRecording:
+    """``dataio.parse_recording_csv`` as it was before it read a stream: the
+    file is read whole, then its body parsed and, on a fault, rescanned line
+    by line to name it. Its arrays and messages are the reference for the
+    streaming reader's."""
+    if gyro_units not in ("deg/s", "rad/s"):
+        raise ConfigError(f"unknown gyro units {gyro_units!r}")
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise DataError(f"{sensor_id}: cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{sensor_id}: {path}: not UTF-8 text: {exc}") from exc
+    if not text:
+        raise DataError(f"{sensor_id}: empty file")
+    header_line, _, body = text.partition("\n")
+    header = header_line.rstrip("\r").split(",")
+    if [h.strip() for h in header] != _CSV_HEADER:
+        raise DataError(
+            f"{sensor_id}: bad header {header!r}, expected {','.join(_CSV_HEADER)}"
+        )
+    if not body.strip("\r\n"):
+        raise DataError(f"{sensor_id}: no data rows")
+    try:
+        arr = _read_text_rows(body)
+    except ValueError as exc:
+        raise _text_parse_error(sensor_id, body, exc) from exc
+    if arr.shape[1] != len(_CSV_HEADER):
+        raise _text_parse_error(sensor_id, body, "expected 7 columns")
+    if not np.isfinite(arr).all():
+        raise _text_parse_error(sensor_id, body, "non-finite value")
+    gyro = arr[:, 1:4]
+    if gyro_units == "deg/s":
+        gyro = np.deg2rad(gyro)
+    try:
+        return SensorRecording(
+            sensor_id=sensor_id, rate_hz=rate_hz, t=arr[:, 0], gyro=gyro, accel=arr[:, 4:7]
+        )
+    except ValueError as exc:
+        raise DataError(f"{sensor_id}: {exc}") from exc
+
+
+def _read_text_rows(text: str) -> np.ndarray:
+    return np.loadtxt(io.StringIO(text), delimiter=",", comments=None, ndmin=2)
+
+
+def _text_parse_error(sensor_id: str, body: str, cause) -> DataError:
+    """The first malformed or non-finite line of ``body``, in file numbering."""
+    for lineno, line in enumerate(body.split("\n"), start=2):
+        cells = line.rstrip("\r").split(",")
+        if cells == [""]:
+            continue
+        if len(cells) != len(_CSV_HEADER):
+            return DataError(f"{sensor_id}: line {lineno}: expected 7 columns")
+        try:
+            row = _read_text_rows(line)
+        except ValueError as exc:
+            bad = next((c for j, c in enumerate(cells) if not _text_reads_alone(cells, j)), None)
+            problem = exc if bad is None else f"could not convert string to float: {bad!r}"
+            return DataError(f"{sensor_id}: line {lineno}: {problem}")
+        if not np.isfinite(row).all():
+            return DataError(f"{sensor_id}: line {lineno}: non-finite value")
+    return DataError(f"{sensor_id}: {cause}")
+
+
+def _text_reads_alone(cells: list[str], j: int) -> bool:
+    try:
+        _read_text_rows(",".join(["0"] * j + [cells[j]] + ["0"] * (len(cells) - j - 1)))
+    except ValueError:
+        return False
+    return True

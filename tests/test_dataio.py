@@ -35,6 +35,7 @@ from imulab.sensor_model import (
     draw_sensor_params,
     simulate_array,
 )
+from oracles import whole_text_parse_recording
 
 
 def _write_noting_pid(recording, dest):
@@ -190,6 +191,70 @@ class TestParseRecordingCsv:
         assert np.array_equal(rec.accel, expected[:, 4:7])
 
 
+_HEADER = "t,gx,gy,gz,ax,ay,az\n"
+_ROWS = "0,1,2,3,4,5,6\n0.5,1,2,3,4,5,6\n"
+# 1000 rows of shortest-repr floats: more than one read of the stream.
+_LONG_ROWS = "".join(
+    f"{i / 2!r}," + ",".join(map(repr, np.random.default_rng(i).normal(size=6).tolist())) + "\n"
+    for i in range(1000)
+)
+
+# Inputs on which the streaming reader must match the whole-text one.
+_READER_CASES = {
+    "plain": _HEADER + _ROWS,
+    "long": _HEADER + _LONG_ROWS,
+    "no_final_newline": _HEADER + _ROWS.rstrip("\n"),
+    "crlf": (_HEADER + _ROWS).replace("\n", "\r\n"),
+    "bare_cr": (_HEADER + _ROWS).replace("\n", "\r"),
+    "bare_cr_between_rows": _HEADER + _ROWS.replace("\n", "\r", 1),
+    "cr_mid_line": _HEADER + "0,1\r,2,3,4,5,6\n0.5,1,2,3,4,5,6\n",
+    "blank_lines": _HEADER + "\n\n" + _ROWS.replace("\n", "\n\n"),
+    "trailing_spaces": "t, gx,gy ,gz,ax,ay,az  \n" + _ROWS.replace("\n", "   \n"),
+    "separator_cell": _HEADER + "0,\x1c0,2,3,4,5,6\n0.5,1,2,3,4,5,6\n",
+    "underscore_cell": _HEADER + "0,1_0,2,3,4,5,6\n0.5,1,2,3,4,5,6\n",
+    "non_ascii_digit": _HEADER + "0,\u0661,2,3,4,5,6\n0.5,1,2,3,4,5,6\n",
+    "nan_cell": _HEADER + "0,1,2,3,4,5,6\n0.5,1,nan,3,4,5,6\n",
+    "bom": "\ufeff" + _HEADER + _ROWS,
+    "invalid_utf8_last_line": (_HEADER + _LONG_ROWS).encode() + b"500,0,0,\xff,0,0,0\n",
+    "header_only": _HEADER,
+    "header_without_newline": _HEADER.rstrip("\n"),
+    "header_then_blank_lines": _HEADER + "\r\n\r\n\n",
+    "empty_file": "",
+    "six_columns": _HEADER + "0,1,2,3,4,5\n0.5,1,2,3,4,5\n",
+    "eight_columns": _HEADER + "0,1,2,3,4,5,6,7\n0.5,1,2,3,4,5,6,7\n",
+    "non_monotone_time": _HEADER + "0,1,2,3,4,5,6\n0.5,1,2,3,4,5,6\n0.25,1,2,3,4,5,6\n",
+}
+
+
+def _reader_outcome(parse, path, gyro_units):
+    """The recording's arrays as bytes, or the ``DataError`` message, and
+    the warnings raised on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            rec = parse(path, "s0", 2.0, gyro_units)
+        except DataError as exc:
+            result = str(exc)
+        else:
+            result = (rec.t.tobytes(), rec.gyro.tobytes(), rec.accel.tobytes())
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+@pytest.mark.parametrize("gyro_units", ["rad/s", "deg/s"])
+@pytest.mark.parametrize("case", list(_READER_CASES))
+def test_streaming_reader_matches_whole_text_reader(tmp_path, case, gyro_units):
+    """Bit for bit the same arrays, or the same ``DataError`` message, and
+    the same warnings."""
+    text = _READER_CASES[case]
+    path = tmp_path / "rec.csv"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    streamed = _reader_outcome(parse_recording_csv, path, gyro_units)
+    assert streamed == _reader_outcome(whole_text_parse_recording, path, gyro_units)
+    accepted = {"plain", "long", "no_final_newline", "crlf", "blank_lines", "trailing_spaces",
+                "separator_cell"}
+    assert isinstance(streamed[0], tuple) == (case in accepted)
+
+
 def _row_by_row_csv(recording):
     """The recording writer's former rule: one ``repr(float(v))`` cell at a time."""
     lines = ["t,gx,gy,gz,ax,ay,az"]
@@ -330,6 +395,14 @@ class TestRoundTrips:
                            r" per sensor do not fit in memory"):
             write_array(arr, tmp_path, gravity)
         assert list(tmp_path.iterdir()) == []
+
+    def test_unremovable_manifest_is_a_config_error_naming_it(self, tmp_path, gravity):
+        manifest = tmp_path / "manifest.json"
+        (manifest / "inside").mkdir(parents=True)  # a directory: unlink refuses it
+        arr = simulate_array(draw_sensor_params(2, 3), gravity, 1.0, 100.0, seed=3)
+        with pytest.raises(ConfigError, match=rf"cannot remove {re.escape(str(manifest))}: "):
+            write_array(arr, tmp_path, gravity)
+        assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]  # no recording
 
     def test_summary_report_round_trip(self, tmp_path, gravity):
         arr = simulate_array(draw_sensor_params(4, 2), gravity, 1.0, 100.0, seed=2)

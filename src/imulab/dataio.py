@@ -17,7 +17,6 @@ converted to rad/s on reading, in this module only.
 from __future__ import annotations
 
 import contextlib
-import io
 import itertools
 import json
 import math
@@ -185,67 +184,66 @@ def parse_recording_csv(
 ) -> SensorRecording:
     """Parse the UTF-8 sensor CSV at ``path`` into an SI recording.
 
-    The file is read as a stream of lines; only a file at fault is read
-    whole, to name the fault. Gyro columns are converted from the declared
-    units. Blank lines are skipped. A path that cannot be read or is not
-    UTF-8, a recording that does not fit in memory, a malformed line or a
-    ``nan`` or ``inf`` value, and a time base that ``SensorRecording``
-    rejects are each a ``DataError`` naming the sensor, and the path or line
-    where there is one.
+    The file is opened once and read as a stream of lines; only a file at
+    fault is read again, whole, to name the fault (``_recording_rows``).
+    Gyro columns are converted from the declared units. Blank lines are
+    skipped. A path that cannot be read or is not UTF-8, a recording that
+    does not fit in memory, a malformed line or a ``nan`` or ``inf`` value,
+    and a time base that ``SensorRecording`` rejects are each a
+    ``DataError`` naming the sensor, and the path or line where there is one.
     """
+    if gyro_units not in _GYRO_UNITS:
+        raise ConfigError(f"unknown gyro units {gyro_units!r}")
     try:
-        return _parse_recording(path, sensor_id, rate_hz, gyro_units)
+        arr = _recording_rows(path, sensor_id)
+        gyro = arr[:, 1:4]
+        if gyro_units == "deg/s":
+            gyro = np.deg2rad(gyro)
+        try:
+            return SensorRecording(
+                sensor_id=sensor_id, rate_hz=rate_hz, t=arr[:, 0], gyro=gyro, accel=arr[:, 4:7]
+            )
+        except ValueError as exc:
+            raise DataError(f"{sensor_id}: {exc}") from exc
     except MemoryError as exc:
         raise DataError(f"{sensor_id}: {path} does not fit in memory: "
                         f"{str(exc) or 'MemoryError'}") from exc
 
 
-def _parse_recording(path, sensor_id: str, rate_hz: float, gyro_units: str) -> SensorRecording:
-    if gyro_units not in _GYRO_UNITS:
-        raise ConfigError(f"unknown gyro units {gyro_units!r}")
-    arr = _streamed_rows(path)
-    if arr is None:
-        arr = _whole_rows(path, sensor_id)
-    gyro = arr[:, 1:4]
-    if gyro_units == "deg/s":
-        gyro = np.deg2rad(gyro)
-    try:
-        return SensorRecording(
-            sensor_id=sensor_id, rate_hz=rate_hz, t=arr[:, 0], gyro=gyro, accel=arr[:, 4:7]
-        )
-    except ValueError as exc:
-        raise DataError(f"{sensor_id}: {exc}") from exc
+def _recording_rows(path, sensor_id: str) -> np.ndarray:
+    r"""The rows of the recording at ``path`` as an (N, 7) array of finite
+    values, or a ``DataError`` naming its first fault.
 
-
-def _streamed_rows(path) -> np.ndarray | None:
-    r"""The recording at ``path`` read line by line, or None if it fails any
-    check that ``_whole_rows`` makes.
-
-    ``newline="\n"`` splits lines where ``_whole_rows``' ``io.StringIO``
-    does, so an array returned here is the one ``_whole_rows`` returns, and
-    only a recording at fault is read whole. A warning, such as the reader's
-    for a body with no rows, is a failure too, so that ``_whole_rows`` alone
-    decides what to report.
+    The header is checked from the first line and the body read from the
+    open stream by ``_read_rows``; ``newline="\n"`` splits lines where the
+    text's ``split("\n")`` does. A warning, such as the reader's for a body
+    with no rows, fails the stream too. A stream that fails is rewound and
+    read whole, since only a whole decode places a bad byte in the file
+    rather than in one chunk of it. The fault is then named in this order:
+    not UTF-8, empty file, bad header, no data rows, then the first line (the
+    header is line 1; blank lines are skipped) that lacks 7 cells, that
+    ``_read_rows`` rejects, or that holds a non-finite value. A rejected line
+    names its first cell that the reader rejects among zeros, or else the
+    reader's message; if no line is at fault, the stream's failure is named.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="\n") as fh, \
-                warnings.catch_warnings():
-            warnings.simplefilter("error")
-            if [h.strip() for h in fh.readline().split(",")] != _CSV_HEADER:
-                return None
-            arr = _read_rows(fh)
-    except (OSError, ValueError, Warning):
-        return None
-    if arr.shape[1] != len(_CSV_HEADER) or not np.isfinite(arr).all():
-        return None
-    return arr
-
-
-def _whole_rows(path, sensor_id: str) -> np.ndarray:
-    """The recording at ``path`` read whole and checked: its rows as an
-    (N, 7) array of finite values, or a ``DataError`` naming the fault."""
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8", newline="\n") as fh:
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    header = fh.readline().removesuffix("\n").rstrip("\r").split(",")
+                    if [h.strip() for h in header] != _CSV_HEADER:
+                        raise DataError(f"{sensor_id}: bad header {header!r}, "
+                                        f"expected {','.join(_CSV_HEADER)}")
+                    arr = _read_rows(fh)
+                if arr.shape[1] != len(_CSV_HEADER):
+                    raise ValueError("expected 7 columns")
+                if not np.isfinite(arr).all():
+                    raise ValueError("non-finite value")
+                return arr
+            except (ValueError, Warning) as exc:
+                cause = exc
+            fh.seek(0)
             text = fh.read()
     except OSError as exc:
         raise DataError(f"{sensor_id}: cannot read {path}: {exc.strerror or exc}") from exc
@@ -253,23 +251,26 @@ def _whole_rows(path, sensor_id: str) -> np.ndarray:
         raise DataError(f"{sensor_id}: {path}: not UTF-8 text: {exc}") from exc
     if not text:
         raise DataError(f"{sensor_id}: empty file")
-    header_line, _, body = text.partition("\n")
-    header = header_line.rstrip("\r").split(",")
-    if [h.strip() for h in header] != _CSV_HEADER:
-        raise DataError(
-            f"{sensor_id}: bad header {header!r}, expected {','.join(_CSV_HEADER)}"
-        )
+    if isinstance(cause, DataError):
+        raise cause
+    body = text.partition("\n")[2]
     if not body.strip("\r\n"):
         raise DataError(f"{sensor_id}: no data rows")
-    try:
-        arr = _read_rows(io.StringIO(body))
-    except ValueError as exc:
-        raise _parse_error(sensor_id, body, exc) from exc
-    if arr.shape[1] != len(_CSV_HEADER):
-        raise _parse_error(sensor_id, body, "expected 7 columns")
-    if not np.isfinite(arr).all():
-        raise _parse_error(sensor_id, body, "non-finite value")
-    return arr
+    for lineno, line in enumerate(body.split("\n"), start=2):
+        cells = line.rstrip("\r").split(",")
+        if cells == [""]:
+            continue
+        if len(cells) != len(_CSV_HEADER):
+            raise DataError(f"{sensor_id}: line {lineno}: expected 7 columns")
+        try:
+            row = _read_rows([line])
+        except ValueError as exc:
+            bad = next((c for j, c in enumerate(cells) if not _reads_alone(cells, j)), None)
+            problem = exc if bad is None else f"could not convert string to float: {bad!r}"
+            raise DataError(f"{sensor_id}: line {lineno}: {problem}") from exc
+        if not np.isfinite(row).all():
+            raise DataError(f"{sensor_id}: line {lineno}: non-finite value")
+    raise DataError(f"{sensor_id}: {cause}") from cause
 
 
 def _read_rows(lines) -> np.ndarray:
@@ -278,38 +279,10 @@ def _read_rows(lines) -> np.ndarray:
     return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
 
 
-def _parse_error(sensor_id: str, body: str, cause) -> DataError:
-    """Error naming the first malformed or non-finite line of a recording body.
-
-    Only called once ``_read_rows`` has rejected the body or found a
-    non-finite value in it. Its row numbers skip blank lines, so each line is
-    checked again, in file numbering (the header is line 1): for 7 cells, then
-    by ``_read_rows``, then for finite values. A line the reader rejects names
-    its first cell that the reader rejects among zeros, or else the reader's
-    message. Falls back to ``cause`` if no line fails.
-    """
-    for lineno, line in enumerate(body.split("\n"), start=2):
-        cells = line.rstrip("\r").split(",")
-        if cells == [""]:
-            continue
-        if len(cells) != len(_CSV_HEADER):
-            return DataError(f"{sensor_id}: line {lineno}: expected 7 columns")
-        try:
-            row = _read_rows(io.StringIO(line))
-        except ValueError as exc:
-            bad = next((c for j, c in enumerate(cells) if not _reads_alone(cells, j)), None)
-            problem = exc if bad is None else f"could not convert string to float: {bad!r}"
-            return DataError(f"{sensor_id}: line {lineno}: {problem}")
-        if not np.isfinite(row).all():
-            return DataError(f"{sensor_id}: line {lineno}: non-finite value")
-    return DataError(f"{sensor_id}: {cause}")
-
-
 def _reads_alone(cells: list[str], j: int) -> bool:
     """Whether ``_read_rows`` takes ``cells[j]`` in a row whose other cells are 0."""
     try:
-        row = ",".join(["0"] * j + [cells[j]] + ["0"] * (len(cells) - j - 1))
-        _read_rows(io.StringIO(row))
+        _read_rows([",".join(["0"] * j + [cells[j]] + ["0"] * (len(cells) - j - 1))])
     except ValueError:
         return False
     return True

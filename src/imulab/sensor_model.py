@@ -24,7 +24,6 @@ __all__ = [
     "ArrayRecording",
     "MEMS_ERROR_RANGES",
     "draw_sensor_params",
-    "median_sensor_params",
     "simulate_array",
     "residuals",
 ]
@@ -219,20 +218,6 @@ def draw_sensor_params(count: int, seed: int) -> list[SensorErrorParams]:
             )
         )
     return out
-
-
-def median_sensor_params() -> SensorErrorParams:
-    """A single sensor pinned at the median of the reference error ranges."""
-    bg_rms = np.deg2rad(MEMS_ERROR_RANGES["gyro_bias_rms_dps"][1])
-    ba_rms = MEMS_ERROR_RANGES["accel_bias_rms"][1]
-    return SensorErrorParams(
-        bias_gyro=np.full(3, bg_rms),  # equal split -> 3-axis RMS == bg_rms
-        bias_accel=np.full(3, ba_rms),
-        sigma_gyro=np.deg2rad(MEMS_ERROR_RANGES["gyro_noise_rms_dps"][1]),
-        sigma_accel=MEMS_ERROR_RANGES["accel_noise_rms"][1],
-        sigma_gyro_bias=_inrun_intensity(bg_rms),
-        sigma_accel_bias=_inrun_intensity(ba_rms),
-    )
 
 
 def _minmax(key: str) -> tuple[float, float]:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from imulab.ins_error_model import NoiseSpectra, build_system
-from imulab.sensor_model import GravityModel, median_sensor_params
+from imulab.sensor_model import GravityModel
+from oracles import median_sensor_params
 
 
 @pytest.fixture(scope="session")

@@ -2,9 +2,10 @@
 
 No pipeline stage calls these, so they live beside the tests rather than in
 the package: the sigma^2/(N*K) variance law and the CRLB of a Gaussian mean
-(acceptance criteria 4 and 10), the LTI composition identity of Q,
-step-by-step discrete propagation, the reference for ``q_closed``
-(criterion 3), and the whole-text recording reader that the streaming
+(acceptance criteria 4 and 10), a sensor at the median of the reference
+error ranges, the LTI composition identity of Q, step-by-step discrete
+propagation, the reference for ``q_closed`` (criterion 3), and the
+whole-text recording reader that the streaming
 ``dataio.parse_recording_csv`` replaced.
 """
 
@@ -22,7 +23,12 @@ from imulab.ins_error_model import (
     phi_closed,
     q_closed,
 )
-from imulab.sensor_model import SensorRecording
+from imulab.sensor_model import (
+    MEMS_ERROR_RANGES,
+    SensorErrorParams,
+    SensorRecording,
+    _inrun_intensity,
+)
 
 _CSV_HEADER = ["t", "gx", "gy", "gz", "ax", "ay", "az"]
 
@@ -44,6 +50,20 @@ def fisher_crlb(sigma: float, n: int) -> tuple[float, float]:
         raise ValueError("n must be >= 1")
     fisher = n / sigma**2
     return fisher, 1.0 / fisher
+
+
+def median_sensor_params() -> SensorErrorParams:
+    """A single sensor pinned at the median of the reference error ranges."""
+    bg_rms = np.deg2rad(MEMS_ERROR_RANGES["gyro_bias_rms_dps"][1])
+    ba_rms = MEMS_ERROR_RANGES["accel_bias_rms"][1]
+    return SensorErrorParams(
+        bias_gyro=np.full(3, bg_rms),  # equal split -> 3-axis RMS == bg_rms
+        bias_accel=np.full(3, ba_rms),
+        sigma_gyro=np.deg2rad(MEMS_ERROR_RANGES["gyro_noise_rms_dps"][1]),
+        sigma_accel=MEMS_ERROR_RANGES["accel_noise_rms"][1],
+        sigma_gyro_bias=_inrun_intensity(bg_rms),
+        sigma_accel_bias=_inrun_intensity(ba_rms),
+    )
 
 
 def semigroup_check(

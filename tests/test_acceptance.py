@@ -27,11 +27,10 @@ from imulab.ins_error_model import (
 )
 from imulab.sensor_model import (
     draw_sensor_params,
-    median_sensor_params,
     residuals,
     simulate_array,
 )
-from oracles import fisher_crlb, propagate_discrete, variance_of_mean
+from oracles import fisher_crlb, median_sensor_params, propagate_discrete, variance_of_mean
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str) -> None:

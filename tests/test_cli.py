@@ -371,16 +371,20 @@ class TestEstimate:
                                                          monkeypatch):
         from imulab import dataio
 
-        def out_of_memory(text):
+        def out_of_memory(*args, **kwargs):
             raise MemoryError("Unable to allocate 728. TiB")
 
-        monkeypatch.setattr(dataio, "_read_rows", out_of_memory)
-        capsys.readouterr()
-        assert main(["estimate", "--config", str(simulated)]) == 3
         path = tmp_path / "out" / "recordings" / "sensor_00.csv"
-        assert capsys.readouterr().err.startswith(
-            f"data error: sensor_00: {path} does not fit in memory: Unable to allocate")
-        assert not (tmp_path / "out" / "quality.json").exists()
+        # Out of memory reading the rows, or building the recording from them.
+        for stage in ("_read_rows", "SensorRecording"):
+            with monkeypatch.context() as patch:
+                patch.setattr(dataio, stage, out_of_memory)
+                capsys.readouterr()
+                assert main(["estimate", "--config", str(simulated)]) == 3, stage
+                assert capsys.readouterr().err.startswith(
+                    f"data error: sensor_00: {path} does not fit in memory: "
+                    "Unable to allocate"), stage
+            assert not (tmp_path / "out" / "quality.json").exists()
 
     def test_duplicate_sensor_id_exits_3(self, tmp_path, simulated, capsys):
         manifest = tmp_path / "out" / "recordings" / "manifest.json"

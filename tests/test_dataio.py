@@ -223,6 +223,18 @@ _READER_CASES = {
     "six_columns": _HEADER + "0,1,2,3,4,5\n0.5,1,2,3,4,5\n",
     "eight_columns": _HEADER + "0,1,2,3,4,5,6,7\n0.5,1,2,3,4,5,6,7\n",
     "non_monotone_time": _HEADER + "0,1,2,3,4,5,6\n0.5,1,2,3,4,5,6\n0.25,1,2,3,4,5,6\n",
+    # Two faults, or a fault past the stream's first chunk: the file's first
+    # fault in the whole-text order is named.
+    "bad_cell_then_invalid_utf8": (
+        _HEADER + "0,1,x,3,4,5,6\n" + _LONG_ROWS[:_LONG_ROWS.index("\n", 40_000) + 1]
+    ).encode() + b"500,0,0,\xff,0,0,0\n",
+    "bad_header_then_invalid_utf8": b"t,gx,gy,gz,ax,ay,bz\n0,1,2,3,4,5,6\n0.5,\xff,2,3,4,5,6\n",
+    "invalid_utf8_in_header": b"t,gx,g\xff,gz,ax,ay,az\n" + _ROWS.encode(),
+    "body_only_cr": _HEADER + "\r",
+    "body_only_spaces": _HEADER + "   \n",
+    "nan_past_first_chunk": _HEADER + _LONG_ROWS + "500,1,nan,3,4,5,6\n",
+    "eight_then_six_columns": _HEADER + "0,1,2,3,4,5,6,7\n0.5,1,2,3,4,5\n",
+    "crlf_header_only": _HEADER.replace("\n", "\r\n"),
 }
 
 

@@ -72,3 +72,23 @@ def test_every_imported_name_is_used_or_exported(module_name):
     }
     unused = imported - used - exported
     assert not unused, f"{module_name}.py imports and never uses {sorted(unused)}"
+
+
+@pytest.mark.parametrize("module_name", SUBMODULES)
+def test_every_private_module_name_is_loaded(module_name):
+    """A module-level ``_name`` (function, class or constant) is a helper of
+    its own module, so one that the module never loads was left behind by a
+    deletion."""
+    tree = ast.parse((PACKAGE_DIR / f"{module_name}.py").read_text())
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(t.id for t in targets if isinstance(t, ast.Name))
+    private = {n for n in defined if n.startswith("_") and not n.startswith("__")}
+    loaded = {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unused = private - loaded
+    assert not unused, f"{module_name}.py defines and never loads {sorted(unused)}"

@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
-"""Print the SHA-256 of every output of one benchmark workload.
+"""Print the SHA-256 of every output of one benchmark workload, or of all.
 
 Runs simulate -> estimate -> propagate -> report in this process, through
 ``imulab.cli.main``, with the config files that ``perfbench/workloads.py``
 writes for the workload, and prints one JSON object mapping each output
-file (relative to ``--out``) to its SHA-256. Two checkouts produce the same
-outputs exactly when their objects are equal:
+file (relative to ``--out``) to its SHA-256. With ``--workload all`` each
+workload runs in ``--out/<workload>`` and the object maps each workload's
+name to its own object. Two checkouts produce the same outputs exactly when
+their objects are equal:
 
-    PYTHONPATH=src python3 scripts/output_sha256.py --workload paper --seed 7 --out runs/sha
+    PYTHONPATH=src python3 scripts/output_sha256.py --workload all --seed 7 --out runs/sha
 
-``--out`` must be empty or absent; the outputs stay there.
+``--out`` (for ``all``, each ``--out/<workload>``) must be empty or absent;
+the outputs stay there.
 """
 
 import argparse
@@ -52,14 +55,24 @@ def output_sha256(workload, seed: int, out_dir: Path) -> dict[str, str]:
     }
 
 
+def all_output_sha256(workloads, seed: int, out_dir: Path) -> dict[str, dict[str, str]]:
+    """{workload name: ``output_sha256`` of it in ``out_dir/<name>``} for each
+    of ``workloads``, in order."""
+    return {w.name: output_sha256(w, seed, out_dir / w.name) for w in workloads}
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
+    parser.add_argument("--workload", required=True, choices=[*sorted(WORKLOADS), "all"])
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args()
+    out = args.out.resolve()
     try:
-        digests = output_sha256(WORKLOADS[args.workload], args.seed, args.out.resolve())
+        if args.workload == "all":
+            digests = all_output_sha256(WORKLOADS.values(), args.seed, out)
+        else:
+            digests = output_sha256(WORKLOADS[args.workload], args.seed, out)
     except RuntimeError as exc:
         sys.exit(f"output_sha256: {exc}")
     print(json.dumps(digests, indent=2))

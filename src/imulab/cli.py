@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -30,11 +30,13 @@ from .dataio import (
     ConfigError,
     DataError,
     SensorStats,
+    check_finite,
     dataset_summary,
     is_finite,
     load_manifest,
     parse_recording_csv,
     read_json,
+    read_recording_rows,
     read_recording_stats,
     recording_stats,
     recording_stats_key,
@@ -76,10 +78,10 @@ EXIT_NUMERIC = 4
 # its output directory and only read by ``propagate`` and ``report``.
 STATS_FILE = "recording_stats.json"
 
-# What a stage returns: its outputs as pending writes, in the order ``main``
-# runs them once the stage has computed them all, and the line ``main``
-# prints after the last.
-Stage = tuple[list[Callable[[], object]], str]
+# What a stage returns: its outputs as pending writes, each a ``partial`` of
+# a writer and its payload, in the order ``main`` runs them once the stage
+# has computed them all, and the line ``main`` prints after the last.
+Stage = tuple[list[partial], str]
 
 
 def _is_int(value) -> bool:
@@ -228,11 +230,16 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> ExperimentCo
 
 
 def _load_array(manifest_path: Path, manifest: ArrayManifest) -> ArrayRecording:
-    """Parse all recordings named by a manifest into one aligned array."""
+    """Parse all recordings named by a manifest into one aligned array.
+
+    ``read_recording_rows`` reads their rows, in worker processes for a large
+    manifest; each recording is then parsed here from its rows, in manifest
+    order, so the first recording at fault is named as in a serial read.
+    """
+    files = [(manifest_path.parent / rel, sensor_id) for sensor_id, rel in manifest.sensor_files]
     recs = [
-        parse_recording_csv(manifest_path.parent / rel, sensor_id,
-                            manifest.rate_hz, manifest.gyro_units)
-        for sensor_id, rel in manifest.sensor_files
+        parse_recording_csv(path, sensor_id, manifest.rate_hz, manifest.gyro_units, rows=rows)
+        for (path, sensor_id), rows in zip(files, read_recording_rows(files))
     ]
     try:
         return ArrayRecording(tuple(recs))
@@ -748,8 +755,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand and return its exit code.
 
-    The stage computes every output first; only then are its writes run, in
-    order, and its line printed.
+    The stage computes every output first. Every pending write's payload is
+    then checked by ``check_finite``, so a stage that computed a nan or inf
+    writes nothing; only then are its writes run, in order, and its line
+    printed.
     """
     parser = build_parser()
     try:
@@ -758,6 +767,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
         writes, done = args.func(load_config(args.config, args))
+        for write in writes:
+            check_finite(write.args)
         for write in writes:
             write()
     except (np.linalg.LinAlgError, FloatingPointError) as exc:

@@ -17,6 +17,7 @@ converted to rad/s on reading, in this module only.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import itertools
 import json
 import math
@@ -24,9 +25,8 @@ import os
 import sys
 import threading
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,6 +45,7 @@ __all__ = [
     "load_manifest",
     "write_manifest",
     "parse_recording_csv",
+    "read_recording_rows",
     "write_recording_csv",
     "write_array",
     "recording_stats",
@@ -52,6 +53,7 @@ __all__ = [
     "read_recording_stats",
     "write_recording_stats",
     "dataset_summary",
+    "check_finite",
     "write_report",
 ]
 
@@ -73,7 +75,7 @@ class ConfigError(ValueError):
     """Invalid manifest or configuration."""
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ArrayManifest:
     rate_hz: float
     sensor_files: tuple[tuple[str, str], ...]
@@ -181,21 +183,24 @@ def parse_recording_csv(
     sensor_id: str,
     rate_hz: float,
     gyro_units: str = "rad/s",
+    rows: np.ndarray | None = None,
 ) -> SensorRecording:
     """Parse the UTF-8 sensor CSV at ``path`` into an SI recording.
 
-    The file is opened once and read as a stream of lines; only a file at
-    fault is read again, whole, to name the fault (``_recording_rows``).
-    Gyro columns are converted from the declared units. Blank lines are
-    skipped. A path that cannot be read or is not UTF-8, a recording that
-    does not fit in memory, a malformed line or a ``nan`` or ``inf`` value,
-    and a time base that ``SensorRecording`` rejects are each a
-    ``DataError`` naming the sensor, and the path or line where there is one.
+    ``rows`` are the file's rows as ``read_recording_rows`` read them;
+    without them the file is read here, opened once and read as a stream of
+    lines; only a file at fault is read again, whole, to name the fault
+    (``_recording_rows``). Gyro columns are converted from the declared
+    units. Blank lines are skipped. A path that cannot be read or is not
+    UTF-8, a recording that does not fit in memory, a malformed line or a
+    ``nan`` or ``inf`` value, and a time base that ``SensorRecording``
+    rejects are each a ``DataError`` naming the sensor, and the path or line
+    where there is one.
     """
     if gyro_units not in _GYRO_UNITS:
         raise ConfigError(f"unknown gyro units {gyro_units!r}")
     try:
-        arr = _recording_rows(path, sensor_id)
+        arr = _recording_rows(path, sensor_id) if rows is None else rows
         gyro = arr[:, 1:4]
         if gyro_units == "deg/s":
             gyro = np.deg2rad(gyro)
@@ -206,8 +211,51 @@ def parse_recording_csv(
         except ValueError as exc:
             raise DataError(f"{sensor_id}: {exc}") from exc
     except MemoryError as exc:
-        raise DataError(f"{sensor_id}: {path} does not fit in memory: "
-                        f"{str(exc) or 'MemoryError'}") from exc
+        raise _beyond_memory(sensor_id, path, exc) from exc
+
+
+def _beyond_memory(sensor_id: str, path, exc: MemoryError) -> DataError:
+    return DataError(f"{sensor_id}: {path} does not fit in memory: "
+                     f"{str(exc) or 'MemoryError'}")
+
+
+def read_recording_rows(
+    files: Sequence[tuple[str | os.PathLike, str]]
+) -> list[np.ndarray | None]:
+    """The rows of each recording ``(path, sensor_id)`` of ``files``, in
+    order, for ``parse_recording_csv``.
+
+    When ``_fork_workers`` gives a pool for the files' values (their sizes
+    over ``_BYTES_PER_VALUE``), ``_fork_map`` reads the recordings with
+    ``_recording_rows`` in worker processes and a recording at fault gets
+    None; otherwise every recording gets None. A recording with None is read
+    by ``parse_recording_csv`` itself, so the first recording at fault is
+    named as it is when they are read one after another. Running out of
+    memory, or a worker that dies, is a ``DataError`` naming the recording.
+    """
+    size = 0
+    for path, _ in files:
+        with contextlib.suppress(OSError):  # an unreadable file gets None
+            size += os.path.getsize(path)
+    workers = _fork_workers(len(files), size // _BYTES_PER_VALUE)
+    if not workers:
+        return [None] * len(files)
+    rows = []
+    try:
+        for result in _fork_map(_rows_or_none, files, workers):
+            rows.append(result)
+    except MemoryError as exc:
+        path, sensor_id = files[len(rows)]
+        raise _beyond_memory(sensor_id, path, exc) from exc
+    return rows
+
+
+def _rows_or_none(path, sensor_id: str) -> np.ndarray | None:
+    """``_recording_rows``, or None for a recording at fault."""
+    try:
+        return _recording_rows(path, sensor_id)
+    except DataError:
+        return None
 
 
 def _recording_rows(path, sensor_id: str) -> np.ndarray:
@@ -304,30 +352,27 @@ def write_array(
     """Write per-sensor SI CSVs plus a manifest declaring rad/s and m/s2;
     returns the manifest path.
 
-    Each recording is one ``write_recording_csv`` call. When the array holds
-    at least two recordings and ``_POOL_MIN_VALUES`` values, and this process
-    may run on at least two CPUs, can ``fork`` and runs no other thread, the
-    calls run in a pool of up to one forked worker process per CPU that lives
-    for this call only; otherwise they run here, one after another. Either
-    way every file has the same bytes and is written whole by
-    ``write_report``. A manifest already in ``out_dir`` is removed before the
-    first recording is written, and the new one is written only after every
-    recording is; if one fails, its error is raised and there is no
-    manifest, so no manifest lists recordings of two runs. Running out of
-    memory is a ``ConfigError`` naming ``out_dir`` and the sample count.
+    Each recording is one ``write_recording_csv`` call, run by
+    ``_fork_map``: in forked worker processes when ``_fork_workers`` gives a
+    pool for the array's values, else here, one after another. Either way
+    every file has the same bytes and is written whole by ``write_report``.
+    A manifest already in ``out_dir`` is removed before the first recording
+    is written, and the new one is written only after every recording is;
+    if one fails, its error is raised and there is no manifest, so no
+    manifest lists recordings of two runs. Running out of memory, or a
+    worker that dies, is a ``ConfigError`` naming ``out_dir`` and the sample
+    count.
     """
     out = Path(out_dir)
     files = [(rec.sensor_id, f"{rec.sensor_id}.csv") for rec in array.recordings]
     manifest_path = out / "manifest.json"
     write_report(None, "json", manifest_path)  # removes it
+    values = array.n_sensors * array.n_samples * len(_CSV_HEADER)
     try:
-        with _recording_map(array) as map_:
-            # list() waits for every write and raises the first failure. The
-            # pool maps this module's own global, never a name that ``cli``
-            # imported: perfbench's tracer wraps ``cli``'s imports, and a
-            # wrapped alias cannot be pickled (pickle finds the original
-            # under its name).
-            list(map_(write_recording_csv, array.recordings, [out / rel for _, rel in files]))
+        # list() waits for every write and raises the first failure.
+        list(_fork_map(write_recording_csv,
+                       [(rec, out / rel) for rec, (_, rel) in zip(array.recordings, files)],
+                       _fork_workers(array.n_sensors, values)))
     except MemoryError as exc:
         raise ConfigError(f"{out}: recordings of {array.n_samples} samples per sensor "
                           f"do not fit in memory: {str(exc) or 'MemoryError'}") from exc
@@ -338,43 +383,115 @@ def write_array(
     return manifest_path
 
 
-# Fewest recording values (sensors x samples x 7 columns) that ``write_array``
-# writes in worker processes: about 90 ms of ``repr`` (65 ms per 7e4 values),
-# against 12-22 ms to start and stop a two-worker pool.
+# Fewest recording values (sensors x samples x 7 columns) that ``_fork_map``
+# hands to worker processes. Measured on 2 CPUs (Python 3.11, numpy 2.4): a
+# value takes about 1.2 us to write and 0.44 us to parse, forking two
+# workers and joining them about 10 ms, and receiving a parsed recording of
+# 7e4 values about 2 ms. So at 1e5 values two workers save about 50 ms of
+# writes and 10 ms of parses.
 _POOL_MIN_VALUES = 100_000
+# Bytes per value of a recording that ``write_recording_csv`` wrote: a
+# shortest round-trip float and its comma, 18.6 bytes in the benchmark's
+# seed-7 recordings.
+_BYTES_PER_VALUE = 19
 
 
-@contextlib.contextmanager
-def _recording_map(array: ArrayRecording):
-    """The ``map`` that ``write_array`` writes ``array``'s recordings with.
+def _fork_workers(n_items: int, n_values: int) -> int:
+    """How many worker processes ``_fork_map`` forks for ``n_items`` items
+    of ``n_values`` recording values in all, or 0 to run them here.
 
-    A forked process pool's ``map`` when the array is big enough to pay for
-    the pool, more than one CPU and ``fork`` are available and this process
-    runs no other Python thread (a lock such a thread held would stay held in
-    the children); else the builtin. The pool is shut down, its workers
-    joined, on leaving the block.
+    One per CPU this process may run on, at most one per item; 0 when that
+    is fewer than two, when there are fewer than ``_POOL_MIN_VALUES`` values
+    to pay for the workers, when ``fork`` is not available, or when this
+    process runs another Python thread (a lock such a thread held would stay
+    held in the children).
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, array.n_sensors)
-    values = array.n_sensors * array.n_samples * len(_CSV_HEADER)
-    if (workers < 2 or values < _POOL_MIN_VALUES or not hasattr(os, "fork")
+    workers = min(cpus, n_items)
+    if (workers < 2 or n_values < _POOL_MIN_VALUES or not hasattr(os, "fork")
             or threading.active_count() > 1):
-        yield map
-        return
-    # Deferred: both are slow to import, and only a large array needs them.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+        return 0
+    return workers
 
-    # fork, not spawn: a spawned worker imports numpy and the package afresh,
-    # 0.3-0.6 s for a two-worker pool on 2 CPUs, more than the pool saves.
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        try:
-            yield pool.map
-        except BrokenProcessPool as exc:
-            # A worker that dies without raising, as the out-of-memory killer
-            # leaves it, breaks the pool.
-            raise MemoryError(f"a writer process died: {exc}") from exc
+
+def _fork_map(fn, args: Sequence[tuple], workers: int) -> Iterator:
+    """``fn(*a)`` for each ``a`` of ``args``, yielded in order.
+
+    With fewer than two ``workers`` the calls run here. Otherwise this forks
+    ``workers`` processes for this call only; worker w inherits ``fn`` and
+    ``args`` (nothing is pickled) and calls ``args[w]``, ``args[w +
+    workers]``, ... in order, sending each result, or the exception it
+    raised, over its own pipe (``_fork_worker``). A result is yielded, or
+    its exception raised, in order; a worker that dies is a ``MemoryError``,
+    as the out-of-memory killer leaves it. On leaving, every pipe is closed,
+    so a worker still sending stops, and every worker is joined.
+    """
+    if workers < 2:
+        yield from itertools.starmap(fn, args)
+        return
+    # Deferred: slow to import, and only a large call needs it. fork, not
+    # spawn: a spawned worker imports numpy and the package afresh, 0.3-0.6 s
+    # for two workers on 2 CPUs, more than they save.
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    receivers, procs = [], []
+    try:
+        for w in range(workers):
+            receiver, sender = context.Pipe(duplex=False)
+            receivers.append(receiver)
+            proc = context.Process(target=_fork_worker,
+                                   args=(fn, args[w::workers], sender, receivers))
+            try:
+                proc.start()
+            finally:
+                sender.close()  # the worker holds the only sending end
+            procs.append(proc)
+        for j in range(len(args)):
+            yield _receive(receivers[j % workers])
+    finally:
+        for receiver in receivers:
+            receiver.close()
+        for proc in procs:
+            proc.join()
+
+
+def _fork_worker(fn, args: Sequence[tuple], sender, receivers) -> None:
+    """In a forked worker: send ``fn(*a)``, or the exception it raises, for
+    each ``a`` of ``args``, in order; an array as its shape and type, then
+    its bytes. Stops when the main process has closed its end of the pipe.
+    """
+    for receiver in receivers:
+        receiver.close()  # inherited receiving ends: only the main process's stay open
+    try:
+        for a in args:
+            try:
+                result = fn(*a)
+            except Exception as exc:
+                sender.send(("raise", exc))
+                continue
+            if isinstance(result, np.ndarray):
+                sender.send(("array", (result.shape, result.dtype.str)))
+                sender.send_bytes(np.ascontiguousarray(result))
+            else:
+                sender.send(("value", result))
+    except OSError:
+        pass  # the main process stopped reading
+
+
+def _receive(receiver):
+    """The next result that ``_fork_worker`` sends over ``receiver``, or the
+    exception it sent raised; an array is received into one allocated here."""
+    try:
+        kind, payload = receiver.recv()
+        if kind == "array":
+            payload = np.empty(*payload)
+            receiver.recv_bytes_into(payload.reshape(-1))
+    except EOFError as exc:
+        raise MemoryError("a worker process died") from exc
+    if kind == "raise":
+        raise payload
+    return payload
 
 
 def recording_stats(array: ArrayRecording, gravity: GravityModel) -> list[SensorStats]:
@@ -504,19 +621,39 @@ def dataset_summary(stats: Sequence[SensorStats]) -> dict:
 _NON_FINITE = "reports must not contain non-finite values"
 
 
+def check_finite(payload) -> None:
+    """Raise ``write_report``'s ``ValueError`` if ``payload`` holds a nan or
+    inf float.
+
+    It looks into arrays, numpy scalars, mappings, lists, tuples and the
+    fields of dataclasses, and converts nothing.
+    """
+    if isinstance(payload, np.ndarray):
+        if payload.dtype == object:
+            check_finite(payload.tolist())
+        elif payload.dtype.kind == "f" and not np.isfinite(payload).all():
+            raise ValueError(_NON_FINITE)
+    elif isinstance(payload, np.generic):
+        check_finite(payload.item())
+    elif isinstance(payload, float):
+        if not math.isfinite(payload):
+            raise ValueError(_NON_FINITE)
+    elif isinstance(payload, Mapping):
+        for value in payload.values():
+            check_finite(value)
+    elif isinstance(payload, (list, tuple)):
+        for value in payload:
+            check_finite(value)
+    elif dataclasses.is_dataclass(payload):
+        for f in dataclasses.fields(payload):
+            check_finite(getattr(payload, f.name))
+
+
 def _jsonable(obj):
     if isinstance(obj, np.ndarray):
-        if obj.dtype == object:
-            return _jsonable(obj.tolist())
-        if obj.dtype.kind == "f" and not np.isfinite(obj).all():
-            raise ValueError(_NON_FINITE)
-        return obj.tolist()
+        return _jsonable(obj.tolist()) if obj.dtype == object else obj.tolist()
     if isinstance(obj, np.generic):
         return _jsonable(obj.item())
-    if isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise ValueError(_NON_FINITE)
-        return obj
     if isinstance(obj, Mapping):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -551,6 +688,7 @@ def write_report(report, fmt: str, dest: str | os.PathLike) -> None:
         except OSError as exc:
             raise ConfigError(f"cannot remove {path}: {exc.strerror or exc}") from exc
         return
+    check_finite(report)
     payload = _jsonable(report)
     if fmt == "json":
         text = json.dumps(payload, indent=2) + "\n"

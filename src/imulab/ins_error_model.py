@@ -215,13 +215,20 @@ def q_closed(sys: SystemMatrices, spectra: NoiseSpectra, tau) -> np.ndarray:
     return q
 
 
+# Taus per block of ``q_numeric_oracle``'s Simpson terms: two (128, 15, 15)
+# float64 stacks, 0.23 MB each.
+_SIMPSON_CHUNK = 128
+
+
 def q_numeric_oracle(
     sys: SystemMatrices, spectra: NoiseSpectra, tau: float, steps: int = 2000
 ) -> np.ndarray:
     """Composite-Simpson quadrature of the Q(tau) integral.
 
     Independent of :func:`q_closed` except for sharing the exact transition
-    matrix; converges at fourth order in the step size.
+    matrix; converges at fourth order in the step size. The terms are made
+    and summed ``_SIMPSON_CHUNK`` taus at a time, in index order, so the
+    memory it takes does not grow with ``steps``.
     """
     if tau < 0:
         raise ValueError("tau must be >= 0")
@@ -234,13 +241,18 @@ def q_numeric_oracle(
     s_diag = np.repeat([spectra.s_a, spectra.s_g, spectra.s_ab, spectra.s_gb], 3)
     gsg = sys.G @ np.diag(s_diag) @ sys.G.T
     h = tau / steps
-    phi = phi_closed(sys, np.arange(steps + 1) * h)
-    terms = phi @ gsg @ phi.transpose(0, 2, 1)
     weights = np.where(np.arange(steps + 1) % 2, 4.0, 2.0)
     weights[[0, -1]] = 1.0
-    terms *= weights[:, None, None]
-    # A running sum adds the terms in index order, as a loop would.
-    acc = np.cumsum(terms, axis=0, out=terms)[-1]
+    acc = np.zeros((15, 15))
+    for start in range(0, steps + 1, _SIMPSON_CHUNK):
+        index = np.arange(start, min(start + _SIMPSON_CHUNK, steps + 1))
+        phi = phi_closed(sys, index * h)
+        terms = phi @ gsg @ phi.transpose(0, 2, 1)
+        terms *= weights[index, None, None]
+        # A running sum carried over the chunks adds the terms in index
+        # order, as a loop would.
+        terms[0] += acc
+        acc = np.cumsum(terms, axis=0, out=terms)[-1]
     q = acc * (h / 3.0)
     return 0.5 * (q + q.T)
 

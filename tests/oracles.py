@@ -4,7 +4,8 @@ No pipeline stage calls these, so they live beside the tests rather than in
 the package: the sigma^2/(N*K) variance law and the CRLB of a Gaussian mean
 (acceptance criteria 4 and 10), a sensor at the median of the reference
 error ranges, the LTI composition identity of Q, step-by-step discrete
-propagation, the reference for ``q_closed`` (criterion 3), and the
+propagation, the reference for ``q_closed`` (criterion 3), the whole-array
+Simpson quadrature that the chunked ``q_numeric_oracle`` replaced, and the
 whole-text recording reader that the streaming
 ``dataio.parse_recording_csv`` replaced.
 """
@@ -120,6 +121,33 @@ def propagate_discrete(
         states[k] = x
         covs[k] = p
     return states, covs
+
+
+def whole_array_q_numeric_oracle(
+    sys: SystemMatrices, spectra: NoiseSpectra, tau: float, steps: int = 2000
+) -> np.ndarray:
+    """``ins_error_model.q_numeric_oracle`` as it was before it summed in
+    chunks: every Simpson term in one (steps + 1, 15, 15) stack, then one
+    running sum over it. Its result is the reference for the chunked sum."""
+    if tau < 0:
+        raise ValueError("tau must be >= 0")
+    if steps < 100:
+        raise ValueError("steps must be >= 100")
+    if tau == 0:
+        return np.zeros((15, 15))
+    if steps % 2:
+        steps += 1
+    s_diag = np.repeat([spectra.s_a, spectra.s_g, spectra.s_ab, spectra.s_gb], 3)
+    gsg = sys.G @ np.diag(s_diag) @ sys.G.T
+    h = tau / steps
+    phi = phi_closed(sys, np.arange(steps + 1) * h)
+    terms = phi @ gsg @ phi.transpose(0, 2, 1)
+    weights = np.where(np.arange(steps + 1) % 2, 4.0, 2.0)
+    weights[[0, -1]] = 1.0
+    terms *= weights[:, None, None]
+    acc = np.cumsum(terms, axis=0, out=terms)[-1]
+    q = acc * (h / 3.0)
+    return 0.5 * (q + q.T)
 
 
 def whole_text_parse_recording(

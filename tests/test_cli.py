@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import io
 import json
 import multiprocessing
@@ -7,17 +8,18 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from imulab import dataio
+from imulab import cli, dataio
 from imulab.cli import ExperimentConfig, _prefix_means, build_parser, load_config, main
 from imulab.dataio import ConfigError, write_recording_csv
 from imulab.estimation import bias_score
 from imulab.ins_error_model import q_coefficient_audit
-from imulab.sensor_model import GravityModel
+from imulab.sensor_model import ArrayRecording, GravityModel
 
 
 def _dir_bytes(root: Path) -> dict:
@@ -203,8 +205,50 @@ def test_cli_import_leaves_scipy_stats_unloaded(modules_after_cli_import):
 
 
 def test_cli_import_leaves_process_pools_unloaded(modules_after_cli_import):
-    """``write_array`` imports them only for an array it writes in a pool."""
+    """``dataio`` imports them only for recordings it writes or reads in a pool."""
     assert not {"multiprocessing", "concurrent.futures"} & modules_after_cli_import
+
+
+def _poison_last_payload(writes: list) -> None:
+    """Put a nan into the payload of the last of a stage's pending writes:
+    into simulate's array, the last recording's last gyro sample; into a
+    report, an extra key."""
+    last = writes[-1]
+    payload = last.args[0]
+    if isinstance(payload, ArrayRecording):
+        rec = payload.recordings[-1]
+        gyro = rec.gyro.copy()
+        gyro[-1, 0] = np.nan
+        payload = ArrayRecording(
+            payload.recordings[:-1] + (dataclasses.replace(rec, gyro=gyro),))
+    else:
+        payload = {**payload, "injected": float("nan")}
+    writes[-1] = partial(last.func, payload, *last.args[1:])
+
+
+@pytest.mark.parametrize("stage", ["simulate", "estimate", "propagate", "report"])
+def test_non_finite_last_payload_leaves_output_dir_as_found(tmp_path, capsys, monkeypatch,
+                                                            stage):
+    """``main`` checks every pending payload before the first write, so a
+    nan in a stage's last payload fails the stage with ``write_report``'s
+    message and exit code, and the stage writes and removes nothing."""
+    stages = ["simulate", "estimate", "propagate", "report"]
+    cfg = _write_config(tmp_path)
+    for earlier in stages[:stages.index(stage)]:
+        assert main([earlier, "--config", str(cfg)]) == 0
+    before = _dir_bytes(tmp_path)
+    command = getattr(cli, f"cmd_{stage}")
+
+    def poisoned(config):
+        writes, done = command(config)
+        _poison_last_payload(writes)
+        return writes, done
+
+    monkeypatch.setattr(cli, f"cmd_{stage}", poisoned)
+    capsys.readouterr()
+    assert main([stage, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "config error: reports must not contain non-finite values\n"
+    assert _dir_bytes(tmp_path) == before
 
 
 class TestSimulate:
@@ -367,24 +411,57 @@ class TestEstimate:
             assert main([cmd, "--config", str(cfg)]) == 3, cmd
             assert f"data error: sensor_02: line 6: {problem}" in capsys.readouterr().err
 
-    def test_recording_beyond_memory_exits_3_naming_it(self, tmp_path, simulated, capsys,
-                                                         monkeypatch):
+    def test_recording_beyond_memory_exits_3_naming_it(self, tmp_path, capsys, monkeypatch):
         from imulab import dataio
 
         def out_of_memory(*args, **kwargs):
             raise MemoryError("Unable to allocate 728. TiB")
 
         path = tmp_path / "out" / "recordings" / "sensor_00.csv"
-        # Out of memory reading the rows, or building the recording from them.
-        for stage in ("_read_rows", "SensorRecording"):
-            with monkeypatch.context() as patch:
-                patch.setattr(dataio, stage, out_of_memory)
-                capsys.readouterr()
-                assert main(["estimate", "--config", str(simulated)]) == 3, stage
-                assert capsys.readouterr().err.startswith(
-                    f"data error: sensor_00: {path} does not fit in memory: "
-                    "Unable to allocate"), stage
-            assert not (tmp_path / "out" / "quality.json").exists()
+        # 4 x 1000 x 7 values are read here, 4 x 4000 x 7 in worker processes
+        # when there are two CPUs.
+        for duration_s in (10.0, 40.0):
+            cfg = _write_config(tmp_path, duration_s=duration_s)
+            assert main(["simulate", "--config", str(cfg)]) == 0
+            # Out of memory reading the rows, or building the recording from them.
+            for stage in ("_read_rows", "SensorRecording"):
+                with monkeypatch.context() as patch:
+                    patch.setattr(dataio, stage, out_of_memory)
+                    capsys.readouterr()
+                    assert main(["estimate", "--config", str(cfg)]) == 3, stage
+                    assert capsys.readouterr().err.startswith(
+                        f"data error: sensor_00: {path} does not fit in memory: "
+                        "Unable to allocate"), stage
+                assert not (tmp_path / "out" / "quality.json").exists()
+            assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                        reason="the pool needs two usable CPUs")
+    def test_dead_reader_exits_3_leaving_no_child(self, tmp_path, capsys, monkeypatch):
+        """A reader worker that dies, as one killed for memory does, fails
+        the stage as running out of memory does, naming the recording it
+        was reading. The other worker, left sending a recording larger than
+        a pipe holds, stops, and both are reaped."""
+        cfg = _write_config(tmp_path, duration_s=40.0)  # 4 x 4000 x 7 values: pooled
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        test_pid = os.getpid()
+        read_rows = dataio._recording_rows
+
+        def dying_reader(path, sensor_id):
+            assert os.getpid() != test_pid, "expected to run in a worker process"
+            if sensor_id == "sensor_01":  # the second worker's first recording
+                os._exit(1)
+            return read_rows(path, sensor_id)
+
+        monkeypatch.setattr(dataio, "_recording_rows", dying_reader)
+        assert main(["estimate", "--config", str(cfg)]) == 3
+        path = tmp_path / "out" / "recordings" / "sensor_01.csv"
+        assert capsys.readouterr().err == (
+            f"data error: sensor_01: {path} does not fit in memory: a worker process died\n")
+        assert not (tmp_path / "out" / "quality.json").exists()
+        assert multiprocessing.active_children() == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_duplicate_sensor_id_exits_3(self, tmp_path, simulated, capsys):
         manifest = tmp_path / "out" / "recordings" / "manifest.json"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -20,6 +21,7 @@ from imulab.dataio import (
     dataset_summary,
     load_manifest,
     parse_recording_csv,
+    read_recording_rows,
     read_recording_stats,
     recording_stats,
     recording_stats_key,
@@ -423,6 +425,117 @@ class TestRoundTrips:
         write_report(summary, "json", dest)
         raw = json.loads(dest.read_text())
         assert raw == summary
+
+
+_TWO_CPUS = pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="the pool needs two usable CPUs")
+
+
+_recording_rows = dataio._recording_rows
+
+
+def _rows_noting_pid(path, sensor_id):
+    """``_recording_rows``, then the reading process's id into ``<path>.pid``."""
+    rows = _recording_rows(path, sensor_id)
+    Path(f"{path}.pid").write_text(str(os.getpid()))
+    return rows
+
+
+class TestPooledReads:
+    """``read_recording_rows`` reads a large manifest's recordings in forked
+    workers; ``_load_array`` then parses them in manifest order."""
+
+    @pytest.fixture
+    def pooled(self, tmp_path, gravity):
+        """A manifest of five recordings, 5 x 4000 x 7 values: read in the pool."""
+        arr = simulate_array(draw_sensor_params(5, 3), gravity, 40.0, 100.0, seed=3)
+        return write_array(arr, tmp_path / "rec", gravity)
+
+    @staticmethod
+    def _files(manifest_path):
+        manifest = load_manifest(manifest_path)
+        return [(manifest_path.parent / rel, sid) for sid, rel in manifest.sensor_files]
+
+    @staticmethod
+    def _serial(manifest_path):
+        """Each recording parsed from its file, one after another: the
+        arrays, or the first ``DataError`` message."""
+        manifest = load_manifest(manifest_path)
+        try:
+            return [parse_recording_csv(manifest_path.parent / rel, sid, manifest.rate_hz,
+                                        manifest.gyro_units)
+                    for sid, rel in manifest.sensor_files]
+        except DataError as exc:
+            return str(exc)
+
+    @_TWO_CPUS
+    @pytest.mark.parametrize("units", ["rad/s", "deg/s"])
+    def test_pooled_reads_match_serial_reads(self, pooled, units):
+        if units == "deg/s":
+            write_manifest(dataclasses.replace(load_manifest(pooled), gyro_units=units), pooled)
+        rows = read_recording_rows(self._files(pooled))
+        assert all(isinstance(r, np.ndarray) for r in rows)  # read in the pool
+        assert multiprocessing.active_children() == []
+        back = _load_array(pooled, load_manifest(pooled))
+        for a, b in zip(self._serial(pooled), back.recordings):
+            assert a.sensor_id == b.sensor_id
+            for name in ("t", "gyro", "accel"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+    @pytest.mark.parametrize("faults", [
+        {0: "cell"}, {2: "cell"}, {4: "cell"}, {1: "time", 3: "cell"}, {1: "cell", 3: "time"},
+        {2: "utf8", 4: "header"}, {0: "columns", 1: "utf8"},
+    ], ids=["first", "middle", "last", "time_then_cell", "cell_then_time",
+            "utf8_then_header", "columns_then_utf8"])
+    def test_first_faulty_recording_is_named_as_in_a_serial_read(self, pooled, faults):
+        for index, (path, _) in enumerate(self._files(pooled)):
+            if index not in faults:
+                continue
+            lines = path.read_bytes().split(b"\n")
+            if faults[index] == "cell":
+                lines[6] = lines[6].replace(b",", b",x", 1)
+            elif faults[index] == "time":
+                lines[9] = lines[8]
+            elif faults[index] == "utf8":
+                lines[3000] += b"\xff"
+            elif faults[index] == "header":
+                lines[0] = b"t,gx,gy,gz,ax,ay"
+            else:
+                lines[40] += b",0"
+            path.write_bytes(b"\n".join(lines))
+        want = self._serial(pooled)
+        assert isinstance(want, str) and want.startswith(f"sensor_0{min(faults)}: ")
+        with pytest.raises(DataError) as exc_info:
+            _load_array(pooled, load_manifest(pooled))
+        assert str(exc_info.value) == want
+        assert multiprocessing.active_children() == []
+
+    @_TWO_CPUS
+    def test_only_large_manifests_are_read_in_worker_processes(
+        self, tmp_path, gravity, pooled, monkeypatch
+    ):
+        monkeypatch.setattr(dataio, "_recording_rows", _rows_noting_pid)
+
+        def reader_pids(manifest_path):
+            _load_array(manifest_path, load_manifest(manifest_path))
+            pids = list(manifest_path.parent.glob("*.pid"))
+            assert len(pids) == 5
+            return {int(p.read_text()) for p in pids}
+
+        small = write_array(simulate_array(draw_sensor_params(5, 3), gravity, 1.0, 100.0,
+                                           seed=3), tmp_path / "small", gravity)
+        assert reader_pids(small) == {os.getpid()}
+        assert os.getpid() not in reader_pids(pooled)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, daemon=True)
+        other.start()
+        try:
+            assert reader_pids(pooled) == {os.getpid()}
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
 
 
 class TestRecordingStatsFile:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from imulab import ins_error_model
 from imulab.ins_error_model import (
     IDX_BA,
     NoiseSpectra,
@@ -15,7 +16,8 @@ from imulab.ins_error_model import (
     q_coefficient_audit,
     q_numeric_oracle,
 )
-from oracles import propagate_discrete, semigroup_check
+from imulab.sensor_model import GravityModel
+from oracles import propagate_discrete, semigroup_check, whole_array_q_numeric_oracle
 
 taus = st.floats(0.0, 50.0, allow_nan=False)
 
@@ -151,6 +153,23 @@ class TestQNumericOracle:
         spectra = NoiseSpectra(s_a=4.9e-7, s_g=3.3e-9, s_ab=3.3e-6, s_gb=1.4e-7)
         want = simpson_loop(sys_m, spectra, tau, steps)
         assert np.array_equal(q_numeric_oracle(sys_m, spectra, tau, steps), want)
+
+    # 48 cases: three gravities x four taus x four step counts. 101 is odd
+    # (rounded up to 102); 254 and 256 leave a last chunk of 127 nodes and
+    # of one node.
+    @pytest.mark.parametrize("g", [0.0, 9.81, 24.79])
+    @pytest.mark.parametrize("tau", [0.05, 1.0, 10.0, 250.0])
+    @pytest.mark.parametrize("steps", [101, 254, 256, 2000])
+    def test_chunked_sum_matches_whole_array_sum(self, g, tau, steps):
+        sys_g = build_system(GravityModel(g))
+        spectra = NoiseSpectra(s_a=4.9e-7, s_g=3.3e-9, s_ab=3.3e-6, s_gb=1.4e-7)
+        want = whole_array_q_numeric_oracle(sys_g, spectra, tau, steps)
+        assert np.array_equal(q_numeric_oracle(sys_g, spectra, tau, steps), want)
+
+    def test_audit_matches_whole_array_audit(self, gravity, monkeypatch):
+        audit = q_coefficient_audit(gravity)
+        monkeypatch.setattr(ins_error_model, "q_numeric_oracle", whole_array_q_numeric_oracle)
+        assert q_coefficient_audit(gravity) == audit
 
 
 class TestSemigroupCheck:

@@ -18,7 +18,8 @@ def test_run_full_experiment_prints_digest(tmp_path, capsys):
     assert (tmp_path / "report.json").exists()
 
 
-def test_output_sha256_repeats(tmp_path, monkeypatch):
+def _sha_script(monkeypatch):
+    """``perfbench/workloads.py`` and ``scripts/output_sha256.py``, loaded."""
     # The script puts perfbench/ on sys.path and imports its workloads module;
     # both are undone after the test.
     monkeypatch.setattr(sys, "path", list(sys.path))
@@ -29,9 +30,23 @@ def test_output_sha256_repeats(tmp_path, monkeypatch):
     spec = importlib.util.spec_from_file_location("output_sha256", SHA_SCRIPT)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return workloads, script
 
+
+def test_output_sha256_repeats(tmp_path, monkeypatch):
+    workloads, script = _sha_script(monkeypatch)
     workload = workloads.WORKLOADS["wide_manifest"].tiny()
     first = script.output_sha256(workload, 7, tmp_path / "a")
     assert first == script.output_sha256(workload, 7, tmp_path / "b")
     assert set(first) == set(workload.expected_outputs()) | {"run/recording_stats.json"}
     assert first != script.output_sha256(workload, 8, tmp_path / "c")
+
+
+def test_all_output_sha256_keys_each_workload(tmp_path, monkeypatch):
+    workloads, script = _sha_script(monkeypatch)
+    tiny = [w.tiny() for w in workloads.WORKLOADS.values()]
+    digests = script.all_output_sha256(tiny, 7, tmp_path / "all")
+    assert list(digests) == list(workloads.WORKLOADS)
+    for workload in tiny:
+        assert digests[workload.name] == script.output_sha256(
+            workload, 7, tmp_path / "one" / workload.name)

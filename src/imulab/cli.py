@@ -232,14 +232,14 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> ExperimentCo
 def _load_array(manifest_path: Path, manifest: ArrayManifest) -> ArrayRecording:
     """Parse all recordings named by a manifest into one aligned array.
 
-    ``read_recording_rows`` reads their rows, in worker processes for a large
-    manifest; each recording is then parsed here from its rows, in manifest
-    order, so the first recording at fault is named as in a serial read.
+    ``read_recording_rows`` reads and checks their rows, in worker processes
+    for a large manifest, and raises the first recording's fault in manifest
+    order; each recording is then built here from its checked rows.
     """
     files = [(manifest_path.parent / rel, sensor_id) for sensor_id, rel in manifest.sensor_files]
     recs = [
         parse_recording_csv(path, sensor_id, manifest.rate_hz, manifest.gyro_units, rows=rows)
-        for (path, sensor_id), rows in zip(files, read_recording_rows(files))
+        for (path, sensor_id), rows in zip(files, read_recording_rows(files, manifest.rate_hz))
     ]
     try:
         return ArrayRecording(tuple(recs))
@@ -643,11 +643,13 @@ def cmd_report(config: ExperimentConfig) -> Stage:
     gravity = _model_gravity(config, manifest)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         audit = q_coefficient_audit(gravity)
-    if not _all_finite(audit):
+    try:
+        check_finite(audit)
+    except ValueError as exc:
         raise _input_fault(
             config, "gravity_mps2",
             f"{gravity.g_magnitude:g} m/s2 overflows the Q-coefficient audit",
-        )
+        ) from exc
     summary = None
     if manifest is not None:
         summary = dataset_summary(_recording_stats(manifest_path, manifest, out))
@@ -693,7 +695,11 @@ def _read_product(path: Path, has_fields):
     if not path.exists():
         return None
     product = read_json(path)
-    if not (has_fields(product) and _all_finite(product)):
+    try:
+        check_finite(product)
+    except ValueError:
+        product = None  # judged as a missing field
+    if not has_fields(product):
         raise DataError(f"{path}: missing, non-numeric or non-finite product field")
     return product
 
@@ -715,15 +721,6 @@ def _has_ratio_fields(ratios) -> bool:
     return isinstance(unc, list) and all(
         isinstance(row, list) and all(map(is_finite, row)) for row in unc
     )
-
-
-def _all_finite(obj) -> bool:
-    """Whether every float in nested dicts and lists ``is_finite``."""
-    if isinstance(obj, dict):
-        return all(map(_all_finite, obj.values()))
-    if isinstance(obj, list):
-        return all(map(_all_finite, obj))
-    return not isinstance(obj, float) or is_finite(obj)
 
 
 def build_parser() -> argparse.ArgumentParser:

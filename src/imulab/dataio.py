@@ -187,10 +187,10 @@ def parse_recording_csv(
 ) -> SensorRecording:
     """Parse the UTF-8 sensor CSV at ``path`` into an SI recording.
 
-    ``rows`` are the file's rows as ``read_recording_rows`` read them;
-    without them the file is read here, opened once and read as a stream of
-    lines; only a file at fault is read again, whole, to name the fault
-    (``_recording_rows``). Gyro columns are converted from the declared
+    ``rows`` are the file's checked rows as ``read_recording_rows`` read
+    them; without them the file is read here, opened once and read as a
+    stream of lines; only a file at fault is read again, whole, to name the
+    fault (``_recording_rows``). Gyro columns are converted from the declared
     units. Blank lines are skipped. A path that cannot be read or is not
     UTF-8, a recording that does not fit in memory, a malformed line or a
     ``nan`` or ``inf`` value, and a time base that ``SensorRecording``
@@ -220,29 +220,26 @@ def _beyond_memory(sensor_id: str, path, exc: MemoryError) -> DataError:
 
 
 def read_recording_rows(
-    files: Sequence[tuple[str | os.PathLike, str]]
-) -> list[np.ndarray | None]:
-    """The rows of each recording ``(path, sensor_id)`` of ``files``, in
-    order, for ``parse_recording_csv``.
+    files: Sequence[tuple[str | os.PathLike, str]], rate_hz: float
+) -> list[np.ndarray]:
+    """The checked rows of each recording ``(path, sensor_id)`` of ``files``
+    sampled at ``rate_hz``, in order, for ``parse_recording_csv``.
 
-    When ``_fork_workers`` gives a pool for the files' values (their sizes
-    over ``_BYTES_PER_VALUE``), ``_fork_map`` reads the recordings with
-    ``_recording_rows`` in worker processes and a recording at fault gets
-    None; otherwise every recording gets None. A recording with None is read
-    by ``parse_recording_csv`` itself, so the first recording at fault is
-    named as it is when they are read one after another. Running out of
-    memory, or a worker that dies, is a ``DataError`` naming the recording.
+    One ``_checked_rows`` call per recording, run by ``_fork_map`` for the
+    files' values (their sizes over ``_BYTES_PER_VALUE``): in worker
+    processes or here, one after another. Either way the first recording at
+    fault raises the ``DataError`` that reading them one after another
+    raises. Running out of memory, or a worker that dies, is a ``DataError``
+    naming the recording.
     """
     size = 0
     for path, _ in files:
-        with contextlib.suppress(OSError):  # an unreadable file gets None
+        with contextlib.suppress(OSError):  # its read names the fault
             size += os.path.getsize(path)
-    workers = _fork_workers(len(files), size // _BYTES_PER_VALUE)
-    if not workers:
-        return [None] * len(files)
     rows = []
     try:
-        for result in _fork_map(_rows_or_none, files, workers):
+        for result in _fork_map(_checked_rows, [(path, sid, rate_hz) for path, sid in files],
+                                size // _BYTES_PER_VALUE):
             rows.append(result)
     except MemoryError as exc:
         path, sensor_id = files[len(rows)]
@@ -250,12 +247,12 @@ def read_recording_rows(
     return rows
 
 
-def _rows_or_none(path, sensor_id: str) -> np.ndarray | None:
-    """``_recording_rows``, or None for a recording at fault."""
-    try:
-        return _recording_rows(path, sensor_id)
-    except DataError:
-        return None
+def _checked_rows(path, sensor_id: str, rate_hz: float) -> np.ndarray:
+    """``_recording_rows`` of a recording whose time base
+    ``parse_recording_csv`` accepts, or the ``DataError`` it raises."""
+    rows = _recording_rows(path, sensor_id)
+    parse_recording_csv(path, sensor_id, rate_hz, rows=rows)
+    return rows
 
 
 def _recording_rows(path, sensor_id: str) -> np.ndarray:
@@ -353,8 +350,8 @@ def write_array(
     returns the manifest path.
 
     Each recording is one ``write_recording_csv`` call, run by
-    ``_fork_map``: in forked worker processes when ``_fork_workers`` gives a
-    pool for the array's values, else here, one after another. Either way
+    ``_fork_map`` for the array's values: in forked worker processes or
+    here, one after another. Either way
     every file has the same bytes and is written whole by ``write_report``.
     A manifest already in ``out_dir`` is removed before the first recording
     is written, and the new one is written only after every recording is;
@@ -367,12 +364,11 @@ def write_array(
     files = [(rec.sensor_id, f"{rec.sensor_id}.csv") for rec in array.recordings]
     manifest_path = out / "manifest.json"
     write_report(None, "json", manifest_path)  # removes it
-    values = array.n_sensors * array.n_samples * len(_CSV_HEADER)
     try:
         # list() waits for every write and raises the first failure.
         list(_fork_map(write_recording_csv,
                        [(rec, out / rel) for rec, (_, rel) in zip(array.recordings, files)],
-                       _fork_workers(array.n_sensors, values)))
+                       array.n_sensors * array.n_samples * len(_CSV_HEADER)))
     except MemoryError as exc:
         raise ConfigError(f"{out}: recordings of {array.n_samples} samples per sensor "
                           f"do not fit in memory: {str(exc) or 'MemoryError'}") from exc
@@ -396,64 +392,64 @@ _POOL_MIN_VALUES = 100_000
 _BYTES_PER_VALUE = 19
 
 
-def _fork_workers(n_items: int, n_values: int) -> int:
-    """How many worker processes ``_fork_map`` forks for ``n_items`` items
-    of ``n_values`` recording values in all, or 0 to run them here.
+def _fork_map(fn, args: Sequence[tuple], n_values: int) -> Iterator:
+    """``fn(*a)`` for each ``a`` of ``args``, ``n_values`` recording values
+    in all, yielded in order; the one place that decides where they run.
 
-    One per CPU this process may run on, at most one per item; 0 when that
-    is fewer than two, when there are fewer than ``_POOL_MIN_VALUES`` values
-    to pay for the workers, when ``fork`` is not available, or when this
-    process runs another Python thread (a lock such a thread held would stay
-    held in the children).
+    They run in forked worker processes, one per CPU this process may run
+    on and at most one per item, when that is at least two, there are at
+    least ``_POOL_MIN_VALUES`` values to pay for the workers, ``fork`` is
+    available, and this process runs no other Python thread (a lock such a
+    thread held would stay held in the children). The workers live for this
+    call only; worker w inherits ``fn`` and ``args`` (nothing is pickled)
+    and calls ``args[w]``, ``args[w + workers]``, ... in order, sending each
+    result, or the exception it raised, over its own pipe (``_fork_worker``).
+    A result is yielded, or its exception raised, in order; a worker that
+    dies is a ``MemoryError``, as the out-of-memory killer leaves it. On
+    leaving, every pipe is closed, so a worker still sending stops, and
+    every worker is joined.
+
+    Otherwise, and when the system refuses a pipe or a fork, the calls run
+    here, one after another; after a refusal, only once the workers already
+    forked are joined. So each call must be one that may run twice.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, n_items)
+    workers = min(cpus, len(args))
     if (workers < 2 or n_values < _POOL_MIN_VALUES or not hasattr(os, "fork")
             or threading.active_count() > 1):
-        return 0
-    return workers
-
-
-def _fork_map(fn, args: Sequence[tuple], workers: int) -> Iterator:
-    """``fn(*a)`` for each ``a`` of ``args``, yielded in order.
-
-    With fewer than two ``workers`` the calls run here. Otherwise this forks
-    ``workers`` processes for this call only; worker w inherits ``fn`` and
-    ``args`` (nothing is pickled) and calls ``args[w]``, ``args[w +
-    workers]``, ... in order, sending each result, or the exception it
-    raised, over its own pipe (``_fork_worker``). A result is yielded, or
-    its exception raised, in order; a worker that dies is a ``MemoryError``,
-    as the out-of-memory killer leaves it. On leaving, every pipe is closed,
-    so a worker still sending stops, and every worker is joined.
-    """
-    if workers < 2:
-        yield from itertools.starmap(fn, args)
-        return
-    # Deferred: slow to import, and only a large call needs it. fork, not
-    # spawn: a spawned worker imports numpy and the package afresh, 0.3-0.6 s
-    # for two workers on 2 CPUs, more than they save.
-    import multiprocessing
-
-    context = multiprocessing.get_context("fork")
+        workers = 0
     receivers, procs = [], []
     try:
-        for w in range(workers):
-            receiver, sender = context.Pipe(duplex=False)
-            receivers.append(receiver)
-            proc = context.Process(target=_fork_worker,
-                                   args=(fn, args[w::workers], sender, receivers))
+        if workers:
+            # Deferred: slow to import, and only a large call needs it. fork,
+            # not spawn: a spawned worker imports numpy and the package
+            # afresh, 0.3-0.6 s for two workers on 2 CPUs, more than they save.
+            import multiprocessing
+
+            context = multiprocessing.get_context("fork")
             try:
-                proc.start()
-            finally:
-                sender.close()  # the worker holds the only sending end
-            procs.append(proc)
-        for j in range(len(args)):
-            yield _receive(receivers[j % workers])
+                for w in range(workers):
+                    receiver, sender = context.Pipe(duplex=False)
+                    receivers.append(receiver)
+                    proc = context.Process(target=_fork_worker,
+                                           args=(fn, args[w::workers], sender, receivers))
+                    try:
+                        proc.start()
+                    finally:
+                        sender.close()  # the worker holds the only sending end
+                    procs.append(proc)
+            except OSError:  # EAGAIN, ENOMEM, EMFILE: no process or pipe to spare
+                workers = 0
+            else:
+                for j in range(len(args)):
+                    yield _receive(receivers[j % workers])
     finally:
         for receiver in receivers:
             receiver.close()
         for proc in procs:
             proc.join()
+    if not workers:
+        yield from itertools.starmap(fn, args)
 
 
 def _fork_worker(fn, args: Sequence[tuple], sender, receivers) -> None:

@@ -1,9 +1,11 @@
 import argparse
 import dataclasses
+import errno
 import io
 import json
 import multiprocessing
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -249,6 +251,45 @@ def test_non_finite_last_payload_leaves_output_dir_as_found(tmp_path, capsys, mo
     assert main([stage, "--config", str(cfg)]) == 2
     assert capsys.readouterr().err == "config error: reports must not contain non-finite values\n"
     assert _dir_bytes(tmp_path) == before
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="the pool needs two usable CPUs")
+@pytest.mark.parametrize("refused", [1, 2], ids=["first_fork", "second_fork"])
+def test_refused_fork_runs_the_jobs_in_process(tmp_path, monkeypatch, refused):
+    """When the system refuses a fork (EAGAIN), the fork map joins the
+    workers it already forked and runs every call in-process: simulate
+    through report exit 0 with the bytes of a run without refusals, and
+    leave no live child."""
+    cfg = _write_config(tmp_path, duration_s=40.0)  # 4 x 4000 x 7 values: pooled
+    out = tmp_path / "out"
+
+    def pipeline() -> dict:
+        for stage in ("simulate", "estimate", "propagate", "report"):
+            assert main([stage, "--config", str(cfg)]) == 0, stage
+        assert multiprocessing.active_children() == []
+        return _dir_bytes(out)
+
+    want = pipeline()
+    shutil.rmtree(out)
+    fork, fork_map = os.fork, dataio._fork_map
+    forks, refusals = [], []
+
+    def refusing_fork():
+        forks.append(None)
+        if len(forks) == refused:
+            refusals.append(None)
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+
+    def map_counting_forks(*args):
+        forks.clear()
+        return fork_map(*args)
+
+    monkeypatch.setattr(os, "fork", refusing_fork)
+    monkeypatch.setattr(dataio, "_fork_map", map_counting_forks)
+    assert pipeline() == want
+    assert len(refusals) == 2  # simulate's writes and estimate's reads
 
 
 class TestSimulate:

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import json
 import multiprocessing
@@ -442,6 +443,27 @@ def _rows_noting_pid(path, sensor_id):
     return rows
 
 
+def _rows_noting_opens(path, sensor_id):
+    """``_recording_rows``, after appending the reading process's id to ``<path>.opens``."""
+    with open(f"{path}.opens", "a", encoding="utf-8") as fh:
+        fh.write(f"{os.getpid()}\n")
+    return _recording_rows(path, sensor_id)
+
+
+@contextlib.contextmanager
+def _other_thread():
+    """Another live thread for the block, so ``_fork_map`` runs its calls here."""
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, daemon=True)
+    other.start()
+    try:
+        yield
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+
+
 class TestPooledReads:
     """``read_recording_rows`` reads a large manifest's recordings in forked
     workers; ``_load_array`` then parses them in manifest order."""
@@ -474,7 +496,7 @@ class TestPooledReads:
     def test_pooled_reads_match_serial_reads(self, pooled, units):
         if units == "deg/s":
             write_manifest(dataclasses.replace(load_manifest(pooled), gyro_units=units), pooled)
-        rows = read_recording_rows(self._files(pooled))
+        rows = read_recording_rows(self._files(pooled), 100.0)
         assert all(isinstance(r, np.ndarray) for r in rows)  # read in the pool
         assert multiprocessing.active_children() == []
         back = _load_array(pooled, load_manifest(pooled))
@@ -509,6 +531,31 @@ class TestPooledReads:
         with pytest.raises(DataError) as exc_info:
             _load_array(pooled, load_manifest(pooled))
         assert str(exc_info.value) == want
+        assert multiprocessing.active_children() == []
+
+    # The same faults, read in-process: the time-base fault before a bad cell
+    # pins ``_checked_rows``'s time-base check in both modes.
+    _faults = test_first_faulty_recording_is_named_as_in_a_serial_read.pytestmark[0]
+
+    @pytest.mark.parametrize(*_faults.args, **_faults.kwargs)
+    def test_first_faulty_recording_is_named_as_in_a_serial_read_in_process(
+        self, pooled, faults
+    ):
+        with _other_thread():
+            self.test_first_faulty_recording_is_named_as_in_a_serial_read(pooled, faults)
+
+    @_TWO_CPUS
+    def test_faulty_recording_is_read_once(self, pooled, monkeypatch):
+        """A worker names the fault; the main process does not read the file again."""
+        monkeypatch.setattr(dataio, "_recording_rows", _rows_noting_opens)
+        path = pooled.parent / "sensor_02.csv"
+        lines = path.read_bytes().split(b"\n")
+        lines[6] = lines[6].replace(b",", b",x", 1)
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(DataError, match="^sensor_02: line 7: "):
+            _load_array(pooled, load_manifest(pooled))
+        readers = Path(f"{path}.opens").read_text().split()
+        assert len(readers) == 1 and int(readers[0]) != os.getpid()
         assert multiprocessing.active_children() == []
 
     @_TWO_CPUS

@@ -33,6 +33,7 @@ from .dataio import (
     check_finite,
     dataset_summary,
     is_finite,
+    _fork_map,
     load_manifest,
     parse_recording_csv,
     read_json,
@@ -40,6 +41,7 @@ from .dataio import (
     read_recording_stats,
     recording_stats,
     recording_stats_key,
+    render_report,
     write_array,
     write_recording_stats,
     write_report,
@@ -336,58 +338,22 @@ def cmd_estimate(config: ExperimentConfig) -> Stage:
     manifest_path, manifest = recordings
     k_grid = _k_grid(config, len(manifest.sensor_files))
     key = recording_stats_key(manifest_path, manifest)
-    array = _load_array(manifest_path, manifest)
-    gravity = GravityModel(manifest.gravity_mps2)
-    stats = recording_stats(array, gravity)
+    stats, scores, t, rate_hz, means = _worst_first_means(manifest_path, manifest, k_grid)
     out, fmt = Path(config.out_dir), config.fmt
-
-    scores = sort_by_quality({s.sensor_id: s.bias for s in stats})
     writes = [
         partial(write_recording_stats, out / STATS_FILE, key, stats),
         partial(write_report, {"order_worst_first": [sid for sid, _ in scores],
                                "scores": {sid: s for sid, s in scores}},
                 "json", out / "quality.json"),
     ]
-    by_id = {r.sensor_id: r for r in array.recordings}
-    ordered = [by_id[sid] for sid, _ in scores]
-
-    n = array.n_samples
-    worst_first = (residuals(r, gravity) for r in ordered)
-
+    n = t.size
+    jobs = [(avg, t, rate_hz, fmt) for avg in means]
+    products = _per_k_products(_estimate_products, jobs, 6 * n * len(k_grid),
+                               out, f"{n} samples")
     cells_gyro, cells_accel = {}, {}
-    for k, avg in _prefix_means(worst_first, k_grid, n):  # avg: (N, 6)
-        gyro, accel = avg[:, :3], avg[:, 3:]
-        gyro_cal = gyro - gyro.mean(axis=0)
-        accel_cal = accel - accel.mean(axis=0)
-
-        series = {
-            "t": ordered[0].t,
-            "gyro_raw_rms_dps": np.rad2deg(np.sqrt((gyro**2).mean(axis=1))),
-            "accel_raw_rms": np.sqrt((accel**2).mean(axis=1)),
-            "gyro_cal_rms_dps": np.rad2deg(np.sqrt((gyro_cal**2).mean(axis=1))),
-            "accel_cal_rms": np.sqrt((accel_cal**2).mean(axis=1)),
-        }
-        writes.append(partial(write_report, series, fmt, out / f"series_K{k}.{fmt}"))
-        writes.append(partial(write_report, _kde_table(gyro, gyro_cal, accel, accel_cal),
-                              fmt, out / f"kde_K{k}.{fmt}"))
-
-        # Growing-window noise-density profile with CRLB reference lines.
-        prof_g = running_std_profile(gyro_cal.mean(axis=1, keepdims=True))
-        prof_a = running_std_profile(accel_cal.mean(axis=1, keepdims=True))
-        sg = float(gyro_cal.mean(axis=1).std(ddof=1))
-        sa = float(accel_cal.mean(axis=1).std(ddof=1))
-        ends = prof_g.window_ends
-        profile = {
-            "window_end_s": ends / array.rate_hz,
-            "gyro_std_dps": np.rad2deg(prof_g.std_estimates),
-            "accel_std": prof_a.std_estimates,
-            "gyro_crlb_sqrt_dps": np.rad2deg(sg / np.sqrt(ends)),
-            "accel_crlb_sqrt": sa / np.sqrt(ends),
-        }
-        writes.append(partial(write_report, profile, fmt, out / f"running_std_K{k}.{fmt}"))
-
-        cells_gyro[k] = float(np.rad2deg(_axis_rms_std(gyro_cal)))
-        cells_accel[k] = _axis_rms_std(accel_cal)
+    for k, (*texts, cells_gyro[k], cells_accel[k]) in zip(k_grid, products):
+        for stem, text in zip(("series", "kde", "running_std"), texts):
+            writes.append(partial(write_report, text, fmt, out / f"{stem}_K{k}.{fmt}"))
 
     evaluation = {
         "n_samples": n,
@@ -397,6 +363,82 @@ def cmd_estimate(config: ExperimentConfig) -> Stage:
     }
     writes.append(partial(write_report, evaluation, "json", out / "evaluation_matrix.json"))
     return writes, f"estimation products written to {out}"
+
+
+def _per_k_products(fn, jobs: list[tuple], n_values: int, out: Path, size: str) -> list:
+    """``fn(*job)`` for each ``k_grid`` entry's job, in k order, run by
+    ``_fork_map`` for ``n_values`` values: in worker processes or here.
+
+    The first job's exception is raised. Running out of memory, or a worker
+    that dies, is a ``ConfigError`` naming ``out`` and the ``size`` of the
+    products.
+    """
+    try:
+        return list(_fork_map(fn, jobs, n_values))
+    except MemoryError as exc:
+        raise ConfigError(f"{out}: products of {size} do not fit in memory: "
+                          f"{str(exc) or 'MemoryError'}") from exc
+
+
+def _estimate_products(
+    avg: np.ndarray, t: np.ndarray, rate_hz: float, fmt: str
+) -> tuple[str, str, str, float, float]:
+    """One ``k_grid`` entry's products from its (N, 6) k-averaged residuals
+    ``avg`` at times ``t``: the series, KDE and running-std tables rendered
+    in ``fmt``, then the gyro (deg/s) and accel t0 cells."""
+    gyro, accel = avg[:, :3], avg[:, 3:]
+    gyro_cal = gyro - gyro.mean(axis=0)
+    accel_cal = accel - accel.mean(axis=0)
+
+    series = {
+        "t": t,
+        "gyro_raw_rms_dps": np.rad2deg(np.sqrt((gyro**2).mean(axis=1))),
+        "accel_raw_rms": np.sqrt((accel**2).mean(axis=1)),
+        "gyro_cal_rms_dps": np.rad2deg(np.sqrt((gyro_cal**2).mean(axis=1))),
+        "accel_cal_rms": np.sqrt((accel_cal**2).mean(axis=1)),
+    }
+
+    # Growing-window noise-density profile with CRLB reference lines.
+    prof_g = running_std_profile(gyro_cal.mean(axis=1, keepdims=True))
+    prof_a = running_std_profile(accel_cal.mean(axis=1, keepdims=True))
+    sg = float(gyro_cal.mean(axis=1).std(ddof=1))
+    sa = float(accel_cal.mean(axis=1).std(ddof=1))
+    ends = prof_g.window_ends
+    profile = {
+        "window_end_s": ends / rate_hz,
+        "gyro_std_dps": np.rad2deg(prof_g.std_estimates),
+        "accel_std": prof_a.std_estimates,
+        "gyro_crlb_sqrt_dps": np.rad2deg(sg / np.sqrt(ends)),
+        "accel_crlb_sqrt": sa / np.sqrt(ends),
+    }
+    return (
+        render_report(series, fmt),
+        render_report(_kde_table(gyro, gyro_cal, accel, accel_cal), fmt),
+        render_report(profile, fmt),
+        float(np.rad2deg(_axis_rms_std(gyro_cal))),
+        _axis_rms_std(accel_cal),
+    )
+
+
+def _worst_first_means(
+    manifest_path: Path, manifest: ArrayManifest, k_grid: list[int]
+) -> tuple[list[SensorStats], list[tuple[str, float]], np.ndarray, float, list[np.ndarray]]:
+    """What ``estimate`` takes from a manifest's recordings: their stats in
+    manifest order, their ``sort_by_quality`` scores (worst first), a copy of
+    the worst sensor's time base, their rate, and for each k of ``k_grid`` the (N, 6)
+    mean residuals of the first k sensors, worst first.
+
+    The recordings themselves are dropped on return, so they take no memory
+    while the per-k products are computed and rendered.
+    """
+    array = _load_array(manifest_path, manifest)
+    gravity = GravityModel(manifest.gravity_mps2)
+    stats = recording_stats(array, gravity)
+    scores = sort_by_quality({s.sensor_id: s.bias for s in stats})
+    by_id = {r.sensor_id: r for r in array.recordings}
+    worst_first = (residuals(by_id[sid], gravity) for sid, _ in scores)
+    means = [avg for _, avg in _prefix_means(worst_first, k_grid, array.n_samples)]
+    return stats, scores, by_id[scores[0][0]].t.copy(), array.rate_hz, means
 
 
 def _prefix_means(
@@ -471,26 +513,15 @@ def cmd_propagate(config: ExperimentConfig) -> Stage:
     sys_m = build_system(gravity)
     tau_f = float(taus[-1])
 
+    jobs = [(config, gravity, sys_m, np.mean(biases[:k], axis=0),
+             spectra_pool.scaled(1.0 / k), taus, fmt) for k in k_grid]
+    products = _per_k_products(_propagation_products, jobs, 20 * taus.size * len(k_grid),
+                               out, f"{taus.size} taus")
     results = {}
-    for k in k_grid:
-        bias = np.mean(biases[:k], axis=0)
-        spectra = spectra_pool.scaled(1.0 / k)
-        mean_traj, unc_traj, p_f, dp_f = _trajectories(sys_m, bias, spectra, taus)
-        finite = np.isfinite(mean_traj).all(axis=1) & np.isfinite(unc_traj).all(axis=1)
-        if not finite.all():
-            raise _overflow_error(config, gravity, bias, spectra, taus[~finite][0])
-        writes.append(partial(write_report, {"tau": taus, **_kinematic_columns(mean_traj)},
-                              fmt, out / f"mean_error_K{k}.{fmt}"))
-        writes.append(partial(write_report, {"tau": taus, **_kinematic_columns(unc_traj)},
-                              fmt, out / f"uncertainty_K{k}.{fmt}"))
-        ell = ellipsoid_from_cov(p_f, dp_f)  # taus is sorted: both are at tau_f
-        writes.append(partial(
-            write_report,
-            {"tau": tau_f, "centroid": ell.centroid,
-             "semi_axes": ell.semi_axes, "orientation": ell.orientation},
-            "json", out / f"ellipsoid_K{k}.json",
-        ))
-        results[k] = (mean_traj[-1], unc_traj[-1])
+    for k, (*texts, results[k]) in zip(k_grid, products):
+        for (stem, ext), text in zip((("mean_error", fmt), ("uncertainty", fmt),
+                                      ("ellipsoid", "json")), texts):
+            writes.append(partial(write_report, text, ext, out / f"{stem}_K{k}.{ext}"))
 
     k_lo, k_hi = k_grid[0], k_grid[-1]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -527,6 +558,28 @@ def _trajectories(
         mean_traj = np.abs(np.concatenate([dp, dv, eps], axis=1))
         unc_traj = np.sqrt(np.diagonal(q, axis1=1, axis2=2)[:, :9])
     return mean_traj, unc_traj, q[-1, IDX_P, IDX_P], dp[-1]
+
+
+def _propagation_products(
+    config: ExperimentConfig, gravity: GravityModel, sys_m, bias: np.ndarray,
+    spectra: NoiseSpectra, taus: np.ndarray, fmt: str,
+) -> tuple[str, str, str, tuple[np.ndarray, np.ndarray]]:
+    """One ``k_grid`` entry's products from its six-axis bias and noise: the
+    mean-error and uncertainty tables rendered in ``fmt`` and the ellipsoid
+    at the last of the sorted ``taus`` in JSON, then the last rows of both
+    tables. Propagated errors that overflow are ``_overflow_error``."""
+    mean_traj, unc_traj, p_f, dp_f = _trajectories(sys_m, bias, spectra, taus)
+    finite = np.isfinite(mean_traj).all(axis=1) & np.isfinite(unc_traj).all(axis=1)
+    if not finite.all():
+        raise _overflow_error(config, gravity, bias, spectra, taus[~finite][0])
+    ell = ellipsoid_from_cov(p_f, dp_f)  # taus is sorted: both are at its last
+    return (
+        render_report({"tau": taus, **_kinematic_columns(mean_traj)}, fmt),
+        render_report({"tau": taus, **_kinematic_columns(unc_traj)}, fmt),
+        render_report({"tau": float(taus[-1]), "centroid": ell.centroid,
+                       "semi_axes": ell.semi_axes, "orientation": ell.orientation}, "json"),
+        (mean_traj[-1], unc_traj[-1]),
+    )
 
 
 def _overflow_error(
@@ -752,10 +805,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand and return its exit code.
 
-    The stage computes every output first. Every pending write's payload is
-    then checked by ``check_finite``, so a stage that computed a nan or inf
-    writes nothing; only then are its writes run, in order, and its line
-    printed.
+    The stage computes every output first. ``estimate`` and ``propagate``
+    compute and render each ``k_grid`` entry's tables in one job of
+    ``_fork_map``, in worker processes for a large stage, and ``render_report``
+    checks each table there; every job has come back before the stage
+    returns. Every pending write's payload is then checked by
+    ``check_finite``, so a stage that computed a nan or inf writes nothing;
+    only then are its writes run here, in order, and its line printed.
     """
     parser = build_parser()
     try:

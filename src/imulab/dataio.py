@@ -54,6 +54,7 @@ __all__ = [
     "write_recording_stats",
     "dataset_summary",
     "check_finite",
+    "render_report",
     "write_report",
 ]
 
@@ -379,12 +380,17 @@ def write_array(
     return manifest_path
 
 
-# Fewest recording values (sensors x samples x 7 columns) that ``_fork_map``
-# hands to worker processes. Measured on 2 CPUs (Python 3.11, numpy 2.4): a
-# value takes about 1.2 us to write and 0.44 us to parse, forking two
-# workers and joining them about 10 ms, and receiving a parsed recording of
-# 7e4 values about 2 ms. So at 1e5 values two workers save about 50 ms of
-# writes and 10 ms of parses.
+# Fewest values that ``_fork_map`` hands to worker processes: recording
+# values (sensors x samples x 7 columns) for recording jobs, 6 per sample
+# for ``estimate``'s per-k jobs and 20 per tau for ``propagate``'s. Measured
+# on 2 CPUs (Python 3.11, numpy 2.4): a recording value takes about 1.2 us
+# to write and 0.44 us to parse, and a per-k value about 1.0 us to compute
+# and render in ``estimate`` (N = 1e4) and 0.8 us in ``propagate`` (2001
+# taus). Forking two workers and reaping them takes about 5 ms, receiving a
+# parsed recording of 7e4 values about 2 ms, and receiving a rendered table
+# about 4 ms per MB (``estimate``'s series: 27 bytes per value). So at 1e5
+# values two workers save about 50 ms of writes, 10 ms of parses or 35 ms
+# of per-k work.
 _POOL_MIN_VALUES = 100_000
 # Bytes per value of a recording that ``write_recording_csv`` wrote: a
 # shortest round-trip float and its comma, 18.6 bytes in the benchmark's
@@ -393,8 +399,9 @@ _BYTES_PER_VALUE = 19
 
 
 def _fork_map(fn, args: Sequence[tuple], n_values: int) -> Iterator:
-    """``fn(*a)`` for each ``a`` of ``args``, ``n_values`` recording values
-    in all, yielded in order; the one place that decides where they run.
+    """``fn(*a)`` for each ``a`` of ``args``, ``n_values`` values in all,
+    yielded in order; the one place that decides where they run. A job is
+    one recording to write or read, or one ``k_grid`` entry's products.
 
     They run in forked worker processes, one per CPU this process may run
     on and at most one per item, when that is at least two, there are at
@@ -403,41 +410,52 @@ def _fork_map(fn, args: Sequence[tuple], n_values: int) -> Iterator:
     thread held would stay held in the children). The workers live for this
     call only; worker w inherits ``fn`` and ``args`` (nothing is pickled)
     and calls ``args[w]``, ``args[w + workers]``, ... in order, sending each
-    result, or the exception it raised, over its own pipe (``_fork_worker``).
-    A result is yielded, or its exception raised, in order; a worker that
-    dies is a ``MemoryError``, as the out-of-memory killer leaves it. On
-    leaving, every pipe is closed, so a worker still sending stops, and
-    every worker is joined.
+    result, or the exception it raised, over its own pipe (``_fork_worker``),
+    and leaves by ``os._exit``. A result is yielded, or its exception
+    raised, in order; a worker that dies is a ``MemoryError``, as the
+    out-of-memory killer leaves it. On leaving, every pipe is closed, so a
+    worker still sending stops, and every worker is reaped.
 
     Otherwise, and when the system refuses a pipe or a fork, the calls run
     here, one after another; after a refusal, only once the workers already
-    forked are joined. So each call must be one that may run twice.
+    forked are reaped, and with the pipe of the refused fork closed. So each
+    call must be one that may run twice.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, len(args))
     if (workers < 2 or n_values < _POOL_MIN_VALUES or not hasattr(os, "fork")
             or threading.active_count() > 1):
         workers = 0
-    receivers, procs = [], []
+    receivers, pids = [], []
     try:
         if workers:
-            # Deferred: slow to import, and only a large call needs it. fork,
-            # not spawn: a spawned worker imports numpy and the package
-            # afresh, 0.3-0.6 s for two workers on 2 CPUs, more than they save.
-            import multiprocessing
+            # Deferred: only a large call needs it. A Connection frames the
+            # results over a plain pipe. fork, not spawn: a spawned worker
+            # imports numpy and the package afresh, 0.3-0.6 s for two workers
+            # on 2 CPUs, more than they save.
+            from multiprocessing.connection import Connection
 
-            context = multiprocessing.get_context("fork")
             try:
                 for w in range(workers):
-                    receiver, sender = context.Pipe(duplex=False)
-                    receivers.append(receiver)
-                    proc = context.Process(target=_fork_worker,
-                                           args=(fn, args[w::workers], sender, receivers))
+                    read_fd, write_fd = os.pipe()
                     try:
-                        proc.start()
-                    finally:
-                        sender.close()  # the worker holds the only sending end
-                    procs.append(proc)
+                        pid = os.fork()
+                    except OSError:
+                        os.close(read_fd)
+                        os.close(write_fd)
+                        raise
+                    if pid == 0:
+                        code = 1
+                        try:
+                            os.close(read_fd)
+                            _fork_worker(fn, args[w::workers], Connection(write_fd, readable=False),
+                                         receivers)
+                            code = 0
+                        finally:
+                            os._exit(code)  # runs no exit handler and flushes no parent buffer
+                    pids.append(pid)
+                    receivers.append(Connection(read_fd, writable=False))
+                    os.close(write_fd)  # the worker holds the only writing end
             except OSError:  # EAGAIN, ENOMEM, EMFILE: no process or pipe to spare
                 workers = 0
             else:
@@ -446,8 +464,8 @@ def _fork_map(fn, args: Sequence[tuple], n_values: int) -> Iterator:
     finally:
         for receiver in receivers:
             receiver.close()
-        for proc in procs:
-            proc.join()
+        for pid in pids:
+            os.waitpid(pid, 0)
     if not workers:
         yield from itertools.starmap(fn, args)
 
@@ -657,15 +675,41 @@ def _jsonable(obj):
     return obj
 
 
-def write_report(report, fmt: str, dest: str | os.PathLike) -> None:
-    """Serialize a report deterministically as JSON or a columnar CSV to the
-    path ``dest``, or remove ``dest`` if ``report`` is None.
+def render_report(report, fmt: str) -> str:
+    """A report's text as ``write_report`` writes it: deterministic JSON, or
+    a columnar CSV.
 
     JSON accepts any nesting of mappings, sequences, and arrays.
     CSV requires a flat mapping of column name -> sequence of scalars (all of
     one length); an all-empty table still produces the header line. CSV cells
     hold ``str`` of each value, for a float its ``repr`` (shortest round
-    trip), filled into one row template.
+    trip), filled into one row template. A report that holds a nan or inf
+    is ``check_finite``'s ``ValueError``.
+    """
+    if fmt not in ("csv", "json"):
+        raise ConfigError(f"unknown report format {fmt!r}")
+    check_finite(report)
+    payload = _jsonable(report)
+    if fmt == "json":
+        return json.dumps(payload, indent=2) + "\n"
+    if not isinstance(payload, dict) or not all(
+        isinstance(v, list) for v in payload.values()
+    ):
+        raise ConfigError("csv reports require a mapping of columns to sequences")
+    if len({len(v) for v in payload.values()}) > 1:
+        raise ConfigError("csv report columns must share one length")
+    columns = list(payload.values())
+    n_rows = len(columns[0]) if columns else 0
+    template = ",".join(["%s"] * len(columns)) + "\n"
+    cells = tuple(itertools.chain.from_iterable(zip(*columns)))
+    return ",".join(payload) + "\n" + (template * n_rows) % cells
+
+
+def write_report(report, fmt: str, dest: str | os.PathLike) -> None:
+    """Write a report to the path ``dest`` as ``render_report`` renders it in
+    ``fmt``, or write ``report`` as it is if it is a ``str``, text that
+    ``render_report`` already rendered; or remove ``dest`` if ``report`` is
+    None.
 
     This is the package's only file writer. ``dest`` gets its parent
     directories created, and the text is written to a temporary file beside
@@ -673,8 +717,6 @@ def write_report(report, fmt: str, dest: str | os.PathLike) -> None:
     it was. A directory that cannot be created or a file that cannot be
     written or removed is a ``ConfigError`` naming it.
     """
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"unknown report format {fmt!r}")
     path = Path(dest)
     if report is None:
         try:
@@ -684,22 +726,7 @@ def write_report(report, fmt: str, dest: str | os.PathLike) -> None:
         except OSError as exc:
             raise ConfigError(f"cannot remove {path}: {exc.strerror or exc}") from exc
         return
-    check_finite(report)
-    payload = _jsonable(report)
-    if fmt == "json":
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        if not isinstance(payload, dict) or not all(
-            isinstance(v, list) for v in payload.values()
-        ):
-            raise ConfigError("csv reports require a mapping of columns to sequences")
-        if len({len(v) for v in payload.values()}) > 1:
-            raise ConfigError("csv report columns must share one length")
-        columns = list(payload.values())
-        n_rows = len(columns[0]) if columns else 0
-        template = ",".join(["%s"] * len(columns)) + "\n"
-        cells = tuple(itertools.chain.from_iterable(zip(*columns)))
-        text = ",".join(payload) + "\n" + (template * n_rows) % cells
+    text = report if isinstance(report, str) else render_report(report, fmt)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
     except OSError as exc:

@@ -1,9 +1,9 @@
 import argparse
+import contextlib
 import dataclasses
 import errno
 import io
 import json
-import multiprocessing
 import os
 import shutil
 import subprocess
@@ -22,6 +22,7 @@ from imulab.dataio import ConfigError, write_recording_csv
 from imulab.estimation import bias_score
 from imulab.ins_error_model import q_coefficient_audit
 from imulab.sensor_model import ArrayRecording, GravityModel
+from test_dataio import _TWO_CPUS, _no_child_left, _other_thread
 
 
 def _dir_bytes(root: Path) -> dict:
@@ -253,25 +254,9 @@ def test_non_finite_last_payload_leaves_output_dir_as_found(tmp_path, capsys, mo
     assert _dir_bytes(tmp_path) == before
 
 
-@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
-                    reason="the pool needs two usable CPUs")
-@pytest.mark.parametrize("refused", [1, 2], ids=["first_fork", "second_fork"])
-def test_refused_fork_runs_the_jobs_in_process(tmp_path, monkeypatch, refused):
-    """When the system refuses a fork (EAGAIN), the fork map joins the
-    workers it already forked and runs every call in-process: simulate
-    through report exit 0 with the bytes of a run without refusals, and
-    leave no live child."""
-    cfg = _write_config(tmp_path, duration_s=40.0)  # 4 x 4000 x 7 values: pooled
-    out = tmp_path / "out"
-
-    def pipeline() -> dict:
-        for stage in ("simulate", "estimate", "propagate", "report"):
-            assert main([stage, "--config", str(cfg)]) == 0, stage
-        assert multiprocessing.active_children() == []
-        return _dir_bytes(out)
-
-    want = pipeline()
-    shutil.rmtree(out)
+def _refuse_fork(monkeypatch, refused: int) -> list:
+    """Make ``os.fork`` fail with EAGAIN on the ``refused``-th fork of each
+    ``dataio._fork_map`` call; the list returned gets one entry per refusal."""
     fork, fork_map = os.fork, dataio._fork_map
     forks, refusals = [], []
 
@@ -288,8 +273,155 @@ def test_refused_fork_runs_the_jobs_in_process(tmp_path, monkeypatch, refused):
 
     monkeypatch.setattr(os, "fork", refusing_fork)
     monkeypatch.setattr(dataio, "_fork_map", map_counting_forks)
-    assert pipeline() == want
+    return refusals
+
+
+def _pipeline(cfg: Path) -> None:
+    for stage in ("simulate", "estimate", "propagate", "report"):
+        assert main([stage, "--config", str(cfg)]) == 0, stage
+
+
+@_TWO_CPUS
+@pytest.mark.parametrize("refused", [1, 2], ids=["first_fork", "second_fork"])
+def test_refused_fork_runs_the_jobs_in_process(tmp_path, monkeypatch, refused):
+    """When the system refuses a fork (EAGAIN), the fork map reaps the
+    workers it already forked and runs every call in-process: simulate
+    through report exit 0 with the bytes of a run without refusals, and
+    leave no live child."""
+    cfg = _write_config(tmp_path, duration_s=40.0)  # 4 x 4000 x 7 values: pooled
+    out = tmp_path / "out"
+    _pipeline(cfg)
+    want = _dir_bytes(out)
+    shutil.rmtree(out)
+    refusals = _refuse_fork(monkeypatch, refused)
+    _pipeline(cfg)
+    assert _dir_bytes(out) == want
     assert len(refusals) == 2  # simulate's writes and estimate's reads
+    assert _no_child_left()
+
+
+@_TWO_CPUS
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("refused", [1, 2], ids=["first_fork", "second_fork"])
+def test_refused_fork_leaks_no_descriptor(tmp_path, monkeypatch, refused):
+    """A fork that the system refuses leaves no pipe open in this process."""
+    cfg = _write_config(tmp_path, duration_s=40.0)  # 4 x 4000 x 7 values: pooled
+    _pipeline(cfg)  # every module a stage loads is loaded before the count
+    before = len(os.listdir("/proc/self/fd"))
+    refusals = _refuse_fork(monkeypatch, refused)
+    _pipeline(cfg)
+    assert len(refusals) == 2
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
+# A tau grid of 2501 entries: with k_grid [1, 4], 2 x 2501 x 20 values, so
+# propagate's per-k jobs run in the pool.
+_DENSE_TAUS = [0.04 * i for i in range(2501)]
+
+
+# The job that computes one k's products, by stage.
+_PER_K_JOB = {"estimate": "_estimate_products", "propagate": "_propagation_products"}
+
+
+def _noting_pid(fn, pids: Path):
+    """``fn``, after appending the calling process's id to the file ``pids``."""
+    def job(*args):
+        with open(pids, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return fn(*args)
+
+    return job
+
+
+@_TWO_CPUS
+@pytest.mark.parametrize("stage, overrides", [
+    ("estimate", {"duration_s": 100.0}),  # 2 x 6 x 10^4 values: pooled
+    ("estimate", {"duration_s": 100.0, "fmt": "json"}),
+    ("propagate", {"tau_grid": _DENSE_TAUS}),
+], ids=["estimate_csv", "estimate_json", "propagate"])
+def test_pooled_per_k_products_equal_in_process_ones(tmp_path, monkeypatch, stage, overrides):
+    """Each k's products have the same bytes whether its job runs in a
+    worker process or, with another thread alive, in this one."""
+    cfg = _write_config(tmp_path, **overrides)
+    out = tmp_path / "out"
+    if stage == "estimate":
+        assert main(["simulate", "--config", str(cfg)]) == 0
+    job = _PER_K_JOB[stage]
+    runs = []
+    for in_process in (False, True):
+        pids = tmp_path / f"pids_{in_process}"
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, job, _noting_pid(getattr(cli, job), pids))
+            with _other_thread() if in_process else contextlib.nullcontext():
+                assert main([stage, "--config", str(cfg)]) == 0
+        ran_in = {int(pid) for pid in pids.read_text().split()}
+        assert ran_in == {os.getpid()} if in_process else os.getpid() not in ran_in
+        runs.append(_dir_bytes(out))
+        for product in out.glob("*.*"):  # the recordings stay
+            product.unlink()
+    assert runs[0] == runs[1]
+
+
+@_TWO_CPUS
+def test_non_finite_pooled_product_leaves_output_dir_as_found(tmp_path, capsys, monkeypatch):
+    """A nan that a worker computes fails the stage with ``write_report``'s
+    message and exit code, and the stage writes nothing."""
+    cfg = _write_config(tmp_path, duration_s=100.0)  # 2 x 6 x 10^4 values: pooled
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    before = _dir_bytes(tmp_path)
+    monkeypatch.setattr(cli, "kde_density", lambda samples, grid: np.full(grid.shape, np.nan))
+    capsys.readouterr()
+    assert main(["estimate", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "config error: reports must not contain non-finite values\n"
+    assert _dir_bytes(tmp_path) == before
+
+
+@_TWO_CPUS
+@pytest.mark.parametrize("stage, overrides, size", [
+    ("estimate", {"duration_s": 100.0}, "10000 samples"),
+    ("propagate", {"tau_grid": _DENSE_TAUS}, "2501 taus"),
+], ids=["estimate", "propagate"])
+def test_dead_per_k_worker_exits_2_leaving_no_child(tmp_path, capsys, monkeypatch,
+                                                    stage, overrides, size):
+    """A worker that dies on its first per-k job, as one killed for memory
+    does, fails the stage as running out of memory does: a config error
+    naming the output directory and the size of the products. The stage
+    writes nothing and leaves no child."""
+    cfg = _write_config(tmp_path, **overrides)
+    if stage == "estimate":
+        assert main(["simulate", "--config", str(cfg)]) == 0
+    before = _dir_bytes(tmp_path)
+    test_pid = os.getpid()
+
+    def dying_job(*args):
+        assert os.getpid() != test_pid, "expected to run in a worker process"
+        os._exit(1)
+
+    monkeypatch.setattr(cli, _PER_K_JOB[stage], dying_job)
+    capsys.readouterr()
+    assert main([stage, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (f"config error: {tmp_path / 'out'}: products of {size} "
+                                       "do not fit in memory: a worker process died\n")
+    assert _dir_bytes(tmp_path) == before
+    assert _no_child_left()
+
+
+def test_per_k_job_beyond_memory_exits_2_writing_nothing(tmp_path, capsys, monkeypatch):
+    """Running out of memory in a per-k job run in-process is the same
+    config error, not a traceback."""
+    cfg = _write_config(tmp_path)
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    before = _dir_bytes(tmp_path)
+
+    def out_of_memory(*args):
+        raise MemoryError("Unable to allocate 728. TiB")
+
+    monkeypatch.setattr(cli, "kde_density", out_of_memory)
+    capsys.readouterr()
+    assert main(["estimate", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (f"config error: {tmp_path / 'out'}: products of 1000 "
+                                       "samples do not fit in memory: Unable to allocate 728. TiB\n")
+    assert _dir_bytes(tmp_path) == before
 
 
 class TestSimulate:
@@ -348,7 +480,7 @@ class TestSimulate:
         written = [p.name for p in blocker.parent.iterdir()]
         assert "manifest.json" not in written
         assert not [name for name in written if name.endswith(".tmp")]
-        assert multiprocessing.active_children() == []
+        assert _no_child_left()
 
     @pytest.mark.parametrize("overflowing, count, duration_s, walk", [
         ({"sigma_accel": 1e308}, 2, 2.0, False),
@@ -474,7 +606,7 @@ class TestEstimate:
                         f"data error: sensor_00: {path} does not fit in memory: "
                         "Unable to allocate"), stage
                 assert not (tmp_path / "out" / "quality.json").exists()
-            assert multiprocessing.active_children() == []
+            assert _no_child_left()
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
                         reason="the pool needs two usable CPUs")
@@ -500,9 +632,7 @@ class TestEstimate:
         assert capsys.readouterr().err == (
             f"data error: sensor_01: {path} does not fit in memory: a worker process died\n")
         assert not (tmp_path / "out" / "quality.json").exists()
-        assert multiprocessing.active_children() == []
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        assert _no_child_left()
 
     def test_duplicate_sensor_id_exits_3(self, tmp_path, simulated, capsys):
         manifest = tmp_path / "out" / "recordings" / "manifest.json"
@@ -726,6 +856,14 @@ def test_estimate_memory_is_the_recordings_plus_o_of_n(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < n_sensors * n * 7 * 8 + 12 * n * 6 * 8
+
+
+def test_estimate_memory_is_the_recordings_plus_o_of_n_in_process(tmp_path):
+    """The same bound with every per-k job run in this process, where its
+    rendering temporaries count too: 14.19 MB measured, 23.00 MB when the
+    recordings were still held while the jobs ran."""
+    with _other_thread():
+        test_estimate_memory_is_the_recordings_plus_o_of_n(tmp_path)
 
 
 def _json_leaves(obj, at=""):

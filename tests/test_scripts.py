@@ -50,3 +50,28 @@ def test_all_output_sha256_keys_each_workload(tmp_path, monkeypatch):
     for workload in tiny:
         assert digests[workload.name] == script.output_sha256(
             workload, 7, tmp_path / "one" / workload.name)
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT.with_name("bench_pairs.py"))
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
+def test_bench_pairs_summary_applies_the_gain_rule():
+    summarize = _bench_pairs().summarize
+    base = [0.50, 0.52, 0.48, 0.51, 0.49, 0.50, 0.53, 0.47, 0.50, 0.51]
+    change = [0.39, 0.40, 0.38, 0.41, 0.39, 0.52, 0.40, 0.38, 0.39, 0.40]
+    s = summarize(base, change, "lower")
+    assert s["base"] == {"median": 0.50, "q1": 0.4925, "q3": 0.51}
+    assert s["change"]["median"] == 0.395
+    assert (s["wins"], s["pairs"]) == (9, 10)
+    assert abs(s["iqr"] - 0.0175) < 1e-12 and abs(s["gap"] - 0.105) < 1e-12
+    assert s["meets"]
+    # Eight wins of ten miss the rule; so does a gap within the base's spread.
+    assert not summarize(base, change[:9] + [0.60], "lower")["meets"]
+    assert not summarize(base, [b - 0.01 for b in base], "lower")["meets"]
+    # For a metric where higher is better, the same numbers are a loss.
+    higher = summarize(base, change, "higher")
+    assert (higher["wins"], higher["meets"]) == (1, False) and higher["gap"] < 0

@@ -77,3 +77,13 @@ def test_stages_run_under_the_tracer(tmp_path, monkeypatch):
     assert sorted(values) == sorted(metrics)
     assert all(math.isfinite(v) for v in values.values()), values
     assert values["dataio.parse_recording_csv.calls"] == 4
+
+
+def test_stages_run_under_the_tracer_with_pooled_per_k_jobs(tmp_path, monkeypatch):
+    """``test_stages_run_under_the_tracer`` with 10^4 samples per recording,
+    so that ``estimate``'s per-k jobs (2 x 6 x 10^4 values) run in worker
+    processes too: they inherit the tracer's wrappers, whose spans stay in
+    the workers."""
+    main = cli.main
+    monkeypatch.setattr(cli, "main", lambda argv: main([*argv, "--duration", "100"]))
+    test_stages_run_under_the_tracer(tmp_path, monkeypatch)

@@ -4,10 +4,12 @@
 Runs simulate -> estimate -> propagate -> report in this process, through
 ``imulab.cli.main``, with the config files that ``perfbench/workloads.py``
 writes for the workload, and prints one JSON object mapping each output
-file (relative to ``--out``) to its SHA-256. With ``--workload all`` each
-workload runs in ``--out/<workload>`` and the object maps each workload's
-name to its own object. Two checkouts produce the same outputs exactly when
-their objects are equal:
+file (relative to ``--out``) to its SHA-256. Every file is hashed, the
+rows cache entries that ``simulate`` writes in ``recordings/.rows``
+included: they are deterministic, and a change to them should show. With
+``--workload all`` each workload runs in ``--out/<workload>`` and the
+object maps each workload's name to its own object. Two checkouts produce
+the same outputs exactly when their objects are equal:
 
     PYTHONPATH=src python3 scripts/output_sha256.py --workload all --seed 7 --out runs/sha
 

@@ -231,17 +231,22 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> ExperimentCo
     return ExperimentConfig(**raw)
 
 
-def _load_array(manifest_path: Path, manifest: ArrayManifest) -> ArrayRecording:
+def _load_array(
+    manifest_path: Path, manifest: ArrayManifest, digests: list[str] | None = None
+) -> ArrayRecording:
     """Parse all recordings named by a manifest into one aligned array.
 
-    ``read_recording_rows`` reads and checks their rows, in worker processes
-    for a large manifest, and raises the first recording's fault in manifest
-    order; each recording is then built here from its checked rows.
+    ``read_recording_rows`` reads and checks their rows, taking those of each
+    recording whose SHA-256 among ``digests`` names a rows cache entry and
+    parsing the others, in worker processes for a large manifest; it raises
+    the first recording's fault in manifest order. Each recording is then
+    built here from its checked rows.
     """
     files = [(manifest_path.parent / rel, sensor_id) for sensor_id, rel in manifest.sensor_files]
+    rows = read_recording_rows(files, manifest.rate_hz, digests)
     recs = [
-        parse_recording_csv(path, sensor_id, manifest.rate_hz, manifest.gyro_units, rows=rows)
-        for (path, sensor_id), rows in zip(files, read_recording_rows(files, manifest.rate_hz))
+        parse_recording_csv(path, sensor_id, manifest.rate_hz, manifest.gyro_units, rows=r)
+        for (path, sensor_id), r in zip(files, rows)
     ]
     try:
         return ArrayRecording(tuple(recs))
@@ -255,15 +260,13 @@ def _recording_stats(
     """Per-sensor stats of a loaded manifest's recordings, in manifest order.
 
     Taken from ``out/STATS_FILE`` when its key matches the bytes of the
-    manifest and recordings; otherwise the recordings are parsed by
+    manifest and recordings; otherwise the recordings are loaded by
     ``_load_array``, with all its checks, and the file is left as it is.
     """
-    stats = read_recording_stats(
-        out / STATS_FILE, recording_stats_key(manifest_path, manifest),
-        [sid for sid, _ in manifest.sensor_files],
-    )
+    key = recording_stats_key(manifest_path, manifest)
+    stats = read_recording_stats(out / STATS_FILE, key, [sid for sid, _ in manifest.sensor_files])
     if stats is None:
-        array = _load_array(manifest_path, manifest)
+        array = _load_array(manifest_path, manifest, key["recordings_sha256"])
         stats = recording_stats(array, GravityModel(manifest.gravity_mps2))
     return stats
 
@@ -338,7 +341,8 @@ def cmd_estimate(config: ExperimentConfig) -> Stage:
     manifest_path, manifest = recordings
     k_grid = _k_grid(config, len(manifest.sensor_files))
     key = recording_stats_key(manifest_path, manifest)
-    stats, scores, t, rate_hz, means = _worst_first_means(manifest_path, manifest, k_grid)
+    stats, scores, t, rate_hz, means = _worst_first_means(
+        manifest_path, manifest, k_grid, key["recordings_sha256"])
     out, fmt = Path(config.out_dir), config.fmt
     writes = [
         partial(write_recording_stats, out / STATS_FILE, key, stats),
@@ -421,9 +425,10 @@ def _estimate_products(
 
 
 def _worst_first_means(
-    manifest_path: Path, manifest: ArrayManifest, k_grid: list[int]
+    manifest_path: Path, manifest: ArrayManifest, k_grid: list[int], digests: list[str]
 ) -> tuple[list[SensorStats], list[tuple[str, float]], np.ndarray, float, list[np.ndarray]]:
-    """What ``estimate`` takes from a manifest's recordings: their stats in
+    """What ``estimate`` takes from a manifest's recordings, loaded by
+    ``_load_array`` with their SHA-256 ``digests``: their stats in
     manifest order, their ``sort_by_quality`` scores (worst first), a copy of
     the worst sensor's time base, their rate, and for each k of ``k_grid`` the (N, 6)
     mean residuals of the first k sensors, worst first.
@@ -431,7 +436,7 @@ def _worst_first_means(
     The recordings themselves are dropped on return, so they take no memory
     while the per-k products are computed and rendered.
     """
-    array = _load_array(manifest_path, manifest)
+    array = _load_array(manifest_path, manifest, digests)
     gravity = GravityModel(manifest.gravity_mps2)
     stats = recording_stats(array, gravity)
     scores = sort_by_quality({s.sensor_id: s.bias for s in stats})

@@ -12,12 +12,19 @@ shortest round-trip decimals (``repr``), so a write-then-parse cycle is
 bit-exact. Recordings are written in SI units (rad/s, m/s^2); a manifest read
 from outside the program may declare ``deg/s`` gyro columns, which are
 converted to rad/s on reading, in this module only.
+
+Beside the recordings it writes, ``write_recording_csv`` keeps a rows cache,
+not an interchange format: each recording's rows as a ``.npy`` file in
+``.rows/``, named by the SHA-256 of the recording's bytes. A recording whose
+digest names an entry is loaded from it instead of parsed; deleting the
+cache costs one parse per recording.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import io
 import itertools
 import json
 import math
@@ -61,6 +68,13 @@ __all__ = [
 _CSV_HEADER = ["t", "gx", "gy", "gz", "ax", "ay", "az"]
 _GYRO_UNITS = ("deg/s", "rad/s")
 _ACCEL_UNIT = "m/s2"
+# Directory beside the recordings that ``write_recording_csv`` writes that
+# holds each one's rows, named by the SHA-256 of its bytes (the rows cache).
+_ROWS_DIR = ".rows"
+# Fewest bytes a recording row takes: one character and a comma or newline
+# per cell. A rows cache entry of more rows than its recording could hold
+# is not that recording's.
+_MIN_ROW_BYTES = 14
 # Largest |bias| or noise std accepted from a recording, SI units. Far beyond
 # any sensor's range, it leaves the stages room to square, sum and propagate
 # the residuals without overflow.
@@ -221,39 +235,91 @@ def _beyond_memory(sensor_id: str, path, exc: MemoryError) -> DataError:
 
 
 def read_recording_rows(
-    files: Sequence[tuple[str | os.PathLike, str]], rate_hz: float
+    files: Sequence[tuple[str | os.PathLike, str]],
+    rate_hz: float,
+    digests: Sequence[str] | None = None,
 ) -> list[np.ndarray]:
     """The checked rows of each recording ``(path, sensor_id)`` of ``files``
     sampled at ``rate_hz``, in order, for ``parse_recording_csv``.
 
-    One ``_checked_rows`` call per recording, run by ``_fork_map`` for the
-    files' values (their sizes over ``_BYTES_PER_VALUE``): in worker
-    processes or here, one after another. Either way the first recording at
-    fault raises the ``DataError`` that reading them one after another
-    raises. Running out of memory, or a worker that dies, is a ``DataError``
-    naming the recording.
+    ``digests`` are the SHA-256 of each recording's bytes, as
+    ``recording_stats_key`` gives them. A recording whose digest names an
+    entry of the rows cache beside it (``_cached_rows``) is not parsed: its
+    entry is taken and checked here. Every other recording is one
+    ``_checked_rows`` call, run by ``_fork_map`` for those files' values
+    (their sizes over ``_BYTES_PER_VALUE``): in worker processes or here, one
+    after another. The recordings are then walked in order, each entry's
+    time base checked in place and each parse taken from the map, so the
+    first recording at fault raises the ``DataError`` that reading them one
+    after another raises. Running out of memory, or a worker that dies, is a
+    ``DataError`` naming the recording.
     """
+    cached = [None] * len(files) if digests is None else [
+        _cached_rows(path, digest) for (path, _), digest in zip(files, digests, strict=True)]
+    misses = [(path, sid, rate_hz) for (path, sid), hit in zip(files, cached) if hit is None]
     size = 0
-    for path, _ in files:
+    for path, _, _ in misses:
         with contextlib.suppress(OSError):  # its read names the fault
             size += os.path.getsize(path)
     rows = []
     try:
-        for result in _fork_map(_checked_rows, [(path, sid, rate_hz) for path, sid in files],
-                                size // _BYTES_PER_VALUE):
-            rows.append(result)
+        with contextlib.closing(_fork_map(_checked_rows, misses,
+                                          size // _BYTES_PER_VALUE)) as parsed:
+            for (path, sensor_id), hit in zip(files, cached):
+                rows.append(next(parsed) if hit is None
+                            else _checked_rows(path, sensor_id, rate_hz, hit))
     except MemoryError as exc:
         path, sensor_id = files[len(rows)]
         raise _beyond_memory(sensor_id, path, exc) from exc
     return rows
 
 
-def _checked_rows(path, sensor_id: str, rate_hz: float) -> np.ndarray:
-    """``_recording_rows`` of a recording whose time base
-    ``parse_recording_csv`` accepts, or the ``DataError`` it raises."""
-    rows = _recording_rows(path, sensor_id)
+def _checked_rows(path, sensor_id: str, rate_hz: float, rows=None) -> np.ndarray:
+    """``rows``, or else ``_recording_rows`` of the recording at ``path``,
+    if ``parse_recording_csv`` accepts their time base; otherwise the
+    ``DataError`` it raises."""
+    if rows is None:
+        rows = _recording_rows(path, sensor_id)
     parse_recording_csv(path, sensor_id, rate_hz, rows=rows)
     return rows
+
+
+def _rows_entry(path, digest: str) -> Path:
+    """The rows cache entry of the recording at ``path`` whose bytes have
+    the SHA-256 ``digest``."""
+    return Path(path).parent / _ROWS_DIR / f"{digest}.npy"
+
+
+def _cached_rows(path, digest: str) -> np.ndarray | None:
+    """The rows that ``write_recording_csv`` wrote beside the recording at
+    ``path`` whose bytes have the SHA-256 ``digest``, or None (a miss).
+
+    An entry is a hit when it is a version 1.0 ``.npy`` file of a C-order
+    float64 (n, 7) array whose n rows its size holds exactly and the
+    recording's size could hold (``_MIN_ROW_BYTES``), all finite. The header
+    is checked against both sizes before the data is read, so a damaged
+    header cannot size a large allocation, and nothing is unpickled. A
+    missing, unreadable or damaged entry is a miss, never an error. An entry
+    is trusted as its name: one edited in place under that name is believed.
+    """
+    npy = np.lib.format
+    try:
+        recording_size = os.path.getsize(path)
+        with open(_rows_entry(path, digest), "rb") as fh:
+            if npy.read_magic(fh) != (1, 0):
+                return None
+            (n, columns), fortran_order, dtype = npy.read_array_header_1_0(fh)
+            values = n * columns
+            if (columns != len(_CSV_HEADER) or fortran_order or dtype != np.float64
+                    or not 0 < n * _MIN_ROW_BYTES <= recording_size
+                    or fh.tell() + values * dtype.itemsize != os.fstat(fh.fileno()).st_size):
+                return None
+            rows = np.fromfile(fh, dtype, values)
+    except (OSError, ValueError, MemoryError):
+        return None
+    if rows.size != values or not np.isfinite(rows).all():
+        return None
+    return rows.reshape(n, columns)
 
 
 def _recording_rows(path, sensor_id: str) -> np.ndarray:
@@ -336,12 +402,27 @@ def _reads_alone(cells: list[str], j: int) -> bool:
 
 def write_recording_csv(recording: SensorRecording, dest: str | os.PathLike) -> None:
     """Write a recording to the path ``dest`` as a ``write_report`` CSV table,
-    one row per sample, in SI units (rad/s, m/s^2).
+    one row per sample, in SI units (rad/s, m/s^2), and its rows cache entry.
 
     Cells are shortest round-trip floats; non-finite values are rejected.
+    The table is rendered and encoded once, and those bytes are written.
+    Then the same values, as the C-order float64 (N, 7) array that
+    ``_recording_rows`` reads from those bytes, are written as a ``.npy``
+    file named by the bytes' SHA-256 (``_rows_entry``), both by
+    ``write_report``.
     """
     cols = [recording.t, *recording.gyro.T, *recording.accel.T]
-    write_report(dict(zip(_CSV_HEADER, cols)), "csv", dest)
+    data = render_report(dict(zip(_CSV_HEADER, cols)), "csv").encode("utf-8")
+    write_report(data, "csv", dest)
+    npy = io.BytesIO()
+    np.lib.format.write_array(npy, np.column_stack(cols), version=(1, 0), allow_pickle=False)
+    write_report(npy.getvalue(), "npy", _rows_entry(dest, _sha256(data)))
+
+
+def _sha256(data: bytes) -> str:
+    import hashlib  # deferred: only the stages that hash need it, and it is slow to import
+
+    return hashlib.sha256(data).hexdigest()
 
 
 def write_array(
@@ -357,14 +438,21 @@ def write_array(
     A manifest already in ``out_dir`` is removed before the first recording
     is written, and the new one is written only after every recording is;
     if one fails, its error is raised and there is no manifest, so no
-    manifest lists recordings of two runs. Running out of memory, or a
-    worker that dies, is a ``ConfigError`` naming ``out_dir`` and the sample
-    count.
+    manifest lists recordings of two runs. The entries of the rows cache in
+    ``out_dir`` are removed with the manifest, so it holds only those of
+    the recordings written here. Running out of memory, or a worker that
+    dies, is a ``ConfigError`` naming ``out_dir`` and the sample count.
     """
+    # Deferred, as in ``_sha256``; imported before the fork, so each worker inherits it.
+    import hashlib  # noqa: F401
+
     out = Path(out_dir)
     files = [(rec.sensor_id, f"{rec.sensor_id}.csv") for rec in array.recordings]
     manifest_path = out / "manifest.json"
     write_report(None, "json", manifest_path)  # removes it
+    with contextlib.suppress(FileNotFoundError, NotADirectoryError):  # no entries
+        for entry in (out / _ROWS_DIR).iterdir():
+            write_report(None, "npy", entry)
     try:
         # list() waits for every write and raises the first failure.
         list(_fork_map(write_recording_csv,
@@ -381,7 +469,8 @@ def write_array(
 
 
 # Fewest values that ``_fork_map`` hands to worker processes: recording
-# values (sensors x samples x 7 columns) for recording jobs, 6 per sample
+# values (sensors x samples x 7 columns) for recording jobs, of the
+# recordings to parse only (rows cache misses) for reads, 6 per sample
 # for ``estimate``'s per-k jobs and 20 per tau for ``propagate``'s. Measured
 # on 2 CPUs (Python 3.11, numpy 2.4): a recording value takes about 1.2 us
 # to write and 0.44 us to parse, and a per-k value about 1.0 us to compute
@@ -536,14 +625,12 @@ def recording_stats_key(manifest_path: str | os.PathLike, manifest: ArrayManifes
     recording's bytes in manifest order. A file that cannot be read is a
     ``DataError`` naming it.
     """
-    import hashlib  # deferred: only this key needs it, and it is slow to import
-
     manifest_path = Path(manifest_path)
     paths = [manifest_path] + [manifest_path.parent / rel for _, rel in manifest.sensor_files]
     digests = []
     for path in paths:
         try:
-            digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
+            digests.append(_sha256(path.read_bytes()))
         except OSError as exc:
             raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
     return {
@@ -707,15 +794,15 @@ def render_report(report, fmt: str) -> str:
 
 def write_report(report, fmt: str, dest: str | os.PathLike) -> None:
     """Write a report to the path ``dest`` as ``render_report`` renders it in
-    ``fmt``, or write ``report`` as it is if it is a ``str``, text that
-    ``render_report`` already rendered; or remove ``dest`` if ``report`` is
-    None.
+    ``fmt``; or write ``report`` as it is if it is a ``str``, text that
+    ``render_report`` already rendered, or ``bytes``; or remove ``dest`` if
+    ``report`` is None.
 
     This is the package's only file writer. ``dest`` gets its parent
-    directories created, and the text is written to a temporary file beside
-    it that is then renamed over it, so ``dest`` is either complete or left as
-    it was. A directory that cannot be created or a file that cannot be
-    written or removed is a ``ConfigError`` naming it.
+    directories created, and the text (as UTF-8) or bytes are written to a
+    temporary file beside it that is then renamed over it, so ``dest`` is
+    either complete or left as it was. A directory that cannot be created or
+    a file that cannot be written or removed is a ``ConfigError`` naming it.
     """
     path = Path(dest)
     if report is None:
@@ -726,14 +813,17 @@ def write_report(report, fmt: str, dest: str | os.PathLike) -> None:
         except OSError as exc:
             raise ConfigError(f"cannot remove {path}: {exc.strerror or exc}") from exc
         return
-    text = report if isinstance(report, str) else render_report(report, fmt)
+    text = report if isinstance(report, (str, bytes)) else render_report(report, fmt)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create {path.parent}: {exc.strerror or exc}") from exc
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        if isinstance(text, bytes):
+            tmp.write_bytes(text)
+        else:
+            tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, path)
     except OSError as exc:
         with contextlib.suppress(OSError):

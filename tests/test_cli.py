@@ -254,6 +254,13 @@ def test_non_finite_last_payload_leaves_output_dir_as_found(tmp_path, capsys, mo
     assert _dir_bytes(tmp_path) == before
 
 
+def _drop_rows_cache(cfg: Path) -> None:
+    """Remove the rows cache that ``simulate`` wrote beside the recordings
+    of ``cfg``'s ``out_dir``, if any."""
+    out = Path(json.loads(cfg.read_text())["out_dir"])
+    shutil.rmtree(out / "recordings" / ".rows", ignore_errors=True)
+
+
 def _refuse_fork(monkeypatch, refused: int) -> list:
     """Make ``os.fork`` fail with EAGAIN on the ``refused``-th fork of each
     ``dataio._fork_map`` call; the list returned gets one entry per refusal."""
@@ -279,6 +286,8 @@ def _refuse_fork(monkeypatch, refused: int) -> list:
 def _pipeline(cfg: Path) -> None:
     for stage in ("simulate", "estimate", "propagate", "report"):
         assert main([stage, "--config", str(cfg)]) == 0, stage
+        if stage == "simulate":
+            _drop_rows_cache(cfg)  # so estimate parses the recordings
 
 
 @_TWO_CPUS
@@ -596,6 +605,7 @@ class TestEstimate:
         for duration_s in (10.0, 40.0):
             cfg = _write_config(tmp_path, duration_s=duration_s)
             assert main(["simulate", "--config", str(cfg)]) == 0
+            _drop_rows_cache(cfg)
             # Out of memory reading the rows, or building the recording from them.
             for stage in ("_read_rows", "SensorRecording"):
                 with monkeypatch.context() as patch:
@@ -617,6 +627,7 @@ class TestEstimate:
         a pipe holds, stops, and both are reaped."""
         cfg = _write_config(tmp_path, duration_s=40.0)  # 4 x 4000 x 7 values: pooled
         assert main(["simulate", "--config", str(cfg)]) == 0
+        _drop_rows_cache(cfg)
         test_pid = os.getpid()
         read_rows = dataio._recording_rows
 
@@ -1356,3 +1367,101 @@ class TestRecordingStats:
             assert main([cmd, "--config", str(pipeline)]) == 0, cmd
             assert path.read_bytes() == bad
         assert _stage_outputs(out) == hit
+
+
+def _note_reads(monkeypatch, log: Path) -> None:
+    """Make each ``dataio._recording_rows`` call, in any process, append its
+    sensor id to the file ``log``."""
+    read = dataio._recording_rows
+
+    def noting(path, sensor_id):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{sensor_id}\n")
+        return read(path, sensor_id)
+
+    monkeypatch.setattr(dataio, "_recording_rows", noting)
+
+
+def _reads(log: Path) -> list[str]:
+    return sorted(log.read_text().split()) if log.exists() else []
+
+
+def _outputs_but_rows_cache(out: Path) -> dict:
+    return {name: data for name, data in _dir_bytes(out).items()
+            if not name.startswith("recordings/.rows/")}
+
+
+class TestRowsCache:
+    """``estimate``, and ``propagate`` and ``report`` on a recording stats
+    miss, take the rows that ``simulate`` wrote beside its recordings
+    instead of parsing them, and write the same bytes."""
+
+    @pytest.mark.parametrize("duration_s", [10.0, 40.0], ids=["in_process", "pooled"])
+    def test_hits_give_the_bytes_of_parses(self, tmp_path, monkeypatch, duration_s):
+        cfg = _write_config(tmp_path, duration_s=duration_s)
+        manifest_cfg = _write_manifest_config(tmp_path)
+        out, log = tmp_path / "out", tmp_path / "reads.log"
+        _note_reads(monkeypatch, log)
+
+        def run(parse: bool) -> dict:
+            shutil.rmtree(out, ignore_errors=True)
+            log.unlink(missing_ok=True)
+            assert main(["simulate", "--config", str(cfg)]) == 0
+            if parse:
+                _drop_rows_cache(cfg)
+            assert main(["estimate", "--config", str(cfg)]) == 0
+            (out / "recording_stats.json").unlink()  # a stats miss: they load the array
+            for stage in ("propagate", "report"):
+                assert main([stage, "--config", str(manifest_cfg)]) == 0, stage
+            return _outputs_but_rows_cache(out)
+
+        hit = run(parse=False)
+        assert _reads(log) == []
+        assert run(parse=True) == hit
+        assert _reads(log) == [f"sensor_0{i}" for i in range(4) for _ in range(3)]
+        assert _no_child_left()
+
+    @pytest.mark.parametrize("damage", ["truncated", "reshaped", "nan", "pickled"])
+    def test_damaged_entry_is_parsed_and_the_outputs_are_unchanged(
+        self, tmp_path, monkeypatch, damage
+    ):
+        cfg = _write_config(tmp_path)
+        out, log = tmp_path / "out", tmp_path / "reads.log"
+        for stage in ("simulate", "estimate", "propagate", "report"):
+            assert main([stage, "--config", str(cfg)]) == 0, stage
+        want = _outputs_but_rows_cache(out)
+        digest = json.loads((out / "recording_stats.json").read_text())["key"][
+            "recordings_sha256"][1]
+        entry = out / "recordings" / ".rows" / f"{digest}.npy"
+        rows = np.load(entry)
+        if damage == "truncated":
+            entry.write_bytes(entry.read_bytes()[:-8])
+        elif damage == "reshaped":
+            np.save(entry, rows.reshape(-1, 14))
+        elif damage == "nan":
+            rows[0, 4] = np.nan
+            np.save(entry, rows)
+        else:
+            np.save(entry, rows.astype(object), allow_pickle=True)
+        _note_reads(monkeypatch, log)
+        for stage in ("estimate", "propagate", "report"):
+            assert main([stage, "--config", str(cfg)]) == 0, stage
+        assert _reads(log) == ["sensor_01"]
+        assert _outputs_but_rows_cache(out) == want
+
+    def test_edited_recording_is_parsed_and_its_fault_named(self, tmp_path, monkeypatch,
+                                                            capsys):
+        cfg = _write_config(tmp_path, duration_s=40.0)  # 4 x 4000 x 7 values
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        victim = tmp_path / "out" / "recordings" / "sensor_02.csv"
+        lines = victim.read_text().split("\n")
+        lines[4] = lines[4].replace(",", ",1_0", 1)
+        victim.write_text("\n".join(lines))
+        log = tmp_path / "reads.log"
+        _note_reads(monkeypatch, log)
+        capsys.readouterr()
+        assert main(["estimate", "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err.startswith(
+            "data error: sensor_02: line 5: could not convert string to float: ")
+        assert _reads(log) == ["sensor_02"]
+        assert not (tmp_path / "out" / "quality.json").exists()

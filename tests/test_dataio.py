@@ -355,7 +355,8 @@ class TestRoundTrips:
         write_array(arr, tmp_path / "pool", gravity)
         assert _no_child_left()
         names = [f"{rec.sensor_id}.csv" for rec in arr.recordings]
-        assert sorted(p.name for p in (tmp_path / "pool").iterdir()) == ["manifest.json", *names]
+        assert sorted(p.name for p in (tmp_path / "pool").iterdir()) == [
+            ".rows", "manifest.json", *names]
         for rec, name in zip(arr.recordings, names):
             write_recording_csv(rec, tmp_path / "serial" / name)
             assert (tmp_path / "pool" / name).read_bytes() == \
@@ -597,6 +598,159 @@ class TestPooledReads:
         assert not other.is_alive()
 
 
+def _digests(manifest_path) -> list[str]:
+    return recording_stats_key(manifest_path, load_manifest(manifest_path))["recordings_sha256"]
+
+
+def _edit_cell(path: Path, line: int, cell: bytes) -> None:
+    """Put ``cell`` in place of the first cell after ``t`` on 0-based ``line``
+    of the recording at ``path``."""
+    lines = path.read_bytes().split(b"\n")
+    t, _, rest = lines[line].split(b",", 2)
+    lines[line] = b",".join([t, cell, rest])
+    path.write_bytes(b"\n".join(lines))
+
+
+class TestRowsCache:
+    """``write_recording_csv`` writes each recording's rows beside it, named
+    by the SHA-256 of its bytes, and ``read_recording_rows`` takes them in
+    place of a parse."""
+
+    @pytest.fixture
+    def cached(self, tmp_path, gravity):
+        """A manifest of five recordings, 5 x 4000 x 7 values, and their rows
+        cache; four recordings to parse are read in the pool."""
+        arr = simulate_array(draw_sensor_params(5, 3), gravity, 40.0, 100.0, seed=3)
+        return write_array(arr, tmp_path / "rec", gravity)
+
+    def test_entry_is_the_parsed_rows_named_by_the_csv_digest(self, cached):
+        entries = sorted(p.name for p in (cached.parent / ".rows").iterdir())
+        assert entries == sorted(f"{d}.npy" for d in _digests(cached))
+        for (path, sid), digest in zip(TestPooledReads._files(cached), _digests(cached)):
+            entry = np.load(cached.parent / ".rows" / f"{digest}.npy", allow_pickle=False)
+            parsed = _recording_rows(path, sid)
+            assert entry.dtype == parsed.dtype and entry.shape == parsed.shape
+            assert entry.flags.c_contiguous and entry.tobytes() == parsed.tobytes()
+
+    @pytest.mark.parametrize("units", ["rad/s", "deg/s"])
+    def test_hits_load_as_parses_without_parsing(self, cached, units, monkeypatch):
+        if units == "deg/s":
+            write_manifest(dataclasses.replace(load_manifest(cached), gyro_units=units), cached)
+        manifest = load_manifest(cached)
+        with monkeypatch.context() as patch:
+            patch.setattr(dataio, "_recording_rows", _rows_noting_opens)
+            back = _load_array(cached, manifest, _digests(cached))
+            assert list(cached.parent.glob("*.opens")) == []
+            parsed = _load_array(cached, manifest)
+            assert len(list(cached.parent.glob("*.opens"))) == 5
+        for a, b in zip(parsed.recordings, back.recordings):
+            assert a.sensor_id == b.sensor_id
+            for name in ("t", "gyro", "accel"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        assert _no_child_left()
+
+    def test_edited_recording_is_parsed_and_its_neighbours_hit(self, cached, monkeypatch):
+        monkeypatch.setattr(dataio, "_recording_rows", _rows_noting_opens)
+        victim = cached.parent / "sensor_02.csv"
+        _edit_cell(victim, 9, b"0.125")
+        back = _load_array(cached, load_manifest(cached), _digests(cached))
+        assert [p.name for p in cached.parent.glob("*.opens")] == ["sensor_02.csv.opens"]
+        assert back.recordings[2].gyro[8, 0] == 0.125
+        for a, b in zip(TestPooledReads._serial(cached), back.recordings):
+            assert a.gyro.tobytes() == b.gyro.tobytes()
+        _edit_cell(victim, 9, b"x")
+        with pytest.raises(DataError, match="^sensor_02: line 10: could not convert string "
+                                            "to float: 'x'$"):
+            _load_array(cached, load_manifest(cached), _digests(cached))
+
+    @pytest.mark.parametrize("damage", [
+        "truncated", "reshaped", "nan", "pickled", "fortran", "big_endian", "beyond_recording",
+        "not_npy", "empty", "directory"])
+    def test_damaged_entry_is_a_miss(self, cached, damage):
+        path, sid = TestPooledReads._files(cached)[1]
+        entry = cached.parent / ".rows" / f"{_digests(cached)[1]}.npy"
+        rows = np.load(entry)
+        if damage == "truncated":
+            entry.write_bytes(entry.read_bytes()[:-1])
+        elif damage == "reshaped":
+            np.save(entry, rows.T.copy())
+        elif damage == "nan":
+            rows[5, 3] = np.nan
+            np.save(entry, rows)
+        elif damage == "pickled":
+            np.save(entry, rows.astype(object), allow_pickle=True)
+        elif damage == "fortran":
+            np.save(entry, np.asfortranarray(rows))
+        elif damage == "big_endian":
+            np.save(entry, rows.astype(">f8"))
+        elif damage == "beyond_recording":  # more rows than the recording could hold
+            np.save(entry, np.zeros((path.stat().st_size // 14 + 1, 7)))
+        elif damage == "not_npy":
+            entry.write_bytes(b"t,gx,gy,gz,ax,ay,az\n")
+        elif damage == "empty":
+            entry.write_bytes(b"")
+        else:
+            entry.unlink()
+            entry.mkdir()
+        assert dataio._cached_rows(path, _digests(cached)[1]) is None
+        rows = read_recording_rows([(path, sid)], 100.0, _digests(cached)[1:2])
+        assert rows[0].tobytes() == _recording_rows(path, sid).tobytes()
+
+    def test_missing_entry_is_a_miss(self, cached):
+        path, _ = TestPooledReads._files(cached)[0]
+        assert dataio._cached_rows(path, "0" * 64) is None
+        (cached.parent / ".rows").rename(cached.parent / "elsewhere")
+        assert dataio._cached_rows(path, _digests(cached)[0]) is None
+
+    @pytest.mark.parametrize("rate_hz, edits, first", [
+        (50.0, {}, "sensor_00: sample spacing"),
+        (50.0, {0: "cell"}, "sensor_00: line 10: "),
+        (50.0, {3: "cell"}, "sensor_00: sample spacing"),
+        (100.0, {0: "edit", 1: "edit", 3: "cell", 4: "edit"}, "sensor_03: line 10: "),
+        (100.0, {0: "cell", 1: "edit", 3: "edit", 4: "cell"}, "sensor_00: line 10: "),
+    ], ids=["hits", "miss_first", "hit_first", "pooled_misses", "pooled_misses_first"])
+    def test_first_fault_is_named_as_in_a_serial_read(self, cached, rate_hz, edits, first):
+        """A hit's time base is checked at the manifest's rate, in manifest
+        order among the misses' faults."""
+        write_manifest(dataclasses.replace(load_manifest(cached), rate_hz=rate_hz), cached)
+        for index, edit in edits.items():
+            _edit_cell(cached.parent / f"sensor_0{index}.csv", 9,
+                       b"0.125" if edit == "edit" else b"x")
+        want = TestPooledReads._serial(cached)
+        assert isinstance(want, str) and want.startswith(first)
+        with pytest.raises(DataError) as exc_info:
+            _load_array(cached, load_manifest(cached), _digests(cached))
+        assert str(exc_info.value) == want
+        assert _no_child_left()
+
+    @_TWO_CPUS
+    def test_hit_at_fault_after_pooled_misses_leaves_no_child(self, cached, monkeypatch):
+        """An entry edited in place under its own name is believed, so its
+        fault is named; the misses read in the pool are stopped and reaped."""
+        monkeypatch.setattr(dataio, "_recording_rows", _rows_noting_opens)
+        for index in (0, 1, 3, 4):
+            _edit_cell(cached.parent / f"sensor_0{index}.csv", 9, b"0.125")
+        entry = cached.parent / ".rows" / f"{_digests(cached)[2]}.npy"
+        rows = np.load(entry)
+        rows[7, 0] = rows[6, 0]
+        np.save(entry, rows)
+        with pytest.raises(DataError, match="^sensor_02: timestamps must be strictly increasing$"):
+            _load_array(cached, load_manifest(cached), _digests(cached))
+        readers = (cached.parent / "sensor_01.csv.opens").read_text().split()
+        assert len(readers) == 1 and int(readers[0]) != os.getpid()
+        assert _no_child_left()
+
+    def test_second_write_leaves_only_its_entries(self, tmp_path, gravity):
+        out = tmp_path / "rec"
+        write_array(simulate_array(draw_sensor_params(4, 1), gravity, 1.0, 100.0, seed=1),
+                    out, gravity)
+        (out / ".rows" / ".stray.npy.123.tmp").write_bytes(b"")
+        manifest_path = write_array(
+            simulate_array(draw_sensor_params(3, 2), gravity, 1.0, 100.0, seed=2), out, gravity)
+        assert sorted(p.name for p in (out / ".rows").iterdir()) == sorted(
+            f"{d}.npy" for d in _digests(manifest_path))
+
+
 class TestRecordingStatsFile:
     def test_round_trip_is_bit_exact_and_keyed(self, tmp_path, gravity):
         arr = simulate_array(draw_sensor_params(3, 4), gravity, 1.0, 100.0, seed=4)
@@ -662,6 +816,13 @@ class TestDatasetSummary:
 
 
 class TestWriteReport:
+    def test_bytes_are_written_as_they_are(self, tmp_path):
+        dest = tmp_path / "sub" / "raw.npy"
+        data = bytes(range(256)) + b"\r\n\n"
+        write_report(data, "npy", dest)
+        assert dest.read_bytes() == data
+        assert [p.name for p in dest.parent.iterdir()] == ["raw.npy"]
+
     def test_empty_table_keeps_header(self, tmp_path):
         dest = tmp_path / "empty.csv"
         write_report({"tau": [], "dp_x": []}, "csv", dest)

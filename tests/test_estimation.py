@@ -1,9 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import imulab
 from imulab.estimation import (
+    _log_window_grid,
     bias_and_noise,
     bias_score,
     db_ratio,
@@ -71,6 +78,29 @@ class TestRunningStdProfile:
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
             running_std_profile(np.array([[1.0]]))
+
+    def test_window_grid_matches_np_unique(self):
+        for n in [*range(2, 20001), 10**5, 3 * 10**5 + 7, 10**6]:
+            count = max(2, int(np.log10(n / 2) * 10) + 1)
+            want = np.unique(np.round(np.logspace(np.log10(2), np.log10(n), count)).astype(int))
+            want = want[(want >= 2) & (want <= n)]
+            got = _log_window_grid(n)
+            assert got.dtype == want.dtype and np.array_equal(got, want), n
+
+    def test_leaves_numpy_ma_unloaded(self):
+        """``np.unique`` imports ``numpy.ma`` (about 14 ms) on its first call;
+        each per-k worker of ``estimate`` would pay that."""
+        src = str(Path(imulab.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = ("import sys, numpy as np; from imulab.estimation import running_std_profile; "
+                "running_std_profile(np.random.default_rng(0).normal(size=(10**4, 3))); "
+                "print(*sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60)
+        modules = set(out.stdout.split())
+        assert "imulab.estimation" in modules
+        assert "numpy.ma" not in modules
 
 
 class TestScalarMetrics:

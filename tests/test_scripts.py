@@ -38,7 +38,11 @@ def test_output_sha256_repeats(tmp_path, monkeypatch):
     workload = workloads.WORKLOADS["wide_manifest"].tiny()
     first = script.output_sha256(workload, 7, tmp_path / "a")
     assert first == script.output_sha256(workload, 7, tmp_path / "b")
-    assert set(first) == set(workload.expected_outputs()) | {"run/recording_stats.json"}
+    rows_cache = {f"run/recordings/.rows/{digest}.npy"
+                  for path, digest in first.items() if path.startswith("run/recordings/sensor_")}
+    assert len(rows_cache) == workload.sensors
+    assert set(first) == (set(workload.expected_outputs()) | {"run/recording_stats.json"}
+                          | rows_cache)
     assert first != script.output_sha256(workload, 8, tmp_path / "c")
 
 

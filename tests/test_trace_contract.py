@@ -21,12 +21,12 @@ none, and the division raises ``ZeroDivisionError``.
 import importlib.util
 import json
 import math
-import multiprocessing
 import sys
 from pathlib import Path
 
 import imulab
 import imulab.cli as cli
+from test_dataio import _no_child_left
 
 ROOT = Path(__file__).resolve().parents[1]
 STAGES = ("simulate", "estimate", "propagate", "report")
@@ -66,7 +66,7 @@ def test_stages_run_under_the_tracer(tmp_path, monkeypatch):
     assert cli.parse_recording_csv is original
     names = {span.name for span in tracer.spans}
     assert {f"cli.{stage}" for stage in STAGES} <= names
-    assert multiprocessing.active_children() == []
+    assert _no_child_left()
 
     # run.py imports its sibling as ``workloads``, the name perfbench/ on sys.path gives it.
     _perfbench_module(monkeypatch, "workloads", "workloads")

@@ -409,14 +409,17 @@ def write_recording_csv(recording: SensorRecording, dest: str | os.PathLike) -> 
     Then the same values, as the C-order float64 (N, 7) array that
     ``_recording_rows`` reads from those bytes, are written as a ``.npy``
     file named by the bytes' SHA-256 (``_rows_entry``), both by
-    ``write_report``.
+    ``write_report``. An entry that cannot be written (its name taken by a
+    directory, say) is left out, as one that cannot be read is a miss: its
+    recording is parsed.
     """
     cols = [recording.t, *recording.gyro.T, *recording.accel.T]
     data = render_report(dict(zip(_CSV_HEADER, cols)), "csv").encode("utf-8")
     write_report(data, "csv", dest)
     npy = io.BytesIO()
     np.lib.format.write_array(npy, np.column_stack(cols), version=(1, 0), allow_pickle=False)
-    write_report(npy.getvalue(), "npy", _rows_entry(dest, _sha256(data)))
+    with contextlib.suppress(ConfigError):
+        write_report(npy.getvalue(), "npy", _rows_entry(dest, _sha256(data)))
 
 
 def _sha256(data: bytes) -> str:
@@ -440,7 +443,9 @@ def write_array(
     if one fails, its error is raised and there is no manifest, so no
     manifest lists recordings of two runs. The entries of the rows cache in
     ``out_dir`` are removed with the manifest, so it holds only those of
-    the recordings written here. Running out of memory, or a worker that
+    the recordings written here. An entry that cannot be removed (a
+    directory, say) is left: it can be a hit only for the recording whose
+    bytes name it. Running out of memory, or a worker that
     dies, is a ``ConfigError`` naming ``out_dir`` and the sample count.
     """
     # Deferred, as in ``_sha256``; imported before the fork, so each worker inherits it.
@@ -452,7 +457,8 @@ def write_array(
     write_report(None, "json", manifest_path)  # removes it
     with contextlib.suppress(FileNotFoundError, NotADirectoryError):  # no entries
         for entry in (out / _ROWS_DIR).iterdir():
-            write_report(None, "npy", entry)
+            with contextlib.suppress(ConfigError):
+                write_report(None, "npy", entry)
     try:
         # list() waits for every write and raises the first failure.
         list(_fork_map(write_recording_csv,

@@ -52,10 +52,11 @@ _POINTS_PER_DECADE = 10
 def _log_window_grid(n: int) -> np.ndarray:
     """Integer window ends from 2 to n, ~logarithmically spaced."""
     count = max(2, int(np.log10(n / 2) * _POINTS_PER_DECADE) + 1)
-    grid = np.sort(np.round(np.logspace(np.log10(2), np.log10(n), count)).astype(int))
-    # Adjacent duplicates removed: np.unique's result, without the numpy.ma
-    # import (about 14 ms) that np.unique makes on its first call.
-    grid = grid[np.append(True, grid[1:] != grid[:-1])]
+    grid = np.round(np.logspace(np.log10(2), np.log10(n), count)).astype(int)
+    # The grid is non-decreasing, so removing adjacent duplicates gives
+    # np.unique's result, without the numpy.ma import (about 14 ms) that
+    # np.unique makes on its first call.
+    grid = grid[np.append(True, np.diff(grid) != 0)]
     return grid[(grid >= 2) & (grid <= n)]
 
 

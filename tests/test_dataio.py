@@ -3,6 +3,7 @@ import dataclasses
 import json
 import os
 import re
+import shutil
 import threading
 import warnings
 from pathlib import Path
@@ -739,6 +740,32 @@ class TestRowsCache:
         readers = (cached.parent / "sensor_01.csv.opens").read_text().split()
         assert len(readers) == 1 and int(readers[0]) != os.getpid()
         assert _no_child_left()
+
+    @pytest.mark.parametrize("odd", ["entry_directory", "rows_file"])
+    def test_odd_cache_entries_do_not_fail_a_write(self, tmp_path, gravity, odd):
+        """An entry whose name a directory takes, or a ``.rows`` that is a
+        file, is neither removed nor written by the next write: that
+        recording, or every one, is then a miss and parsed."""
+        arr = simulate_array(draw_sensor_params(3, 1), gravity, 1.0, 100.0, seed=1)
+        out = tmp_path / "rec"
+        digests = _digests(write_array(arr, out, gravity))
+        if odd == "entry_directory":
+            entry = out / ".rows" / f"{digests[1]}.npy"
+            entry.unlink()
+            entry.mkdir()
+        else:
+            shutil.rmtree(out / ".rows")
+            (out / ".rows").write_bytes(b"")
+        manifest_path = write_array(arr, out, gravity)  # the same recordings: the same names
+        assert _digests(manifest_path) == digests
+        files = TestPooledReads._files(manifest_path)
+        hits = [dataio._cached_rows(path, d) is not None for (path, _), d in zip(files, digests)]
+        if odd == "entry_directory":
+            assert entry.is_dir() and hits == [True, False, True]
+        else:
+            assert (out / ".rows").read_bytes() == b"" and hits == [False] * 3
+        rows = read_recording_rows(files, 100.0, digests)
+        assert [r.tobytes() for r in rows] == [_recording_rows(*f).tobytes() for f in files]
 
     def test_second_write_leaves_only_its_entries(self, tmp_path, gravity):
         out = tmp_path / "rec"

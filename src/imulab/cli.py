@@ -14,6 +14,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import itertools
 import sys
@@ -236,18 +237,19 @@ def _load_array(
 ) -> ArrayRecording:
     """Parse all recordings named by a manifest into one aligned array.
 
-    ``read_recording_rows`` reads and checks their rows, taking those of each
-    recording whose SHA-256 among ``digests`` names a rows cache entry and
-    parsing the others, in worker processes for a large manifest; it raises
-    the first recording's fault in manifest order. Each recording is then
-    built here from its checked rows.
+    ``read_recording_rows`` yields their rows in manifest order, taking
+    those of each recording whose SHA-256 among ``digests`` names a rows
+    cache entry and parsing the others, in worker processes for a large
+    manifest. Each recording is built here, once, its time base checked,
+    before the next one's rows are taken, so the first fault in manifest
+    order is raised, as in a serial read.
     """
     files = [(manifest_path.parent / rel, sensor_id) for sensor_id, rel in manifest.sensor_files]
-    rows = read_recording_rows(files, manifest.rate_hz, digests)
-    recs = [
-        parse_recording_csv(path, sensor_id, manifest.rate_hz, manifest.gyro_units, rows=r)
-        for (path, sensor_id), r in zip(files, rows)
-    ]
+    with contextlib.closing(read_recording_rows(files, digests)) as rows:
+        recs = [
+            parse_recording_csv(path, sensor_id, manifest.rate_hz, manifest.gyro_units, rows=r)
+            for (path, sensor_id), r in zip(files, rows)
+        ]
     try:
         return ArrayRecording(tuple(recs))
     except ValueError as exc:

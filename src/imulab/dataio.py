@@ -202,10 +202,11 @@ def parse_recording_csv(
 ) -> SensorRecording:
     """Parse the UTF-8 sensor CSV at ``path`` into an SI recording.
 
-    ``rows`` are the file's checked rows as ``read_recording_rows`` read
-    them; without them the file is read here, opened once and read as a
-    stream of lines; only a file at fault is read again, whole, to name the
-    fault (``_recording_rows``). Gyro columns are converted from the declared
+    ``rows`` are the file's rows as ``read_recording_rows`` yields them;
+    without them the file is read here, opened once and read as a stream of
+    lines; only a file at fault is read again, whole, to name the fault
+    (``_recording_rows``). Either way the time base is checked here, once,
+    as the recording is built. Gyro columns are converted from the declared
     units. Blank lines are skipped. A path that cannot be read or is not
     UTF-8, a recording that does not fit in memory, a malformed line or a
     ``nan`` or ``inf`` value, and a time base that ``SensorRecording``
@@ -236,52 +237,38 @@ def _beyond_memory(sensor_id: str, path, exc: MemoryError) -> DataError:
 
 def read_recording_rows(
     files: Sequence[tuple[str | os.PathLike, str]],
-    rate_hz: float,
     digests: Sequence[str] | None = None,
-) -> list[np.ndarray]:
-    """The checked rows of each recording ``(path, sensor_id)`` of ``files``
-    sampled at ``rate_hz``, in order, for ``parse_recording_csv``.
+) -> Iterator[np.ndarray]:
+    """Yield the rows of each recording ``(path, sensor_id)`` of ``files``,
+    in order, for ``parse_recording_csv``.
 
     ``digests`` are the SHA-256 of each recording's bytes, as
     ``recording_stats_key`` gives them. A recording whose digest names an
     entry of the rows cache beside it (``_cached_rows``) is not parsed: its
-    entry is taken and checked here. Every other recording is one
-    ``_checked_rows`` call, run by ``_fork_map`` for those files' values
-    (their sizes over ``_BYTES_PER_VALUE``): in worker processes or here, one
-    after another. The recordings are then walked in order, each entry's
-    time base checked in place and each parse taken from the map, so the
-    first recording at fault raises the ``DataError`` that reading them one
-    after another raises. Running out of memory, or a worker that dies, is a
-    ``DataError`` naming the recording.
+    entry is yielded. Every other recording is one ``_recording_rows`` call,
+    run by ``_fork_map`` for those files' values (their sizes over
+    ``_BYTES_PER_VALUE``): in worker processes or here, one after another.
+    A recording's fault is raised only when its turn comes, so a caller that
+    checks each recording before taking the next names the first one at
+    fault, as reading them one after another does. Running out of memory,
+    or a worker that dies, is a ``DataError`` naming the recording. Close
+    the generator to stop and reap the workers early.
     """
     cached = [None] * len(files) if digests is None else [
         _cached_rows(path, digest) for (path, _), digest in zip(files, digests, strict=True)]
-    misses = [(path, sid, rate_hz) for (path, sid), hit in zip(files, cached) if hit is None]
+    misses = [(path, sid) for (path, sid), hit in zip(files, cached) if hit is None]
     size = 0
-    for path, _, _ in misses:
+    for path, _ in misses:
         with contextlib.suppress(OSError):  # its read names the fault
             size += os.path.getsize(path)
-    rows = []
-    try:
-        with contextlib.closing(_fork_map(_checked_rows, misses,
-                                          size // _BYTES_PER_VALUE)) as parsed:
-            for (path, sensor_id), hit in zip(files, cached):
-                rows.append(next(parsed) if hit is None
-                            else _checked_rows(path, sensor_id, rate_hz, hit))
-    except MemoryError as exc:
-        path, sensor_id = files[len(rows)]
-        raise _beyond_memory(sensor_id, path, exc) from exc
-    return rows
-
-
-def _checked_rows(path, sensor_id: str, rate_hz: float, rows=None) -> np.ndarray:
-    """``rows``, or else ``_recording_rows`` of the recording at ``path``,
-    if ``parse_recording_csv`` accepts their time base; otherwise the
-    ``DataError`` it raises."""
-    if rows is None:
-        rows = _recording_rows(path, sensor_id)
-    parse_recording_csv(path, sensor_id, rate_hz, rows=rows)
-    return rows
+    with contextlib.closing(_fork_map(_recording_rows, misses,
+                                      size // _BYTES_PER_VALUE)) as parsed:
+        for (path, sensor_id), hit in zip(files, cached):
+            try:
+                rows = next(parsed) if hit is None else hit
+            except MemoryError as exc:
+                raise _beyond_memory(sensor_id, path, exc) from exc
+            yield rows
 
 
 def _rows_entry(path, digest: str) -> Path:
@@ -441,11 +428,15 @@ def write_array(
     A manifest already in ``out_dir`` is removed before the first recording
     is written, and the new one is written only after every recording is;
     if one fails, its error is raised and there is no manifest, so no
-    manifest lists recordings of two runs. The entries of the rows cache in
-    ``out_dir`` are removed with the manifest, so it holds only those of
-    the recordings written here. An entry that cannot be removed (a
-    directory, say) is left: it can be a hit only for the recording whose
-    bytes name it. Running out of memory, or a worker that
+    manifest lists recordings of two runs. Before the old manifest is
+    removed, each recording it lists that is not written here is removed
+    too, so no recording of an earlier, larger run is left; a manifest that
+    does not load is skipped, and no file it does not list is touched. The
+    entries of the rows cache in ``out_dir`` are removed with the manifest,
+    so it holds only those of the recordings written here. A recording or
+    an entry that cannot be removed (a directory, say) is left: a manifest
+    never lists that recording, and the entry can be a hit only for the
+    recording whose bytes name it. Running out of memory, or a worker that
     dies, is a ``ConfigError`` naming ``out_dir`` and the sample count.
     """
     # Deferred, as in ``_sha256``; imported before the fork, so each worker inherits it.
@@ -454,6 +445,12 @@ def write_array(
     out = Path(out_dir)
     files = [(rec.sensor_id, f"{rec.sensor_id}.csv") for rec in array.recordings]
     manifest_path = out / "manifest.json"
+    written = {out / rel for _, rel in files}
+    with contextlib.suppress(DataError):  # no manifest, or one that does not load
+        for _, rel in load_manifest(manifest_path).sensor_files:
+            if out / rel not in written:
+                with contextlib.suppress(ConfigError):
+                    write_report(None, "csv", out / rel)
     write_report(None, "json", manifest_path)  # removes it
     with contextlib.suppress(FileNotFoundError, NotADirectoryError):  # no entries
         for entry in (out / _ROWS_DIR).iterdir():

@@ -1,9 +1,9 @@
 """End-to-end acceptance criteria for the sensor-array error toolkit.
 
 Each test covers one headline claim: exact transition/process-noise closed
-forms, the variance and scaling laws of sensor averaging, linearity of mean
-propagation, estimator efficiency, stationarity-test calibration, and
-bit-exact I/O. One PASS/FAIL line is printed per criterion.
+forms, the variance and scaling laws of sensor averaging (over an ensemble
+of seeds for sensors that differ), linearity of mean propagation, estimator
+efficiency, stationarity-test calibration, and bit-exact I/O. One PASS/FAIL line is printed per criterion.
 """
 
 import dataclasses
@@ -11,10 +11,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-from imulab.dataio import parse_recording_csv, write_recording_csv, write_report
+from imulab.dataio import (
+    parse_recording_csv,
+    recording_stats,
+    write_recording_csv,
+    write_report,
+)
 from imulab.estimation import (
     db_ratio,
     running_std_profile,
+    sort_by_quality,
     wss_check,
 )
 from imulab.ins_error_model import (
@@ -274,3 +280,56 @@ def test_criterion_12_bit_exact_round_trip(gravity, tmp_path):
         failures += not (rec_ok and rep_ok)
     _verdict(12, "bit-exact I/O round trip", failures == 0,
              f"100 randomized recording+report cases, {failures} failures")
+
+
+def test_criterion_13_k_ratio_over_an_ensemble_of_seeds(gravity):
+    # For each of M seeds, ten drawn sensors (K=10, N=10^4): the measured
+    # k_ratio (K=10 cell over K=1 cell, sensors worst first as in
+    # ``estimate``) against two per-k predictions, sqrt(sum_{i<=k} s_i^2)/k,
+    # from the config sigmas and from each sensor's measured sigma.
+    #
+    # Standard errors. A cell is the 3-axis RMS of per-axis sample stds, so
+    # its relative standard error is se0 = 1/sqrt(6(N-1)). The two cells of
+    # the config case share the worst sensor's noise: their errors correlate
+    # by rho = s_1^2 / sum s_i^2, and the ratio's relative error has
+    # se = se0 sqrt(2(1 - rho)). In the measured-sigma case the K=1 cell is
+    # its own prediction, and the K=10 cell differs from its prediction only
+    # by the sample cross-covariances of the sensors: se = se0 sqrt(1 - w),
+    # w = sum s_i^4 / (sum s_i^2)^2.
+    seeds, k = range(40), 10
+    errors = {"config": [], "measured": []}
+    ses = {"config": [], "measured": []}
+    for seed in seeds:
+        params = draw_sensor_params(k, seed=1300 + seed)
+        array = simulate_array(params, gravity, 100.0, 100.0, seed=1300 + seed)
+        n = array.n_samples
+        se0 = 1.0 / np.sqrt(6 * (n - 1))
+        stats = recording_stats(array, gravity)
+        order = [sid for sid, _ in sort_by_quality({s.sensor_id: s.bias for s in stats})]
+        index = {r.sensor_id: i for i, r in enumerate(array.recordings)}
+        worst_first = [index[sid] for sid in order]
+        res = [residuals(array.recordings[i], gravity) for i in worst_first]
+        for axes, sigma in ((slice(0, 3), "sigma_gyro"), (slice(3, 6), "sigma_accel")):
+            cells = {}
+            for kk in (1, k):
+                avg = np.mean([r[:, axes] for r in res[:kk]], axis=0)
+                cells[kk] = np.sqrt((avg.std(axis=0, ddof=1) ** 2).mean())
+            measured = cells[k] / cells[1]
+            s2 = np.array([getattr(params[i], sigma) for i in worst_first]) ** 2
+            s2_hat = np.array([(stats[i].noise[axes] ** 2).mean() for i in worst_first])
+            for name, var in (("config", s2), ("measured", s2_hat)):
+                predicted = np.sqrt(var.sum()) / k / np.sqrt(var[0])
+                errors[name].append(measured / predicted - 1)
+            ses["config"].append(se0 * np.sqrt(2 * (1 - s2[0] / s2.sum())))
+            ses["measured"].append(se0 * np.sqrt(1 - (s2 ** 2).sum() / s2.sum() ** 2))
+    ok, details = True, []
+    for name in errors:
+        e, se = np.array(errors[name]), np.array(ses[name])
+        z = e / se
+        mean_bound = 3 * np.sqrt((se ** 2).mean()) / np.sqrt(e.size)
+        ok &= abs(e.mean()) <= mean_bound and 0.7 <= z.std() <= 1.3 and np.abs(z).max() <= 5
+        details.append(f"{name} sigma: mean {e.mean():+.4f} (|.| <= {mean_bound:.4f}), "
+                       f"std {e.std():.4f} = {z.std():.2f} se in [0.7, 1.3], "
+                       f"max {np.abs(e).max():.4f} = {np.abs(z).max():.2f} se <= 5")
+    _verdict(13, "k_ratio over an ensemble of seeds", ok,
+             f"{2 * len(seeds)} cases; " + "; ".join(details))

@@ -420,6 +420,36 @@ class TestRoundTrips:
             write_array(arr, tmp_path, gravity)
         assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]  # no recording
 
+    def test_second_write_removes_the_recordings_it_does_not_write(self, tmp_path, gravity):
+        """A run of 3 sensors after one of 4 leaves no ``sensor_03.csv``; a
+        file that no manifest listed is kept."""
+        write_array(simulate_array(draw_sensor_params(4, 1), gravity, 1.0, 100.0, seed=1),
+                    tmp_path, gravity)
+        (tmp_path / "notes.csv").write_text("kept")
+        write_array(simulate_array(draw_sensor_params(3, 2), gravity, 1.0, 100.0, seed=2),
+                    tmp_path, gravity)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            ".rows", "manifest.json", "notes.csv", "sensor_00.csv", "sensor_01.csv",
+            "sensor_02.csv"]
+        assert (tmp_path / "notes.csv").read_text() == "kept"
+
+    @pytest.mark.parametrize("odd", ["manifest_not_json", "recording_directory"])
+    def test_stale_recording_left_when_it_cannot_be_removed(self, tmp_path, gravity, odd):
+        """A manifest that does not load lists nothing to remove, and a
+        recording that cannot be removed is left; neither fails the write."""
+        write_array(simulate_array(draw_sensor_params(4, 1), gravity, 1.0, 100.0, seed=1),
+                    tmp_path, gravity)
+        stale = tmp_path / "sensor_03.csv"
+        if odd == "manifest_not_json":
+            (tmp_path / "manifest.json").write_text("{")
+        else:
+            stale.unlink()
+            (stale / "inside").mkdir(parents=True)
+        manifest_path = write_array(
+            simulate_array(draw_sensor_params(3, 2), gravity, 1.0, 100.0, seed=2), tmp_path,
+            gravity)
+        assert stale.exists() and len(load_manifest(manifest_path).sensor_files) == 3
+
     def test_summary_report_round_trip(self, tmp_path, gravity):
         arr = simulate_array(draw_sensor_params(4, 2), gravity, 1.0, 100.0, seed=2)
         summary = dataset_summary(recording_stats(arr, gravity))
@@ -508,7 +538,7 @@ class TestPooledReads:
             write_manifest(dataclasses.replace(load_manifest(pooled), gyro_units=units), pooled)
         with monkeypatch.context() as patch:
             patch.setattr(dataio, "_recording_rows", _rows_noting_opens)
-            read_recording_rows(self._files(pooled), 100.0)
+            list(read_recording_rows(self._files(pooled)))
         readers = {int(pid) for path, _ in self._files(pooled)
                    for pid in Path(f"{path}.opens").read_text().split()}
         assert os.getpid() not in readers  # read in the pool
@@ -548,7 +578,8 @@ class TestPooledReads:
         assert _no_child_left()
 
     # The same faults, read in-process: the time-base fault before a bad cell
-    # pins ``_checked_rows``'s time-base check in both modes.
+    # pins that ``_load_array`` checks each recording's time base, as it
+    # builds it, before the next recording's rows are taken, in both modes.
     _faults = test_first_faulty_recording_is_named_as_in_a_serial_read.pytestmark[0]
 
     @pytest.mark.parametrize(*_faults.args, **_faults.kwargs)
@@ -650,6 +681,26 @@ class TestRowsCache:
                 assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
         assert _no_child_left()
 
+    @pytest.mark.parametrize("read", ["hits", "in_process_misses"])
+    def test_each_recording_is_built_once(self, cached, read, monkeypatch):
+        """``_load_array`` builds (and checks the time base of) each
+        recording once, whether its rows are a hit or parsed here."""
+        built = []
+
+        def counting_recording(*args, **kwargs):
+            built.append(kwargs.get("sensor_id"))
+            return SensorRecording(*args, **kwargs)
+
+        monkeypatch.setattr(dataio, "SensorRecording", counting_recording)
+        manifest = load_manifest(cached)
+        if read == "hits":
+            back = _load_array(cached, manifest, _digests(cached))
+        else:
+            with _other_thread():
+                back = _load_array(cached, manifest)
+        assert built == [sid for sid, _ in manifest.sensor_files]
+        assert [r.sensor_id for r in back.recordings] == built
+
     def test_edited_recording_is_parsed_and_its_neighbours_hit(self, cached, monkeypatch):
         monkeypatch.setattr(dataio, "_recording_rows", _rows_noting_opens)
         victim = cached.parent / "sensor_02.csv"
@@ -694,7 +745,7 @@ class TestRowsCache:
             entry.unlink()
             entry.mkdir()
         assert dataio._cached_rows(path, _digests(cached)[1]) is None
-        rows = read_recording_rows([(path, sid)], 100.0, _digests(cached)[1:2])
+        rows = list(read_recording_rows([(path, sid)], _digests(cached)[1:2]))
         assert rows[0].tobytes() == _recording_rows(path, sid).tobytes()
 
     def test_missing_entry_is_a_miss(self, cached):
@@ -764,7 +815,7 @@ class TestRowsCache:
             assert entry.is_dir() and hits == [True, False, True]
         else:
             assert (out / ".rows").read_bytes() == b"" and hits == [False] * 3
-        rows = read_recording_rows(files, 100.0, digests)
+        rows = list(read_recording_rows(files, digests))
         assert [r.tobytes() for r in rows] == [_recording_rows(*f).tobytes() for f in files]
 
     def test_second_write_leaves_only_its_entries(self, tmp_path, gravity):

@@ -20,7 +20,7 @@ from imulab.estimation import (
     sort_by_quality,
     wss_check,
 )
-from imulab.sensor_model import SensorErrorParams, residuals, simulate_array
+from imulab.sensor_model import SensorErrorParams, SensorRecording, residuals, simulate_array
 from oracles import fisher_crlb, variance_of_mean
 
 
@@ -308,6 +308,43 @@ class TestBiasAndNoise:
         rec = simulate_array([p], gravity, 1.0, 100.0, seed=0).recordings[0]
         _, noise = bias_and_noise(rec, gravity)
         assert np.all(noise == 0)
+
+    @pytest.mark.parametrize("n", [2, 3, 10**4])
+    @pytest.mark.parametrize("kind", [
+        "random", "constant", "negative_zero", "signed_zeros", "plus_inf", "minus_inf",
+        "both_inf", "all_inf"])
+    def test_matches_the_row_order_constant_test_bit_for_bit(self, gravity, kind, n):
+        rng = np.random.default_rng(n)
+        column = {
+            "random": rng.normal(size=n) * 1e-3,
+            "constant": np.full(n, 0.1),
+            "negative_zero": np.full(n, -0.0),
+            "signed_zeros": np.where(np.arange(n) % 2, 0.0, -0.0),
+        }.get(kind)
+        if column is None:
+            column = rng.normal(size=n)
+            column[n // 2] = -np.inf if kind == "minus_inf" else np.inf
+            if kind == "both_inf":
+                column[0] = -np.inf
+            elif kind == "all_inf":
+                column[:] = np.inf
+        gyro = np.column_stack([column, rng.normal(size=n), np.full(n, 1e-3)])
+        accel = np.column_stack([rng.normal(size=n), np.full(n, 0.3), column])
+        rec = SensorRecording("s", 100.0, np.arange(n) / 100.0, gyro, accel)
+        with np.errstate(invalid="ignore", over="ignore"):
+            got, want = bias_and_noise(rec, gravity), _row_order_bias_and_noise(rec, gravity)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+
+def _row_order_bias_and_noise(recording, gravity):
+    """``bias_and_noise`` with its constant-axis test as first written:
+    ``np.ptp`` along axis 0 of the C-order (N, 6) residuals."""
+    res = residuals(recording, gravity)
+    bias = res.mean(axis=0)
+    constant = np.ptp(res, axis=0) == 0
+    bias[constant] = res[0, constant]
+    return bias, (res - bias).std(axis=0, ddof=1)
 
 
 class TestWssCheck:

@@ -34,7 +34,6 @@ from .dataio import (
     check_finite,
     dataset_summary,
     is_finite,
-    _fork_map,
     load_manifest,
     parse_recording_csv,
     read_json,
@@ -43,6 +42,7 @@ from .dataio import (
     recording_stats,
     recording_stats_key,
     render_report,
+    run_jobs,
     write_array,
     write_recording_stats,
     write_report,
@@ -354,8 +354,8 @@ def cmd_estimate(config: ExperimentConfig) -> Stage:
     ]
     n = t.size
     jobs = [(avg, t, rate_hz, fmt) for avg in means]
-    products = _per_k_products(_estimate_products, jobs, 6 * n * len(k_grid),
-                               out, f"{n} samples")
+    products = run_jobs(_estimate_products, jobs, 6 * n * len(k_grid),
+                        out, f"products of {n} samples")
     cells_gyro, cells_accel = {}, {}
     for k, (*texts, cells_gyro[k], cells_accel[k]) in zip(k_grid, products):
         for stem, text in zip(("series", "kde", "running_std"), texts):
@@ -369,21 +369,6 @@ def cmd_estimate(config: ExperimentConfig) -> Stage:
     }
     writes.append(partial(write_report, evaluation, "json", out / "evaluation_matrix.json"))
     return writes, f"estimation products written to {out}"
-
-
-def _per_k_products(fn, jobs: list[tuple], n_values: int, out: Path, size: str) -> list:
-    """``fn(*job)`` for each ``k_grid`` entry's job, in k order, run by
-    ``_fork_map`` for ``n_values`` values: in worker processes or here.
-
-    The first job's exception is raised. Running out of memory, or a worker
-    that dies, is a ``ConfigError`` naming ``out`` and the ``size`` of the
-    products.
-    """
-    try:
-        return list(_fork_map(fn, jobs, n_values))
-    except MemoryError as exc:
-        raise ConfigError(f"{out}: products of {size} do not fit in memory: "
-                          f"{str(exc) or 'MemoryError'}") from exc
 
 
 def _estimate_products(
@@ -522,8 +507,8 @@ def cmd_propagate(config: ExperimentConfig) -> Stage:
 
     jobs = [(config, gravity, sys_m, np.mean(biases[:k], axis=0),
              spectra_pool.scaled(1.0 / k), taus, fmt) for k in k_grid]
-    products = _per_k_products(_propagation_products, jobs, 20 * taus.size * len(k_grid),
-                               out, f"{taus.size} taus")
+    products = run_jobs(_propagation_products, jobs, 20 * taus.size * len(k_grid),
+                        out, f"products of {taus.size} taus")
     results = {}
     for k, (*texts, results[k]) in zip(k_grid, products):
         for (stem, ext), text in zip((("mean_error", fmt), ("uncertainty", fmt),
@@ -783,38 +768,42 @@ def _has_ratio_fields(ratios) -> bool:
     )
 
 
+def _stages() -> dict:
+    """The stage table: subcommand -> the ``cmd_*`` function it runs, as
+    this module holds it at the call."""
+    return {
+        "simulate": cmd_simulate,
+        "estimate": cmd_estimate,
+        "propagate": cmd_propagate,
+        "report": cmd_report,
+    }
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="imulab",
         description="Stationary IMU-array simulation, estimation, and propagation",
     )
     parser.add_argument("--version", action="version", version=f"imulab {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("simulate", cmd_simulate),
-        ("estimate", cmd_estimate),
-        ("propagate", cmd_propagate),
-        ("report", cmd_report),
-    ):
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="experiment config JSON")
-        # Each flag's dest is the config field it overrides.
-        p.add_argument("--seed", type=int)
-        p.add_argument("--sensors", type=int)
-        p.add_argument("--rate", dest="rate_hz", type=float)
-        p.add_argument("--duration", dest="duration_s", type=float)
-        p.add_argument("--out", dest="out_dir")
-        p.add_argument("--format", dest="fmt", choices=["csv", "json"])
-        p.set_defaults(func=fn)
+    parser.add_argument("command", choices=_stages())
+    parser.add_argument("--config", help="experiment config JSON")
+    # Each flag's dest is the config field it overrides.
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--sensors", type=int)
+    parser.add_argument("--rate", dest="rate_hz", type=float)
+    parser.add_argument("--duration", dest="duration_s", type=float)
+    parser.add_argument("--out", dest="out_dir")
+    parser.add_argument("--format", dest="fmt", choices=["csv", "json"])
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand and return its exit code.
+    """Run one subcommand, the stage that ``_stages`` names, and return its
+    exit code.
 
     The stage computes every output first. ``estimate`` and ``propagate``
     compute and render each ``k_grid`` entry's tables in one job of
-    ``_fork_map``, in worker processes for a large stage, and ``render_report``
+    ``run_jobs``, in worker processes for a large stage, and ``render_report``
     checks each table there; every job has come back before the stage
     returns. Every pending write's payload is then checked by
     ``check_finite``, so a stage that computed a nan or inf writes nothing;
@@ -826,7 +815,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
-        writes, done = args.func(load_config(args.config, args))
+        writes, done = _stages()[args.command](load_config(args.config, args))
         for write in writes:
             check_finite(write.args)
         for write in writes:

@@ -55,6 +55,7 @@ __all__ = [
     "read_recording_rows",
     "write_recording_csv",
     "write_array",
+    "run_jobs",
     "recording_stats",
     "recording_stats_key",
     "read_recording_stats",
@@ -421,10 +422,10 @@ def write_array(
     """Write per-sensor SI CSVs plus a manifest declaring rad/s and m/s2;
     returns the manifest path.
 
-    Each recording is one ``write_recording_csv`` call, run by
-    ``_fork_map`` for the array's values: in forked worker processes or
-    here, one after another. Either way
-    every file has the same bytes and is written whole by ``write_report``.
+    Each recording is one ``write_recording_csv`` job of ``run_jobs`` for
+    the array's values: in forked worker processes or here, one after
+    another. Either way every file has the same bytes and is written whole
+    by ``write_report``.
     A manifest already in ``out_dir`` is removed before the first recording
     is written, and the new one is written only after every recording is;
     if one fails, its error is raised and there is no manifest, so no
@@ -437,7 +438,8 @@ def write_array(
     an entry that cannot be removed (a directory, say) is left: a manifest
     never lists that recording, and the entry can be a hit only for the
     recording whose bytes name it. Running out of memory, or a worker that
-    dies, is a ``ConfigError`` naming ``out_dir`` and the sample count.
+    dies, is ``run_jobs``'s ``ConfigError`` naming ``out_dir`` and the
+    sample count.
     """
     # Deferred, as in ``_sha256``; imported before the fork, so each worker inherits it.
     import hashlib  # noqa: F401
@@ -456,19 +458,31 @@ def write_array(
         for entry in (out / _ROWS_DIR).iterdir():
             with contextlib.suppress(ConfigError):
                 write_report(None, "npy", entry)
-    try:
-        # list() waits for every write and raises the first failure.
-        list(_fork_map(write_recording_csv,
-                       [(rec, out / rel) for rec, (_, rel) in zip(array.recordings, files)],
-                       array.n_sensors * array.n_samples * len(_CSV_HEADER)))
-    except MemoryError as exc:
-        raise ConfigError(f"{out}: recordings of {array.n_samples} samples per sensor "
-                          f"do not fit in memory: {str(exc) or 'MemoryError'}") from exc
+    run_jobs(write_recording_csv,
+             [(rec, out / rel) for rec, (_, rel) in zip(array.recordings, files)],
+             array.n_sensors * array.n_samples * len(_CSV_HEADER),
+             out, f"recordings of {array.n_samples} samples per sensor")
     manifest = ArrayManifest(
         rate_hz=array.rate_hz, sensor_files=tuple(files), gravity_mps2=gravity.g_magnitude
     )
     write_manifest(manifest, manifest_path)
     return manifest_path
+
+
+def run_jobs(fn, jobs: Sequence[tuple], n_values: int, out, what: str) -> list:
+    """``fn(*job)`` for each of ``jobs``, ``n_values`` values in all, in
+    order, run by ``_fork_map``: in worker processes or here.
+
+    Every job has run, or the first job's exception is raised. Running out
+    of memory, or a worker that dies, is a ``ConfigError`` naming the output
+    ``out`` and saying that ``what`` (such as ``"products of 10000
+    samples"``) do not fit in memory.
+    """
+    try:
+        return list(_fork_map(fn, jobs, n_values))
+    except MemoryError as exc:
+        raise ConfigError(f"{out}: {what} do not fit in memory: "
+                          f"{str(exc) or 'MemoryError'}") from exc
 
 
 # Fewest values that ``_fork_map`` hands to worker processes: recording
@@ -479,10 +493,10 @@ def write_array(
 # to write and 0.44 us to parse, and a per-k value about 1.0 us to compute
 # and render in ``estimate`` (N = 1e4) and 0.8 us in ``propagate`` (2001
 # taus). Forking two workers and reaping them takes about 5 ms, receiving a
-# parsed recording of 7e4 values about 2 ms, and receiving a rendered table
-# about 4 ms per MB (``estimate``'s series: 27 bytes per value). So at 1e5
-# values two workers save about 50 ms of writes, 10 ms of parses or 35 ms
-# of per-k work.
+# parsed recording of 7e4 values, pickled, about 1 ms, and receiving a
+# rendered table about 4 ms per MB (``estimate``'s series: 27 bytes per
+# value). So at 1e5 values two workers save about 50 ms of writes, 10 ms of
+# parses or 35 ms of per-k work.
 _POOL_MIN_VALUES = 100_000
 # Bytes per value of a recording that ``write_recording_csv`` wrote: a
 # shortest round-trip float and its comma, 18.6 bytes in the benchmark's
@@ -500,12 +514,12 @@ def _fork_map(fn, args: Sequence[tuple], n_values: int) -> Iterator:
     least ``_POOL_MIN_VALUES`` values to pay for the workers, ``fork`` is
     available, and this process runs no other Python thread (a lock such a
     thread held would stay held in the children). The workers live for this
-    call only; worker w inherits ``fn`` and ``args`` (nothing is pickled)
+    call only; worker w inherits ``fn`` and ``args`` (they are not pickled)
     and calls ``args[w]``, ``args[w + workers]``, ... in order, sending each
-    result, or the exception it raised, over its own pipe (``_fork_worker``),
-    and leaves by ``os._exit``. A result is yielded, or its exception
-    raised, in order; a worker that dies is a ``MemoryError``, as the
-    out-of-memory killer leaves it. On leaving, every pipe is closed, so a
+    result, or the exception it raised, pickled over its own pipe
+    (``_fork_worker``), and leaves by ``os._exit``. A result is yielded, or
+    its exception raised, in order; a worker that dies is a ``MemoryError``,
+    as the out-of-memory killer leaves it. On leaving, every pipe is closed, so a
     worker still sending stops, and every worker is reaped.
 
     Otherwise, and when the system refuses a pipe or a fork, the calls run
@@ -563,36 +577,29 @@ def _fork_map(fn, args: Sequence[tuple], n_values: int) -> Iterator:
 
 
 def _fork_worker(fn, args: Sequence[tuple], sender, receivers) -> None:
-    """In a forked worker: send ``fn(*a)``, or the exception it raises, for
-    each ``a`` of ``args``, in order; an array as its shape and type, then
-    its bytes. Stops when the main process has closed its end of the pipe.
+    """In a forked worker: for each ``a`` of ``args``, in order, send
+    ``("value", fn(*a))``, or ``("raise", exc)`` for the exception it
+    raises, as one pickled frame. Stops when the main process has closed its
+    end of the pipe.
     """
     for receiver in receivers:
         receiver.close()  # inherited receiving ends: only the main process's stay open
     try:
         for a in args:
             try:
-                result = fn(*a)
+                frame = ("value", fn(*a))
             except Exception as exc:
-                sender.send(("raise", exc))
-                continue
-            if isinstance(result, np.ndarray):
-                sender.send(("array", (result.shape, result.dtype.str)))
-                sender.send_bytes(np.ascontiguousarray(result))
-            else:
-                sender.send(("value", result))
+                frame = ("raise", exc)
+            sender.send(frame)
     except OSError:
         pass  # the main process stopped reading
 
 
 def _receive(receiver):
     """The next result that ``_fork_worker`` sends over ``receiver``, or the
-    exception it sent raised; an array is received into one allocated here."""
+    exception it sent raised."""
     try:
         kind, payload = receiver.recv()
-        if kind == "array":
-            payload = np.empty(*payload)
-            receiver.recv_bytes_into(payload.reshape(-1))
     except EOFError as exc:
         raise MemoryError("a worker process died") from exc
     if kind == "raise":

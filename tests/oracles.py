@@ -6,8 +6,8 @@ the package: the sigma^2/(N*K) variance law and the CRLB of a Gaussian mean
 error ranges, the LTI composition identity of Q, step-by-step discrete
 propagation, the reference for ``q_closed`` (criterion 3), the whole-array
 Simpson quadrature that the chunked ``q_numeric_oracle`` replaced, and the
-whole-text recording reader that the streaming
-``dataio.parse_recording_csv`` replaced.
+whole-text recording reader that the streaming ``dataio._recording_rows``
+replaced.
 """
 
 from __future__ import annotations

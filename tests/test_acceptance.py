@@ -333,3 +333,55 @@ def test_criterion_13_k_ratio_over_an_ensemble_of_seeds(gravity):
                        f"max {np.abs(e).max():.4f} = {np.abs(z).max():.2f} se <= 5")
     _verdict(13, "k_ratio over an ensemble of seeds", ok,
              f"{2 * len(seeds)} cases; " + "; ".join(details))
+
+
+def test_criterion_14_k_axis_slope_over_an_ensemble_of_seeds(gravity):
+    # Criterion 13's ensemble (seeds 1300-1339, K=10, N=10^4, sensors worst
+    # first): the least-squares slope of log(t0 cell) against log k over
+    # k = 1..K, the K-axis twin of criterion 5's slope, against the slope of
+    # the per-k curve sqrt(sum_{i<=k} s_i^2)/k fitted the same way, from the
+    # config sigmas and from each sensor's measured sigma. Sensors that
+    # differ put that curve off -1/2 (std 0.035 over these cases), so the
+    # ideal slope is not the reference.
+    #
+    # Bound. A cell is the 3-axis RMS of per-axis sample stds, so a log
+    # cell's standard error is at most about se0 = 1/sqrt(6(N-1)) = 0.0041.
+    # The slope is w . log(cells), w the fit's weights on log k, so however
+    # the cells correlate its standard error is at most se = sum|w_k| se0 =
+    # 1.184 * 0.0041 = 0.0048. Over the 80 cases (40 seeds x gyro, accel):
+    # |mean| <= 3 se/sqrt(80), std <= se, and no case beyond 5 se.
+    seeds, k = range(40), 10
+    x = np.log(np.arange(1, k + 1))
+    w = (x - x.mean()) / ((x - x.mean()) ** 2).sum()
+    errors = {"config": [], "measured": []}
+    for seed in seeds:
+        params = draw_sensor_params(k, seed=1300 + seed)
+        array = simulate_array(params, gravity, 100.0, 100.0, seed=1300 + seed)
+        n = array.n_samples
+        stats = recording_stats(array, gravity)
+        order = [sid for sid, _ in sort_by_quality({s.sensor_id: s.bias for s in stats})]
+        index = {r.sensor_id: i for i, r in enumerate(array.recordings)}
+        worst_first = [index[sid] for sid in order]
+        res = [residuals(array.recordings[i], gravity) for i in worst_first]
+        for axes, sigma in ((slice(0, 3), "sigma_gyro"), (slice(3, 6), "sigma_accel")):
+            total, cells = np.zeros((n, 3)), []
+            for kk, r in enumerate(res, start=1):
+                total += r[:, axes]
+                cells.append(np.sqrt(((total / kk).std(axis=0, ddof=1) ** 2).mean()))
+            measured = w @ np.log(cells)
+            s2 = np.array([getattr(params[i], sigma) for i in worst_first]) ** 2
+            s2_hat = np.array([(stats[i].noise[axes] ** 2).mean() for i in worst_first])
+            for name, var in (("config", s2), ("measured", s2_hat)):
+                predicted = w @ np.log(np.sqrt(np.cumsum(var)) / np.arange(1, k + 1))
+                errors[name].append(measured - predicted)
+    se = np.abs(w).sum() / np.sqrt(6 * (n - 1))
+    ok, details = True, []
+    for name in errors:
+        e = np.array(errors[name])
+        mean_bound = 3 * se / np.sqrt(e.size)
+        ok &= abs(e.mean()) <= mean_bound and e.std() <= se and np.abs(e).max() <= 5 * se
+        details.append(f"{name} sigma: mean {e.mean():+.5f} (|.| <= {mean_bound:.4f}), "
+                       f"std {e.std():.4f} <= {se:.4f}, max {np.abs(e).max():.4f} "
+                       f"<= {5 * se:.3f}")
+    _verdict(14, "K-axis slope over an ensemble of seeds", ok,
+             f"{2 * len(seeds)} cases; " + "; ".join(details))

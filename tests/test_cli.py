@@ -141,6 +141,28 @@ class TestConfig:
         args = build_parser().parse_args(["estimate", "--config", str(path)])
         assert load_config(args.config, args).manifest == json.loads(path.read_text())["manifest"]
 
+    @pytest.mark.parametrize("argv, code", [
+        (["--version"], 0),
+        (["simulate", "--help"], 0),
+        ([], 2),
+        (["bogus"], 2),
+        (["simulate", "--seed", "x"], 2),
+    ], ids=["version", "help", "no_command", "unknown_command", "bad_flag_value"])
+    def test_usage_exit_codes(self, tmp_path, capsys, monkeypatch, argv, code):
+        """``--version`` and ``--help`` print to stdout and exit 0; a missing
+        or unknown subcommand, or a flag value of the wrong type, prints the
+        usage to stderr and exits 2. None of them runs a stage."""
+        monkeypatch.chdir(tmp_path)  # so the default out_dir would show below
+        assert main(argv) == code
+        out, err = capsys.readouterr()
+        if argv == ["--version"]:
+            assert out == f"imulab {cli.__version__}\n"
+        elif code == 0:
+            assert "{simulate,estimate,propagate,report}" in out and "--format" in out
+        else:
+            assert out == "" and err.startswith("usage: imulab")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("text, field", [
         (b"[]", None),
         (b'{"k_grid": 5}', "k_grid"),

@@ -75,6 +75,21 @@ def test_every_imported_name_is_used_or_exported(module_name):
 
 
 @pytest.mark.parametrize("module_name", SUBMODULES)
+def test_no_module_imports_a_private_name_of_another(module_name):
+    """A ``_name`` is a helper of its own module: another package module
+    imports only public names, so a helper can change with its module."""
+    tree = ast.parse((PACKAGE_DIR / f"{module_name}.py").read_text())
+    private = [
+        f"{'.' * node.level}{node.module or ''} import {alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    ]
+    assert not private, f"{module_name}.py imports private names: {private}"
+
+
+@pytest.mark.parametrize("module_name", SUBMODULES)
 def test_every_private_module_name_is_loaded(module_name):
     """A module-level ``_name`` (function, class or constant) is a helper of
     its own module, so one that the module never loads was left behind by a

@@ -9,7 +9,9 @@ names, and for each timing as measured before run.py's host-speed
 correction (``wall.<timing>``), it prints each side's median and quartiles,
 the pairs the change won, and whether the change meets the gain rule:
 better in at least nine of ten pairs, and a median better by more than the
-base's interquartile range.
+base's interquartile range. For each metric with a ``bound`` it also prints
+the no-regression verdict: ``within bound``, ``regressed`` or
+``unresolved`` (see ``summarize``).
 
     python3 scripts/bench_pairs.py --base ../parent --change . --workload paper --pairs 10
 
@@ -27,7 +29,8 @@ import sys
 from pathlib import Path
 
 
-def summarize(base: list[float], change: list[float], better: str) -> dict:
+def summarize(base: list[float], change: list[float], better: str,
+              bound: float | None = None) -> dict:
     """Compare one metric's values from paired runs, ``base[i]`` with
     ``change[i]``, where ``better`` is ``"lower"`` or ``"higher"``.
 
@@ -37,6 +40,13 @@ def summarize(base: list[float], change: list[float], better: str) -> dict:
     median's lead over the base's (positive when the change is better), and
     ``meets``: at least nine tenths of the pairs won and a gap larger than
     the base's interquartile range.
+
+    Given the metric's ``bound``, a fraction of the base's median, it also
+    returns the no-regression ``verdict``: ``"within bound"`` when every
+    change run is better than every base run, else ``"unresolved"`` when the
+    base's iqr exceeds the bound, else ``"regressed"`` when the change's
+    median is worse than the base's by more than the bound, else
+    ``"within bound"``.
     """
     if len(base) != len(change) or len(base) < 2:
         raise ValueError("need at least two pairs of values")
@@ -48,8 +58,18 @@ def summarize(base: list[float], change: list[float], better: str) -> dict:
         sides[name] = {"median": median, "q1": q1, "q3": q3}
     iqr = sides["base"]["q3"] - sides["base"]["q1"]
     gap = sign * (sides["base"]["median"] - sides["change"]["median"])
-    return {**sides, "wins": wins, "pairs": len(base), "iqr": iqr, "gap": gap,
-            "meets": wins >= math.ceil(0.9 * len(base)) and gap > iqr}
+    out = {**sides, "wins": wins, "pairs": len(base), "iqr": iqr, "gap": gap,
+           "meets": wins >= math.ceil(0.9 * len(base)) and gap > iqr}
+    if bound is not None:
+        allowed = bound * abs(sides["base"]["median"])
+        # sign * v is lower when v is better.
+        if max(sign * v for v in change) < min(sign * v for v in base):
+            out["verdict"] = "within bound"
+        elif iqr > allowed:
+            out["verdict"] = "unresolved"
+        else:
+            out["verdict"] = "regressed" if -gap > allowed else "within bound"
+    return out
 
 
 def run_bench(checkout: Path, args) -> dict[str, float]:
@@ -85,6 +105,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     spec = json.loads((args.base / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m.get("bound") for m in spec["end_to_end"]}
     runs = {"base": [], "change": []}
     for i in range(args.pairs):
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
@@ -98,13 +119,14 @@ def main(argv=None) -> int:
     summary = {}
     for name, better in metrics.items():
         values = {side: [r[name] for r in runs[side]] for side in runs}
-        s = summarize(values["base"], values["change"], better)
+        s = summarize(values["base"], values["change"], better, bounds.get(name))
         summary[name] = {**s, "values": values}
         print(f"{args.workload:>14} {name:<16} base {s['base']['median']:.5g} "
               f"[{s['base']['q1']:.5g}, {s['base']['q3']:.5g}]  change "
               f"{s['change']['median']:.5g} [{s['change']['q1']:.5g}, {s['change']['q3']:.5g}]"
               f"  wins {s['wins']}/{s['pairs']}  gap {s['gap']:.4g} vs iqr {s['iqr']:.4g}"
-              f"  {'meets' if s['meets'] else 'does not meet'} the gain rule")
+              f"  {'meets' if s['meets'] else 'does not meet'} the gain rule"
+              + (f", {s['verdict']}" if "verdict" in s else ""))
     print(json.dumps(summary))
     return 0
 

@@ -317,7 +317,7 @@ def cmd_simulate(config: ExperimentConfig) -> Stage:
     except MemoryError as exc:
         raise ConfigError(
             f"duration_s * rate_hz = {config.duration_s * config.rate_hz:.3g} samples "
-            f"per sensor do not fit in memory: {exc}"
+            f"per sensor do not fit in memory: {str(exc) or 'MemoryError'}"
         ) from exc
     for i, rec in enumerate(array.recordings):
         if not (np.isfinite(rec.gyro).all() and np.isfinite(rec.accel).all()):
@@ -678,8 +678,8 @@ def _propagation_inputs(
 
 def cmd_report(config: ExperimentConfig) -> Stage:
     out = Path(config.out_dir)
-    evaluation = _read_product(out / "evaluation_matrix.json", _has_evaluation_fields)
-    ratios = _read_product(out / "ratio_matrices.json", _has_ratio_fields)
+    evaluation, evaluation_db = _read_product(out / "evaluation_matrix.json", _evaluation_db)
+    ratios, ratio_db = _read_product(out / "ratio_matrices.json", _ratio_db)
     if evaluation is None and ratios is None:
         raise ConfigError(
             f"no estimate/propagate outputs found in {out}; run those commands first"
@@ -709,63 +709,56 @@ def cmd_report(config: ExperimentConfig) -> Stage:
         "dataset_summary": summary,
         "evaluation_matrix": evaluation,
         "ratio_matrices": ratios,
-        "db_ratios": _collect_db(evaluation, ratios),
+        "db_ratios": {**evaluation_db, **ratio_db},
         "q_coefficient_audit": audit,
     }
     dest = out / "report.json"
     return [partial(write_report, bundle, "json", dest)], f"report written to {dest}"
 
 
-def _collect_db(evaluation, ratios) -> dict:
-    out = {}
-    if evaluation is not None:
-        for key in ("gyro_dps", "accel"):
-            out[f"{key}_k_ratio_db"] = evaluation[key]["k_ratio_db"]
-            out[f"{key}_n_ratio_db"] = evaluation[key]["n_ratio_db"]
-    if ratios is not None:
-        positive = [v for row in ratios["uncertainty_ratio"] for v in row if v > 0]
-        if positive:
-            out["uncertainty_ratio_db_mean"] = float(
-                np.mean([db_ratio(v) for v in positive])
-            )
-    return out
+def _read_product(path: Path, take) -> tuple[object, dict]:
+    """A stage product read by ``read_json`` and its ``db_ratios`` entries,
+    ``take(product)``, or ``(None, {})`` if there is no such file.
 
-
-def _read_product(path: Path, has_fields):
-    """A stage product read by ``read_json``, or None if there is none.
-
-    A product that fails ``has_fields`` or holds a non-finite number is a
-    ``DataError`` naming it.
+    A product holding a non-finite number, or whose fields ``take`` cannot
+    read, is a ``DataError`` naming it.
     """
     if not path.exists():
-        return None
+        return None, {}
     product = read_json(path)
     try:
         check_finite(product)
-    except ValueError:
-        product = None  # judged as a missing field
-    if not has_fields(product):
-        raise DataError(f"{path}: missing, non-numeric or non-finite product field")
-    return product
+        return product, take(product)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"{path}: missing, non-numeric or non-finite product field") from exc
 
 
-def _has_evaluation_fields(evaluation) -> bool:
-    """Whether ``_collect_db`` can read an ``evaluation_matrix.json`` product."""
-    return isinstance(evaluation, dict) and all(
-        isinstance(block, dict)
-        and is_finite(block.get("n_ratio_db"))
-        and "k_ratio_db" in block
-        and (block["k_ratio_db"] is None or is_finite(block["k_ratio_db"]))
-        for block in (evaluation.get("gyro_dps"), evaluation.get("accel"))
-    )
+def _finite(value):
+    """``value`` if ``is_finite`` takes it, else a ``ValueError``."""
+    if not is_finite(value):
+        raise ValueError(f"{value!r} is not a finite number")
+    return value
 
 
-def _has_ratio_fields(ratios) -> bool:
-    """Whether ``_collect_db`` can read a ``ratio_matrices.json`` product."""
-    unc = ratios.get("uncertainty_ratio") if isinstance(ratios, dict) else None
-    return isinstance(unc, list) and all(
-        isinstance(row, list) and all(map(is_finite, row)) for row in unc
-    )
+def _evaluation_db(evaluation) -> dict:
+    """The K and N ratios in dB of an ``evaluation_matrix.json`` product."""
+    out = {}
+    for key in ("gyro_dps", "accel"):
+        k_db = evaluation[key]["k_ratio_db"]
+        out[f"{key}_k_ratio_db"] = k_db if k_db is None else _finite(k_db)
+        out[f"{key}_n_ratio_db"] = _finite(evaluation[key]["n_ratio_db"])
+    return out
+
+
+def _ratio_db(ratios) -> dict:
+    """The mean dB value of the positive ``uncertainty_ratio`` cells of a
+    ``ratio_matrices.json`` product; none when no cell is positive."""
+    rows = ratios["uncertainty_ratio"]
+    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+        raise TypeError("uncertainty_ratio is not a list of lists")
+    # float(): numpy's log10 takes no int beyond 64 bits.
+    positive = [db_ratio(float(v)) for row in rows for v in map(_finite, row) if v > 0]
+    return {"uncertainty_ratio_db_mean": float(np.mean(positive))} if positive else {}
 
 
 def _stages() -> dict:

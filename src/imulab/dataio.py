@@ -128,12 +128,14 @@ class SensorStats(NamedTuple):
 def read_json(path: str | os.PathLike):
     """Read a JSON data file as UTF-8.
 
-    A file that cannot be read, is not UTF-8 or is not JSON is a
-    ``DataError`` naming the path.
+    A file that cannot be read, does not fit in memory, is not UTF-8 or is
+    not JSON is a ``DataError`` naming the path.
     """
     path = Path(path)
     try:
         return json.loads(path.read_text(encoding="utf-8"))
+    except MemoryError as exc:
+        raise DataError(f"{path} does not fit in memory: {str(exc) or 'MemoryError'}") from exc
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
@@ -628,19 +630,31 @@ def recording_stats(array: ArrayRecording, gravity: GravityModel) -> list[Sensor
     return stats
 
 
+# Bytes ``recording_stats_key`` reads at a time: its peak memory is a few
+# blocks, whatever a recording's size, at the speed of one whole read.
+_HASH_BLOCK = 1 << 20
+
+
 def recording_stats_key(manifest_path: str | os.PathLike, manifest: ArrayManifest) -> dict:
     """What the recording stats of a manifest are a function of.
 
     The package version, and the SHA-256 of the manifest's bytes and of each
-    recording's bytes in manifest order. A file that cannot be read is a
-    ``DataError`` naming it.
+    recording's bytes in manifest order, each file hashed in blocks of
+    ``_HASH_BLOCK`` bytes so that none is held whole. A file that cannot be
+    read is a ``DataError`` naming it.
     """
+    import hashlib  # deferred, as in ``_sha256``
+
     manifest_path = Path(manifest_path)
     paths = [manifest_path] + [manifest_path.parent / rel for _, rel in manifest.sensor_files]
     digests = []
     for path in paths:
         try:
-            digests.append(_sha256(path.read_bytes()))
+            digest = hashlib.sha256()
+            with open(path, "rb") as fh:
+                while block := fh.read(_HASH_BLOCK):
+                    digest.update(block)
+            digests.append(digest.hexdigest())
         except OSError as exc:
             raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
     return {

@@ -5,18 +5,21 @@ the package: the sigma^2/(N*K) variance law and the CRLB of a Gaussian mean
 (acceptance criteria 4 and 10), a sensor at the median of the reference
 error ranges, the LTI composition identity of Q, step-by-step discrete
 propagation, the reference for ``q_closed`` (criterion 3), the whole-array
-Simpson quadrature that the chunked ``q_numeric_oracle`` replaced, and the
+Simpson quadrature that the chunked ``q_numeric_oracle`` replaced, the
 whole-text recording reader that the streaming ``dataio._recording_rows``
-replaced.
+replaced, and the product validators and ``db_ratios`` collector that
+``report``'s per-product readers replaced.
 """
 
 from __future__ import annotations
 
 import io
+from pathlib import Path
 
 import numpy as np
 
-from imulab.dataio import ConfigError, DataError
+from imulab.dataio import ConfigError, DataError, check_finite, is_finite, read_json
+from imulab.estimation import db_ratio
 from imulab.ins_error_model import (
     NoiseSpectra,
     SystemMatrices,
@@ -224,3 +227,56 @@ def _text_reads_alone(cells: list[str], j: int) -> bool:
     except ValueError:
         return False
     return True
+
+
+def read_product(path: Path, has_fields):
+    """A stage product read by ``read_json``, or None if there is none.
+
+    A product that fails ``has_fields`` or holds a non-finite number is a
+    ``DataError`` naming it.
+    """
+    if not path.exists():
+        return None
+    product = read_json(path)
+    try:
+        check_finite(product)
+    except ValueError:
+        product = None  # judged as a missing field
+    if not has_fields(product):
+        raise DataError(f"{path}: missing, non-numeric or non-finite product field")
+    return product
+
+
+def has_evaluation_fields(evaluation) -> bool:
+    """Whether ``collect_db`` can read an ``evaluation_matrix.json`` product."""
+    return isinstance(evaluation, dict) and all(
+        isinstance(block, dict)
+        and is_finite(block.get("n_ratio_db"))
+        and "k_ratio_db" in block
+        and (block["k_ratio_db"] is None or is_finite(block["k_ratio_db"]))
+        for block in (evaluation.get("gyro_dps"), evaluation.get("accel"))
+    )
+
+
+def has_ratio_fields(ratios) -> bool:
+    """Whether ``collect_db`` can read a ``ratio_matrices.json`` product."""
+    unc = ratios.get("uncertainty_ratio") if isinstance(ratios, dict) else None
+    return isinstance(unc, list) and all(
+        isinstance(row, list) and all(map(is_finite, row)) for row in unc
+    )
+
+
+def collect_db(evaluation, ratios) -> dict:
+    """report.json's ``db_ratios`` from the two products ``read_product`` read."""
+    out = {}
+    if evaluation is not None:
+        for key in ("gyro_dps", "accel"):
+            out[f"{key}_k_ratio_db"] = evaluation[key]["k_ratio_db"]
+            out[f"{key}_n_ratio_db"] = evaluation[key]["n_ratio_db"]
+    if ratios is not None:
+        positive = [v for row in ratios["uncertainty_ratio"] for v in row if v > 0]
+        if positive:
+            out["uncertainty_ratio_db_mean"] = float(
+                np.mean([db_ratio(v) for v in positive])
+            )
+    return out

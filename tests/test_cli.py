@@ -4,18 +4,23 @@ import dataclasses
 import errno
 import io
 import json
+import math
+import operator
 import os
 import shutil
 import subprocess
 import sys
 import tracemalloc
 import warnings
-from functools import partial
+from functools import partial, reduce
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from imulab import cli, dataio
 from imulab.cli import ExperimentConfig, _prefix_means, build_parser, load_config, main
 from imulab.dataio import ConfigError, write_recording_csv
@@ -496,6 +501,17 @@ class TestSimulate:
         assert err.startswith("config error: duration_s * rate_hz = 1e+16 samples"), err
         assert not (tmp_path / "out").exists()
 
+    def test_bare_memory_error_is_named(self, tmp_path, capsys, monkeypatch):
+        """A ``MemoryError`` with no message still ends the line with a reason."""
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "simulate_array", out_of_memory)
+        assert main(["simulate", "--config", str(_write_config(tmp_path))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: duration_s * rate_hz = 1e+03 samples"), err
+        assert err.endswith("do not fit in memory: MemoryError\n"), err
+
     def test_unknown_subcommand_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
 
@@ -639,6 +655,37 @@ class TestEstimate:
                         "Unable to allocate"), stage
                 assert not (tmp_path / "out" / "quality.json").exists()
             assert _no_child_left()
+
+    def test_json_input_beyond_memory_is_named(self, tmp_path, capsys, monkeypatch):
+        """A manifest that does not fit in memory is a data error naming it,
+        a config file a config error, and the recording stats file a miss."""
+        cfg = _write_config(tmp_path)
+        for cmd in ("simulate", "estimate", "propagate", "report"):
+            assert main([cmd, "--config", str(cfg)]) == 0, cmd
+        out = tmp_path / "out"
+        report = (out / "report.json").read_bytes()
+        manifest = out / "recordings" / "manifest.json"
+        read_text = Path.read_text
+        too_large, refused = set(), []
+
+        def out_of_memory(path, *args, **kwargs):
+            if path in too_large:
+                refused.append(path)
+                raise MemoryError()
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", out_of_memory)
+        for path, code, kind in ((manifest, 3, "data"), (cfg, 2, "config")):
+            too_large.add(path)
+            capsys.readouterr()
+            assert main(["estimate", "--config", str(cfg)]) == code, path
+            assert capsys.readouterr().err == (
+                f"{kind} error: {path} does not fit in memory: MemoryError\n")
+            too_large.clear()
+        too_large.add(out / cli.STATS_FILE)
+        assert main(["report", "--config", str(cfg)]) == 0
+        assert (out / "report.json").read_bytes() == report
+        assert refused == [manifest, cfg, out / cli.STATS_FILE]
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
                         reason="the pool needs two usable CPUs")
@@ -1321,6 +1368,98 @@ class TestReport:
         assert main(["report", "--config", str(cfg)]) == 2
         assert f"config error: cannot write report to {dest}" in capsys.readouterr().err
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_product_readers_match_the_validators(self, tmp_path_factory, data):
+        """Each product reader accepts exactly the products that the
+        validators it replaced accept, and takes the same ``db_ratios``
+        entries from them as ``collect_db``; a rejected product gets the
+        same message. Half the products are well formed, half have one
+        place replaced by any JSON value or one entry deleted."""
+        out = tmp_path_factory.mktemp("products")
+        cases = [
+            ("evaluation_matrix.json", _evaluation_products, oracles.has_evaluation_fields,
+             cli._evaluation_db, lambda p: oracles.collect_db(p, None)),
+            ("ratio_matrices.json", _ratio_products, oracles.has_ratio_fields,
+             cli._ratio_db, lambda p: oracles.collect_db(None, p)),
+        ]
+        for name, products, has_fields, take, collect in cases:
+            product = data.draw(products, name)
+            if data.draw(st.booleans(), f"{name} edited"):
+                product = _edit_one_place(data, product)
+            path = out / name
+            assert cli._read_product(path, take) == (None, {})
+            path.write_text(json.dumps(product))
+            try:
+                want = oracles.read_product(path, has_fields)
+                want = (want, repr(list(collect(want).items())))
+            except dataio.DataError as exc:
+                want = str(exc)
+            except TypeError:  # numpy's log10 of an int beyond 64 bits
+                want = None
+            try:
+                got, entries = cli._read_product(path, take)
+                got = (got, repr(list(entries.items())))
+            except dataio.DataError as exc:
+                got = str(exc)
+            if want is None:
+                assert any(abs(v) >= 2**64 for row in product["uncertainty_ratio"] for v in row)
+                assert isinstance(got, tuple)
+            else:
+                assert got == want, name
+
+    def test_ratio_cell_beyond_64_bit_ints_is_a_number(self, tmp_path):
+        cfg = _write_config(tmp_path)
+        assert main(["propagate", "--config", str(cfg)]) == 0
+        path = tmp_path / "out" / "ratio_matrices.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()),
+                                    "uncertainty_ratio": [[2**64, 1.0]]}))
+        assert main(["report", "--config", str(cfg)]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["db_ratios"] == {
+            "uncertainty_ratio_db_mean": pytest.approx(5.0 * math.log10(2**64), rel=1e-15)}
+
+
+# Any JSON value: nan, inf and ints beyond float range included.
+_json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=2),
+              st.sampled_from([10**400, -10**400])),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner,
+                                                                  max_size=3),
+    max_leaves=6,
+)
+# Ints reach past 64 bits, where numpy's log10 takes no int.
+_finite = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-2**70, 2**70)
+_ratio_block = st.fixed_dictionaries(
+    {"k_ratio_db": st.none() | _finite, "n_ratio_db": _finite}, optional={"k": _json_values})
+_evaluation_products = st.fixed_dictionaries(
+    {"gyro_dps": _ratio_block, "accel": _ratio_block}, optional={"n_grid": _json_values})
+_ratio_products = st.fixed_dictionaries(
+    {"uncertainty_ratio": st.lists(st.lists(_finite, max_size=4), max_size=3)},
+    optional={"tau": _json_values})
+
+
+def _places(value, at=()):
+    """The path of keys and indices to each place in a JSON value, its root first."""
+    yield at
+    inner = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, item in inner:
+        yield from _places(item, at + (key,))
+
+
+def _edit_one_place(data, product):
+    """``product`` with one place drawn from ``_places`` replaced by any JSON
+    value, or, in a dict, deleted."""
+    at = data.draw(st.sampled_from(list(_places(product))), "place")
+    if not at:
+        return data.draw(_json_values, "product")
+    parent = reduce(operator.getitem, at[:-1], product)
+    if isinstance(parent, dict) and data.draw(st.booleans(), "delete"):
+        del parent[at[-1]]
+    else:
+        parent[at[-1]] = data.draw(_json_values, "value")
+    return product
 
 def _stage_outputs(out: Path) -> dict:
     """Bytes of the outputs that propagate and report derive from recording stats."""

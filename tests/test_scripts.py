@@ -2,6 +2,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_full_experiment.py"
 SHA_SCRIPT = SCRIPT.with_name("output_sha256.py")
 PERFBENCH = SCRIPT.parents[1] / "perfbench"
@@ -79,3 +81,25 @@ def test_bench_pairs_summary_applies_the_gain_rule():
     # For a metric where higher is better, the same numbers are a loss.
     higher = summarize(base, change, "higher")
     assert (higher["wins"], higher["meets"]) == (1, False) and higher["gap"] < 0
+
+
+@pytest.mark.parametrize("base, change, better, verdict", [
+    # Medians 0.50 against 0.60: 20% worse, within a 25% bound.
+    ([0.49, 0.50, 0.51, 0.50], [0.59, 0.60, 0.61, 0.60], "lower", "within bound"),
+    # 0.50 against 0.70: 40% worse.
+    ([0.49, 0.50, 0.51, 0.50], [0.69, 0.70, 0.71, 0.70], "lower", "regressed"),
+    # For a metric where higher is better, 0.50 against 0.30 is 40% worse.
+    ([0.49, 0.50, 0.51, 0.50], [0.29, 0.30, 0.31, 0.30], "higher", "regressed"),
+    # The base's iqr (0.30) is wider than the bound (0.125), so a median 40%
+    # worse cannot be told from the spread...
+    ([0.20, 0.40, 0.60, 0.80], [0.69, 0.70, 0.71, 0.70], "lower", "unresolved"),
+    # ...nor can a median no worse.
+    ([0.20, 0.40, 0.60, 0.80], [0.49, 0.50, 0.51, 0.50], "lower", "unresolved"),
+    # Unless every change run beats every base run.
+    ([0.20, 0.40, 0.60, 0.80], [0.10, 0.11, 0.12, 0.13], "lower", "within bound"),
+    ([0.20, 0.40, 0.60, 0.80], [0.90, 0.91, 0.92, 0.93], "higher", "within bound"),
+])
+def test_bench_pairs_summary_gives_the_no_regression_verdict(base, change, better, verdict):
+    summarize = _bench_pairs().summarize
+    assert summarize(base, change, better, bound=0.25)["verdict"] == verdict
+    assert "verdict" not in summarize(base, change, better)

@@ -716,21 +716,40 @@ def cmd_report(config: ExperimentConfig) -> Stage:
     return [partial(write_report, bundle, "json", dest)], f"report written to {dest}"
 
 
+# Deepest nesting of lists and objects in a product that ``report`` takes.
+# Its own products nest at most three deep. report.json holds each product
+# one level further in, and ``check_finite`` and ``render_report`` walk it
+# by recursion, which Python stops at 1000 frames.
+_PRODUCT_NESTING = 100
+
+
 def _read_product(path: Path, take) -> tuple[object, dict]:
     """A stage product read by ``read_json`` and its ``db_ratios`` entries,
     ``take(product)``, or ``(None, {})`` if there is no such file.
 
-    A product holding a non-finite number, or whose fields ``take`` cannot
-    read, is a ``DataError`` naming it.
+    A product nested deeper than ``_PRODUCT_NESTING``, holding a non-finite
+    number, or whose fields ``take`` cannot read, is a ``DataError`` naming
+    it.
     """
     if not path.exists():
         return None, {}
     product = read_json(path)
     try:
+        _check_nesting(product, _PRODUCT_NESTING)
         check_finite(product)
         return product, take(product)
     except (ValueError, KeyError, TypeError) as exc:
         raise DataError(f"{path}: missing, non-numeric or non-finite product field") from exc
+
+
+def _check_nesting(value, levels: int) -> None:
+    """A ``ValueError`` if the JSON ``value`` nests lists and objects more
+    than ``levels`` deep; it looks no deeper than that."""
+    if isinstance(value, (dict, list)):
+        if levels == 0:
+            raise ValueError("nested too deeply")
+        for item in value.values() if isinstance(value, dict) else value:
+            _check_nesting(item, levels - 1)
 
 
 def _finite(value):

@@ -29,6 +29,7 @@ import itertools
 import json
 import math
 import os
+import pickle
 import sys
 import threading
 import warnings
@@ -128,14 +129,17 @@ class SensorStats(NamedTuple):
 def read_json(path: str | os.PathLike):
     """Read a JSON data file as UTF-8.
 
-    A file that cannot be read, does not fit in memory, is not UTF-8 or is
-    not JSON is a ``DataError`` naming the path.
+    A file that cannot be read, does not fit in memory, is not UTF-8, is
+    not JSON or nests deeper than the decoder recurses is a ``DataError``
+    naming the path.
     """
     path = Path(path)
     try:
         return json.loads(path.read_text(encoding="utf-8"))
     except MemoryError as exc:
         raise DataError(f"{path} does not fit in memory: {str(exc) or 'MemoryError'}") from exc
+    except RecursionError as exc:
+        raise DataError(f"{path}: JSON nested too deeply to read") from exc
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
@@ -495,10 +499,10 @@ def run_jobs(fn, jobs: Sequence[tuple], n_values: int, out, what: str) -> list:
 # to write and 0.44 us to parse, and a per-k value about 1.0 us to compute
 # and render in ``estimate`` (N = 1e4) and 0.8 us in ``propagate`` (2001
 # taus). Forking two workers and reaping them takes about 5 ms, receiving a
-# parsed recording of 7e4 values, pickled, about 1 ms, and receiving a
-# rendered table about 4 ms per MB (``estimate``'s series: 27 bytes per
-# value). So at 1e5 values two workers save about 50 ms of writes, 10 ms of
-# parses or 35 ms of per-k work.
+# parsed recording of 7e4 values, pickled, 1-2 ms, and receiving a rendered
+# table about 1.5 ms per MB (``estimate``'s series: 27 bytes per value). So
+# at 1e5 values two workers save about 50 ms of writes, 10 ms of parses or
+# 35 ms of per-k work.
 _POOL_MIN_VALUES = 100_000
 # Bytes per value of a recording that ``write_recording_csv`` wrote: a
 # shortest round-trip float and its comma, 18.6 bytes in the benchmark's
@@ -537,12 +541,8 @@ def _fork_map(fn, args: Sequence[tuple], n_values: int) -> Iterator:
     receivers, pids = [], []
     try:
         if workers:
-            # Deferred: only a large call needs it. A Connection frames the
-            # results over a plain pipe. fork, not spawn: a spawned worker
-            # imports numpy and the package afresh, 0.3-0.6 s for two workers
-            # on 2 CPUs, more than they save.
-            from multiprocessing.connection import Connection
-
+            # fork, not spawn: a spawned worker imports numpy and the package
+            # afresh, 0.3-0.6 s for two workers on 2 CPUs, more than they save.
             try:
                 for w in range(workers):
                     read_fd, write_fd = os.pipe()
@@ -556,13 +556,13 @@ def _fork_map(fn, args: Sequence[tuple], n_values: int) -> Iterator:
                         code = 1
                         try:
                             os.close(read_fd)
-                            _fork_worker(fn, args[w::workers], Connection(write_fd, readable=False),
-                                         receivers)
+                            sender = os.fdopen(write_fd, "wb")  # kept open until os._exit
+                            _fork_worker(fn, args[w::workers], sender, receivers)
                             code = 0
                         finally:
-                            os._exit(code)  # runs no exit handler and flushes no parent buffer
+                            os._exit(code)  # runs no exit handler and flushes no buffer
                     pids.append(pid)
-                    receivers.append(Connection(read_fd, writable=False))
+                    receivers.append(os.fdopen(read_fd, "rb"))
                     os.close(write_fd)  # the worker holds the only writing end
             except OSError:  # EAGAIN, ENOMEM, EMFILE: no process or pipe to spare
                 workers = 0
@@ -579,10 +579,10 @@ def _fork_map(fn, args: Sequence[tuple], n_values: int) -> Iterator:
 
 
 def _fork_worker(fn, args: Sequence[tuple], sender, receivers) -> None:
-    """In a forked worker: for each ``a`` of ``args``, in order, send
+    """In a forked worker: for each ``a`` of ``args``, in order, write
     ``("value", fn(*a))``, or ``("raise", exc)`` for the exception it
-    raises, as one pickled frame. Stops when the main process has closed its
-    end of the pipe.
+    raises, as one pickle to the file ``sender``, flushed. Stops when the
+    main process has closed its end of the pipe.
     """
     for receiver in receivers:
         receiver.close()  # inherited receiving ends: only the main process's stay open
@@ -592,17 +592,19 @@ def _fork_worker(fn, args: Sequence[tuple], sender, receivers) -> None:
                 frame = ("value", fn(*a))
             except Exception as exc:
                 frame = ("raise", exc)
-            sender.send(frame)
+            pickle.dump(frame, sender)
+            sender.flush()
     except OSError:
         pass  # the main process stopped reading
 
 
 def _receive(receiver):
-    """The next result that ``_fork_worker`` sends over ``receiver``, or the
-    exception it sent raised."""
+    """The next result that ``_fork_worker`` wrote to the file ``receiver``,
+    or the exception it wrote raised. A pickle cut short, or none, is a
+    worker that died."""
     try:
-        kind, payload = receiver.recv()
-    except EOFError as exc:
+        kind, payload = pickle.load(receiver)
+    except (EOFError, pickle.UnpicklingError) as exc:
         raise MemoryError("a worker process died") from exc
     if kind == "raise":
         raise payload

@@ -1,10 +1,9 @@
 """Parametric estimation of stationary sensor errors.
 
 Per-sensor bias and noise estimates, growing-window noise-density profiles,
-KDE densities, quality ranking of sensors, and a two-part
-wide-sense-stationarity check. The sigma^2/(N*K) variance law and the CRLB
-that the estimates are checked against are test oracles, in
-``tests/oracles.py``.
+KDE densities and quality ranking of sensors. The sigma^2/(N*K) variance
+law, the CRLB that the estimates are checked against and the two-part
+wide-sense-stationarity check are test oracles, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from .sensor_model import MEMS_ERROR_RANGES, residuals
 
 __all__ = [
     "RunningStdProfile",
-    "WssVerdict",
     "running_std_profile",
     "rms",
     "db_ratio",
@@ -26,7 +24,6 @@ __all__ = [
     "sort_by_quality",
     "bias_score",
     "bias_and_noise",
-    "wss_check",
 ]
 
 
@@ -35,14 +32,6 @@ class RunningStdProfile(NamedTuple):
 
     window_ends: np.ndarray
     std_estimates: np.ndarray
-
-
-class WssVerdict(NamedTuple):
-    mean_drift_stat: float
-    acf_whiteness_stat: float
-    mean_drift_threshold: float
-    acf_whiteness_threshold: float
-    passed: bool
 
 
 # Window ends per decade of ``running_std_profile``'s log grid.
@@ -192,48 +181,3 @@ def bias_and_noise(
     constant = np.ptp(np.ascontiguousarray(res.T), axis=1) == 0
     bias[constant] = res[0, constant]
     return bias, (res - bias).std(axis=0, ddof=1)
-
-
-def wss_check(series: np.ndarray, alpha: float = 0.01, n_lags: int = 20) -> WssVerdict:
-    """Two-part wide-sense-stationarity check of a scalar series.
-
-    Mean drift: the split-half mean difference normalized by the pooled
-    std, compared against a two-sided Gaussian quantile. Whiteness: a
-    Ljung-Box statistic over ``n_lags`` autocorrelation lags against a
-    chi-square quantile. Both parts must clear their level-``alpha``
-    thresholds for the verdict to pass.
-    """
-    from scipy import stats as sp_stats  # deferred: slow to import, no CLI stage needs it
-
-    x = np.asarray(series, dtype=float).ravel()
-    n = x.size
-    if n < 100:
-        raise ValueError("need at least 100 samples for a stationarity check")
-    if not (0 < alpha < 1):
-        raise ValueError("alpha must lie in (0, 1)")
-
-    half = n // 2
-    a, b = x[:half], x[half : 2 * half]
-    pooled = np.sqrt((a.var(ddof=1) + b.var(ddof=1)) / 2)
-    if pooled == 0:
-        drift_stat = 0.0 if a.mean() == b.mean() else np.inf
-    else:
-        drift_stat = abs(a.mean() - b.mean()) / (pooled * np.sqrt(2.0 / half))
-    drift_thresh = float(sp_stats.norm.ppf(1 - alpha / 2))
-
-    z = x - x.mean()
-    denom = float(z @ z)
-    if denom == 0:
-        lb_stat = 0.0
-    else:
-        acf = np.array([float(z[:-lag] @ z[lag:]) / denom for lag in range(1, n_lags + 1)])
-        lb_stat = float(n * (n + 2) * np.sum(acf**2 / (n - np.arange(1, n_lags + 1))))
-    lb_thresh = float(sp_stats.chi2.ppf(1 - alpha, df=n_lags))
-
-    return WssVerdict(
-        mean_drift_stat=float(drift_stat),
-        acf_whiteness_stat=lb_stat,
-        mean_drift_threshold=drift_thresh,
-        acf_whiteness_threshold=lb_thresh,
-        passed=bool(drift_stat < drift_thresh and lb_stat < lb_thresh),
-    )

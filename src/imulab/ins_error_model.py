@@ -257,10 +257,13 @@ def q_numeric_oracle(
     return 0.5 * (q + q.T)
 
 
-def q_coefficient_audit(
-    gravity: GravityModel | None = None, tau: float = 10.0
-) -> dict:
-    """Numerically audit the closed-form Q coefficients against quadrature.
+# Horizon (s) at which ``q_coefficient_audit`` compares Q with quadrature.
+_AUDIT_TAU = 10.0
+
+
+def q_coefficient_audit(gravity: GravityModel | None = None) -> dict:
+    """Numerically audit the closed-form Q coefficients against quadrature
+    at ``_AUDIT_TAU``.
 
     Returns the maximum relative block error of :func:`q_closed` and a record
     of the one textbook coefficient that the integral contradicts: the white
@@ -271,17 +274,17 @@ def q_coefficient_audit(
     gravity = gravity or GravityModel()
     sys = build_system(gravity)
     spectra = NoiseSpectra(s_a=4.9e-7, s_g=3.3e-9, s_ab=3.3e-6, s_gb=1.4e-7)
-    oracle = q_numeric_oracle(sys, spectra, tau)
-    closed = q_closed(sys, spectra, tau)
+    oracle = q_numeric_oracle(sys, spectra, _AUDIT_TAU)
+    closed = q_closed(sys, spectra, _AUDIT_TAU)
     scale = np.linalg.norm(oracle)
     closed_err = float(np.linalg.norm(closed - oracle) / scale)
 
     disputed = closed.copy()
-    disputed[IDX_V, IDX_V] -= spectra.s_a * _I3 * tau / 2  # the tau/2 variant
+    disputed[IDX_V, IDX_V] -= spectra.s_a * _I3 * _AUDIT_TAU / 2  # the tau/2 variant
     disputed_err = float(np.linalg.norm(disputed - oracle) / scale)
 
     return {
-        "tau": tau,
+        "tau": _AUDIT_TAU,
         "closed_form_rel_error": closed_err,
         "disputed_coefficients": [
             {

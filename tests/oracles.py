@@ -2,19 +2,22 @@
 
 No pipeline stage calls these, so they live beside the tests rather than in
 the package: the sigma^2/(N*K) variance law and the CRLB of a Gaussian mean
-(acceptance criteria 4 and 10), a sensor at the median of the reference
-error ranges, the LTI composition identity of Q, step-by-step discrete
-propagation, the reference for ``q_closed`` (criterion 3), the whole-array
-Simpson quadrature that the chunked ``q_numeric_oracle`` replaced, the
-whole-text recording reader that the streaming ``dataio._recording_rows``
-replaced, and the product validators and ``db_ratios`` collector that
-``report``'s per-product readers replaced.
+(acceptance criteria 4 and 10), the two-part wide-sense-stationarity check
+(criterion 11; its quantiles are scipy's, which the package does not need),
+a sensor at the median of the reference error ranges, the LTI composition
+identity of Q, step-by-step discrete propagation, the reference for
+``q_closed`` (criterion 3), the whole-array Simpson quadrature that the
+chunked ``q_numeric_oracle`` replaced, the whole-text recording reader that
+the streaming ``dataio._recording_rows`` replaced, and the product
+validators and ``db_ratios`` collector that ``report``'s per-product
+readers replaced.
 """
 
 from __future__ import annotations
 
 import io
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,6 +57,59 @@ def fisher_crlb(sigma: float, n: int) -> tuple[float, float]:
         raise ValueError("n must be >= 1")
     fisher = n / sigma**2
     return fisher, 1.0 / fisher
+
+
+class WssVerdict(NamedTuple):
+    mean_drift_stat: float
+    acf_whiteness_stat: float
+    mean_drift_threshold: float
+    acf_whiteness_threshold: float
+    passed: bool
+
+
+def wss_check(series: np.ndarray, alpha: float = 0.01, n_lags: int = 20) -> WssVerdict:
+    """Two-part wide-sense-stationarity check of a scalar series.
+
+    Mean drift: the split-half mean difference normalized by the pooled
+    std, compared against a two-sided Gaussian quantile. Whiteness: a
+    Ljung-Box statistic over ``n_lags`` autocorrelation lags against a
+    chi-square quantile. Both parts must clear their level-``alpha``
+    thresholds for the verdict to pass.
+    """
+    from scipy import stats as sp_stats  # deferred: slow to import, only this check needs it
+
+    x = np.asarray(series, dtype=float).ravel()
+    n = x.size
+    if n < 100:
+        raise ValueError("need at least 100 samples for a stationarity check")
+    if not (0 < alpha < 1):
+        raise ValueError("alpha must lie in (0, 1)")
+
+    half = n // 2
+    a, b = x[:half], x[half : 2 * half]
+    pooled = np.sqrt((a.var(ddof=1) + b.var(ddof=1)) / 2)
+    if pooled == 0:
+        drift_stat = 0.0 if a.mean() == b.mean() else np.inf
+    else:
+        drift_stat = abs(a.mean() - b.mean()) / (pooled * np.sqrt(2.0 / half))
+    drift_thresh = float(sp_stats.norm.ppf(1 - alpha / 2))
+
+    z = x - x.mean()
+    denom = float(z @ z)
+    if denom == 0:
+        lb_stat = 0.0
+    else:
+        acf = np.array([float(z[:-lag] @ z[lag:]) / denom for lag in range(1, n_lags + 1)])
+        lb_stat = float(n * (n + 2) * np.sum(acf**2 / (n - np.arange(1, n_lags + 1))))
+    lb_thresh = float(sp_stats.chi2.ppf(1 - alpha, df=n_lags))
+
+    return WssVerdict(
+        mean_drift_stat=float(drift_stat),
+        acf_whiteness_stat=lb_stat,
+        mean_drift_threshold=drift_thresh,
+        acf_whiteness_threshold=lb_thresh,
+        passed=bool(drift_stat < drift_thresh and lb_stat < lb_thresh),
+    )
 
 
 def median_sensor_params() -> SensorErrorParams:

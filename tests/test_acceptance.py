@@ -21,7 +21,6 @@ from imulab.estimation import (
     db_ratio,
     running_std_profile,
     sort_by_quality,
-    wss_check,
 )
 from imulab.ins_error_model import (
     NoiseSpectra,
@@ -36,7 +35,8 @@ from imulab.sensor_model import (
     residuals,
     simulate_array,
 )
-from oracles import fisher_crlb, median_sensor_params, propagate_discrete, variance_of_mean
+from oracles import (fisher_crlb, median_sensor_params, propagate_discrete, variance_of_mean,
+                     wss_check)
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str) -> None:

@@ -235,8 +235,38 @@ def test_cli_import_leaves_scipy_stats_unloaded(modules_after_cli_import):
 
 
 def test_cli_import_leaves_process_pools_unloaded(modules_after_cli_import):
-    """``dataio`` imports them only for recordings it writes or reads in a pool."""
+    """``dataio`` forks its workers with ``os.fork`` and loads no pool module."""
     assert not {"multiprocessing", "concurrent.futures"} & modules_after_cli_import
+
+
+@_TWO_CPUS
+def test_pooled_stages_leave_multiprocessing_unloaded(tmp_path):
+    """A fresh interpreter that runs ``simulate`` and ``estimate`` in worker
+    processes loads no ``multiprocessing``: the results come back as plain
+    pickles on each worker's pipe."""
+    cfg = _write_config(tmp_path, duration_s=100.0)  # 4 x 10^4 x 7 values: pooled
+    src = str(Path(dataio.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import os, sys\n"
+        "from imulab.cli import main\n"
+        "forks, fork = [], os.fork\n"
+        "def counting_fork():\n"
+        "    pid = fork()\n"
+        "    if pid:\n"
+        "        forks.append(pid)\n"
+        "    return pid\n"
+        "os.fork = counting_fork\n"
+        "for stage in ('simulate', 'estimate'):\n"
+        f"    assert main([stage, '--config', {str(cfg)!r}]) == 0, stage\n"
+        "print(len(forks), *sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    forks, *loaded = out.stdout.splitlines()[-1].split()
+    assert int(forks) >= 4  # two workers for each stage
+    assert "multiprocessing" not in loaded
 
 
 def _poison_last_payload(writes: list) -> None:
@@ -686,6 +716,29 @@ class TestEstimate:
         assert main(["report", "--config", str(cfg)]) == 0
         assert (out / "report.json").read_bytes() == report
         assert refused == [manifest, cfg, out / cli.STATS_FILE]
+
+    def test_json_input_nested_too_deeply_is_named(self, tmp_path, capsys):
+        """A JSON input nested deeper than the decoder recurses is a data
+        error naming it for a manifest, a config error for a config file,
+        and a miss for the recording stats file: never a traceback."""
+        cfg = _write_config(tmp_path)
+        for cmd in ("simulate", "estimate", "propagate", "report"):
+            assert main([cmd, "--config", str(cfg)]) == 0, cmd
+        out = tmp_path / "out"
+        before = _dir_bytes(out)
+        manifest = out / "recordings" / "manifest.json"
+        for path, code, kind in ((manifest, 3, "data"), (cfg, 2, "config")):
+            kept = path.read_bytes()
+            path.write_text('{"seed": ' + "[" * 200_000 + "]" * 200_000 + "}")
+            capsys.readouterr()
+            assert main(["estimate", "--config", str(cfg)]) == code, path
+            assert capsys.readouterr().err == (
+                f"{kind} error: {path}: JSON nested too deeply to read\n")
+            path.write_bytes(kept)
+        stats = out / cli.STATS_FILE
+        stats.write_text("[" * 200_000 + "]" * 200_000)
+        assert main(["report", "--config", str(cfg)]) == 0
+        assert _dir_bytes(out) == {**before, cli.STATS_FILE: stats.read_bytes()}
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
                         reason="the pool needs two usable CPUs")
@@ -1407,6 +1460,32 @@ class TestReport:
                 assert isinstance(got, tuple)
             else:
                 assert got == want, name
+
+    @pytest.mark.parametrize("levels", [cli._PRODUCT_NESTING - 1, cli._PRODUCT_NESTING, 900])
+    def test_product_nested_too_deeply_exits_3_naming_it(self, tmp_path, capsys, levels):
+        """A product nested deeper than ``_PRODUCT_NESTING`` is the
+        product's data error, and report writes nothing; one that deep is
+        written into report.json. 900 levels decode, but writing them into
+        report.json would run out of stack."""
+        cfg = _write_config(tmp_path)
+        for cmd in ("simulate", "estimate", "propagate"):
+            assert main([cmd, "--config", str(cfg)]) == 0, cmd
+        path = tmp_path / "out" / "evaluation_matrix.json"
+        deep = 1.0
+        for _ in range(levels):
+            deep = [deep]
+        path.write_text(json.dumps({**json.loads(path.read_text()), "n_grid": deep}))
+        before = _dir_bytes(tmp_path)
+        capsys.readouterr()
+        if levels < cli._PRODUCT_NESTING:
+            assert main(["report", "--config", str(cfg)]) == 0
+            report = json.loads((tmp_path / "out" / "report.json").read_text())
+            assert report["evaluation_matrix"]["n_grid"] == deep
+            return
+        assert main(["report", "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {path}: missing, non-numeric or non-finite product field\n")
+        assert _dir_bytes(tmp_path) == before
 
     def test_ratio_cell_beyond_64_bit_ints_is_a_number(self, tmp_path):
         cfg = _write_config(tmp_path)

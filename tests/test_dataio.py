@@ -5,7 +5,9 @@ import json
 import os
 import re
 import shutil
+import signal
 import threading
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -504,6 +506,54 @@ def _other_thread():
         release.set()
         other.join(timeout=10)
     assert not other.is_alive()
+
+
+class _ExitOnPickle:
+    """A value whose pickling ends the process that pickles it."""
+
+    def __reduce__(self):
+        os._exit(1)
+
+
+def _result_cut_short(index, pid_file):
+    """A job result of 256 KiB and then an ``_ExitOnPickle``: its worker
+    writes the bytes to its pipe and dies before the pickle ends."""
+    if os.getpid() == _TEST_PID:
+        raise AssertionError("expected to run in a worker process")
+    return [bytes(256 * 1024), _ExitOnPickle()]
+
+
+def _result_killed_mid_write(index, pid_file):
+    """Job 1 returns 1 MiB, more than a pipe holds, so its worker blocks
+    writing it while the main process waits for job 0. Job 0 kills that
+    worker, as the out-of-memory killer might, part way through its pickle."""
+    if os.getpid() == _TEST_PID:
+        raise AssertionError("expected to run in a worker process")
+    if index == 1:
+        Path(f"{pid_file}.tmp").write_text(str(os.getpid()))
+        os.replace(f"{pid_file}.tmp", pid_file)
+        return bytes(1024 * 1024)
+    for _ in range(1000):
+        if pid_file.exists():
+            break
+        time.sleep(0.01)
+    time.sleep(0.2)  # job 1 has returned and its worker is writing
+    os.kill(int(pid_file.read_text()), signal.SIGKILL)
+    return None
+
+
+@_TWO_CPUS
+@pytest.mark.parametrize("job", [_result_cut_short, _result_killed_mid_write],
+                         ids=["process_ends_in_pickle", "killed_mid_write"])
+def test_result_cut_short_is_a_dead_worker_leaving_no_child(tmp_path, job):
+    """A result whose pickle reaches the pipe in part is a worker that died:
+    ``run_jobs``'s config error, and every worker reaped."""
+    pid_file = tmp_path / "pid"
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(tmp_path))}: two results do not"
+                       r" fit in memory: a worker process died$"):
+        dataio.run_jobs(job, [(0, pid_file), (1, pid_file)], dataio._POOL_MIN_VALUES, tmp_path,
+                        "two results")
+    assert _no_child_left()
 
 
 class TestPooledReads:

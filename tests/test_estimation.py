@@ -18,10 +18,9 @@ from imulab.estimation import (
     rms,
     running_std_profile,
     sort_by_quality,
-    wss_check,
 )
 from imulab.sensor_model import SensorErrorParams, SensorRecording, residuals, simulate_array
-from oracles import fisher_crlb, variance_of_mean
+from oracles import fisher_crlb, variance_of_mean, wss_check
 
 
 class TestVarianceOfMean:

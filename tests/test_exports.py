@@ -2,6 +2,7 @@ import ast
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import warnings
@@ -38,16 +39,39 @@ def test_package_import_loads_no_submodule():
     assert "numpy" not in loaded
 
 
-def test_pyproject_version_is_the_package_version():
-    # The recording-stats cache key embeds imulab.__version__; the
-    # distribution must carry the same string, not a copy of it.
+def _project() -> dict:
+    """The ``[project]`` table of pyproject.toml as setuptools reads it
+    (``tomllib`` is not in Python 3.10)."""
     from setuptools.config.pyprojecttoml import read_configuration
 
     with warnings.catch_warnings():  # [tool.setuptools] support is "beta"
         warnings.simplefilter("ignore")
         config = read_configuration(Path(__file__).resolve().parents[1] / "pyproject.toml")
-    assert "version" in config["project"]["dynamic"]
-    assert config["project"]["version"] == imulab.__version__
+    return config["project"]
+
+
+def test_pyproject_version_is_the_package_version():
+    # The recording-stats cache key embeds imulab.__version__; the
+    # distribution must carry the same string, not a copy of it.
+    project = _project()
+    assert "version" in project["dynamic"]
+    assert project["version"] == imulab.__version__
+
+
+def test_dependencies_are_the_third_party_modules_imported():
+    """``[project].dependencies`` names exactly the top-level modules outside
+    the standard library that the package imports (each distribution here
+    is named as its module), so a dependency is neither missing nor left
+    over."""
+    declared = {re.match(r"[A-Za-z0-9_.-]+", req).group() for req in _project()["dependencies"]}
+    imported = set()
+    for path in PACKAGE_DIR.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert declared == imported - set(sys.stdlib_module_names)
 
 
 @pytest.mark.parametrize("module_name", SUBMODULES)

@@ -91,24 +91,32 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-# Config field -> (check, what it requires). Checked before any other rule,
-# so a value of the wrong type is a ConfigError naming its field.
-_FIELD_TYPES = {
+def _is_path(value) -> bool:
+    return isinstance(value, str) and "\0" not in value
+
+
+# Config field -> (check, what it requires): the one judge of each field on
+# its own, checked before the rules that span fields, so a rejected value is
+# a ConfigError naming its field.
+_FIELD_RULES = {
     "seed": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
-    "duration_s": (is_finite, "a finite number"),
-    "rate_hz": (is_finite, "a finite number"),
+    "duration_s": (lambda v: is_finite(v) and v > 0, "a finite number > 0"),
+    "rate_hz": (lambda v: is_finite(v) and v > 0, "a finite number > 0"),
     "gravity_mps2": (lambda v: is_finite(v) and v >= 0, "a finite number >= 0"),
     "sensors": (
         lambda v: v is None or (_is_int(v) and v >= 1)
         or (isinstance(v, list) and v and all(isinstance(d, dict) for d in v)),
         "a positive integer or a non-empty list of objects",
     ),
-    "manifest": (lambda v: v is None or isinstance(v, str), "a path"),
-    "out_dir": (lambda v: isinstance(v, str), "a path"),
-    "tau_grid": (lambda v: isinstance(v, list) and all(is_finite(t) and t >= 0 for t in v),
-                 "a list of finite numbers >= 0"),
-    "k_grid": (lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers"),
+    "manifest": (lambda v: v is None or _is_path(v), "a path without a NUL byte"),
+    "out_dir": (_is_path, "a path without a NUL byte"),
+    "tau_grid": (lambda v: isinstance(v, list) and v and all(is_finite(t) and t >= 0 for t in v),
+                 "a non-empty list of finite numbers >= 0"),
+    "k_grid": (lambda v: isinstance(v, list) and v and all(map(_is_int, v)),
+               "a non-empty list of integers"),
     "inject_bias_walk": (lambda v: isinstance(v, bool), "true or false"),
+    "fmt": (lambda v: v in ("csv", "json"), "'csv' or 'json'"),
+    "noise_interpretation": (lambda v: v in ("per_sample", "psd"), "'per_sample' or 'psd'"),
 }
 
 # Most samples per recording: the count whose (N, 7) float64 recording table
@@ -132,23 +140,13 @@ class ExperimentConfig:
     gravity_mps2: float = 9.81
 
     def __post_init__(self):
-        for name, (ok, requirement) in _FIELD_TYPES.items():
+        for name, (ok, requirement) in _FIELD_RULES.items():
             if not ok(getattr(self, name)):
                 raise ConfigError(
                     f"{name} must be {requirement}, got {getattr(self, name)!r}"
                 )
         if (self.sensors is None) == (self.manifest is None):
             raise ConfigError("exactly one of 'sensors' or 'manifest' must be set")
-        if not self.tau_grid or not self.k_grid:
-            raise ConfigError("tau_grid and k_grid must be non-empty")
-        if self.fmt not in ("csv", "json"):
-            raise ConfigError(f"unknown output format {self.fmt!r}")
-        if self.noise_interpretation not in ("per_sample", "psd"):
-            raise ConfigError(
-                f"unknown noise interpretation {self.noise_interpretation!r}"
-            )
-        if self.duration_s <= 0 or self.rate_hz <= 0:
-            raise ConfigError("duration_s and rate_hz must be > 0")
         samples = self.duration_s * self.rate_hz  # simulate_array rounds it to a count
         if not (samples <= _MAX_SAMPLES and round(samples) >= 2):
             raise ConfigError(
@@ -164,7 +162,8 @@ class ExperimentConfig:
 
     def sensor_params(self) -> list[SensorErrorParams]:
         if self.sensors is None:
-            raise ConfigError("this command needs synthetic sensor parameters")
+            raise ConfigError(
+                "this command needs synthetic sensor parameters: set 'sensors', not 'manifest'")
         if isinstance(self.sensors, int):
             return draw_sensor_params(self.sensors, self.seed)
         return [_params_from_dict(d, f"sensors[{i}]") for i, d in enumerate(self.sensors)]

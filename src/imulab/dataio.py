@@ -3,7 +3,8 @@
 Interchange formats:
   * manifest: JSON with rate_hz, gravity_mps2, units, and an ordered list of
     (sensor_id, relative path) pairs; a path may not be absolute or hold a
-    ``..`` part, so every recording lies inside the manifest's directory
+    ``..`` part, so every recording lies inside the manifest's directory, and
+    may hold no NUL byte
   * recording: CSV with header ``t,gx,gy,gz,ax,ay,az``, one row per sample
   * reports: JSON (nested) or CSV (column-per-series tables)
 
@@ -48,7 +49,6 @@ __all__ = [
     "ArrayManifest",
     "SensorStats",
     "read_json",
-    "is_number",
     "is_finite",
     "load_manifest",
     "write_manifest",
@@ -111,6 +111,8 @@ class ArrayManifest:
         if self.gyro_units not in _GYRO_UNITS:
             raise ConfigError(f"unknown gyro units {self.gyro_units!r}")
         for _, rel in self.sensor_files:
+            if "\0" in rel:
+                raise ConfigError(f"recording path {rel!r} holds a NUL byte")
             if Path(rel).is_absolute() or ".." in Path(rel).parts:
                 raise ConfigError(
                     f"recording path {rel!r} is not inside the manifest's directory"
@@ -130,8 +132,10 @@ def read_json(path: str | os.PathLike):
     """Read a JSON data file as UTF-8.
 
     A file that cannot be read, does not fit in memory, is not UTF-8, is
-    not JSON or nests deeper than the decoder recurses is a ``DataError``
-    naming the path.
+    not JSON, nests deeper than the decoder recurses or holds a value that
+    Python refuses to convert (an integer of more than
+    ``sys.get_int_max_str_digits()`` digits) is a ``DataError`` naming the
+    path.
     """
     path = Path(path)
     try:
@@ -146,9 +150,11 @@ def read_json(path: str | os.PathLike):
         raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON: {exc}") from exc
+    except ValueError as exc:  # such as an integer of more digits than int() takes
+        raise DataError(f"{path}: invalid JSON value: {exc}") from exc
 
 
-def is_number(value) -> bool:
+def _is_number(value) -> bool:
     """Whether a JSON value is a float (nan and inf included) or an int within
     float range; a bool is not."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -157,15 +163,15 @@ def is_number(value) -> bool:
 
 
 def is_finite(value) -> bool:
-    """Whether a JSON value is an ``is_number`` other than nan and inf."""
-    return is_number(value) and math.isfinite(value)
+    """Whether a JSON value is an ``_is_number`` other than nan and inf."""
+    return _is_number(value) and math.isfinite(value)
 
 
 def load_manifest(path: str | os.PathLike) -> ArrayManifest:
     """Read a manifest file with ``read_json``.
 
     Values are taken as they are, never converted: ``rate_hz`` and
-    ``gravity_mps2`` must be ``is_number``s, each ``sensor_id`` and ``path`` a
+    ``gravity_mps2`` must be ``_is_number``s, each ``sensor_id`` and ``path`` a
     string. A manifest with a missing or invalid field, accel units other
     than ``m/s2`` included, is a ``DataError`` naming it.
     """
@@ -177,7 +183,7 @@ def load_manifest(path: str | os.PathLike) -> ArrayManifest:
         rate_hz, gravity = raw["rate_hz"], raw.get("gravity_mps2", 9.81)
         files = tuple((s["sensor_id"], s["path"]) for s in raw["sensor_files"])
         for name, value in (("rate_hz", rate_hz), ("gravity_mps2", gravity)):
-            if not is_number(value):
+            if not _is_number(value):
                 raise ConfigError(f"{name} must be a number within float range, got {value!r}")
         for i, pair in enumerate(files):
             for key, value in zip(("sensor_id", "path"), pair):

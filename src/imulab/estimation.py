@@ -16,7 +16,6 @@ from .sensor_model import GravityModel, SensorRecording
 from .sensor_model import MEMS_ERROR_RANGES, residuals
 
 __all__ = [
-    "RunningStdProfile",
     "running_std_profile",
     "rms",
     "db_ratio",

@@ -26,13 +26,9 @@ from .sensor_model import GravityModel
 
 __all__ = [
     "IDX_P",
-    "IDX_V",
-    "IDX_EPS",
     "IDX_BA",
-    "IDX_BG",
     "SystemMatrices",
     "NoiseSpectra",
-    "Ellipsoid",
     "build_system",
     "phi_closed",
     "q_closed",

@@ -19,7 +19,6 @@ import numpy as np
 __all__ = [
     "SensorErrorParams",
     "GravityModel",
-    "SPACING_TOL",
     "SensorRecording",
     "ArrayRecording",
     "MEMS_ERROR_RANGES",
@@ -30,7 +29,7 @@ __all__ = [
 
 # Time-grid slack for the uniform-spacing invariant, seconds: wide enough for
 # timestamps rounded to the microsecond.
-SPACING_TOL = 1e-6
+_SPACING_TOL = 1e-6
 
 
 def _as_vec3(x, name: str) -> np.ndarray:
@@ -120,7 +119,7 @@ class SensorRecording:
             dt = np.diff(t)
             if np.any(dt <= 0):
                 raise ValueError("timestamps must be strictly increasing")
-            if np.max(np.abs(dt - 1.0 / self.rate_hz)) > SPACING_TOL:
+            if np.max(np.abs(dt - 1.0 / self.rate_hz)) > _SPACING_TOL:
                 raise ValueError(f"sample spacing inconsistent with {self.rate_hz} Hz")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "gyro", gyro)
@@ -155,7 +154,7 @@ class ArrayRecording:
                 raise ValueError(
                     f"{r.sensor_id}: rate {r.rate_hz} Hz, {ref.sensor_id} has {ref.rate_hz} Hz"
                 )
-            if np.max(np.abs(r.t - ref.t)) > SPACING_TOL:
+            if np.max(np.abs(r.t - ref.t)) > _SPACING_TOL:
                 raise ValueError(f"{r.sensor_id}: time base differs from {ref.sensor_id}'s")
         object.__setattr__(self, "recordings", recs)
 

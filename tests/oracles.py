@@ -6,11 +6,11 @@ the package: the sigma^2/(N*K) variance law and the CRLB of a Gaussian mean
 (criterion 11; its quantiles are scipy's, which the package does not need),
 a sensor at the median of the reference error ranges, the LTI composition
 identity of Q, step-by-step discrete propagation, the reference for
-``q_closed`` (criterion 3), the whole-array Simpson quadrature that the
-chunked ``q_numeric_oracle`` replaced, the whole-text recording reader that
-the streaming ``dataio._recording_rows`` replaced, and the product
-validators and ``db_ratios`` collector that ``report``'s per-product
-readers replaced.
+``q_closed`` (criterion 3), Van Loan's exact block exponential for Q, the
+whole-array Simpson quadrature that the chunked ``q_numeric_oracle``
+replaced, the whole-text recording reader that the streaming
+``dataio._recording_rows`` replaced, and the product validators and
+``db_ratios`` collector that ``report``'s per-product readers replaced.
 """
 
 from __future__ import annotations
@@ -180,6 +180,27 @@ def propagate_discrete(
         states[k] = x
         covs[k] = p
     return states, covs
+
+
+def van_loan_q(sys: SystemMatrices, spectra: NoiseSpectra, tau: float) -> np.ndarray:
+    """Q(tau) by Van Loan's block exponential, from F and G alone: it shares
+    no code with ``phi_closed`` or ``q_closed``.
+
+    C = [[-F, G S G'], [0, F']] is nilpotent (C^8 = 0, as F^4 = 0), so
+    exp(C tau) is exactly the first eight terms of its series, and
+    Q = (exp(C tau)_22)' exp(C tau)_12.
+    """
+    n = sys.F.shape[0]
+    s_diag = np.repeat([spectra.s_a, spectra.s_g, spectra.s_ab, spectra.s_gb], 3)
+    c = np.zeros((2 * n, 2 * n))
+    c[:n, :n] = -sys.F
+    c[:n, n:] = sys.G @ np.diag(s_diag) @ sys.G.T
+    c[n:, n:] = sys.F.T
+    term = exp_c = np.eye(2 * n)
+    for k in range(1, 8):
+        term = term @ c * (tau / k)
+        exp_c = exp_c + term
+    return exp_c[n:, n:].T @ exp_c[:n, n:]
 
 
 def whole_array_q_numeric_oracle(

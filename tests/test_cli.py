@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import dataclasses
 import errno
@@ -28,6 +29,11 @@ from imulab.estimation import bias_score
 from imulab.ins_error_model import q_coefficient_audit
 from imulab.sensor_model import ArrayRecording, GravityModel
 from test_dataio import _TWO_CPUS, _no_child_left, _other_thread
+
+
+# An integer of more digits than Python converts from text by default
+# (``sys.get_int_max_str_digits()`` is 4300), which ``json`` refuses.
+_TOO_MANY_DIGITS = b"1" + b"0" * 5000
 
 
 def _dir_bytes(root: Path) -> dict:
@@ -192,6 +198,18 @@ class TestConfig:
         (b'{"sensors": [{"sigma_accel": "0.1"}]}', "sensors[0]: sigma_accel must be"),
         (b'{"sensors": [{"sigma_gyro_dps": true}]}', "sensors[0]: sigma_gyro_dps must be"),
         (b'{"sensors": [{"sigma_accel": -1}]}', "sensors[0]: sigma_accel must be"),
+        (b'{"fmt": "xml"}', "fmt must be 'csv' or 'json', got 'xml'"),
+        (b'{"noise_interpretation": "x"}',
+         "noise_interpretation must be 'per_sample' or 'psd', got 'x'"),
+        (b'{"tau_grid": []}', "tau_grid must be a non-empty list of finite numbers >= 0, got []"),
+        (b'{"k_grid": []}', "k_grid must be a non-empty list of integers, got []"),
+        (b'{"duration_s": 0}', "duration_s must be a finite number > 0, got 0"),
+        (b'{"rate_hz": -1.5}', "rate_hz must be a finite number > 0, got -1.5"),
+        (b'{"out_dir": "a\\u0000b"}', "out_dir must be a path without a NUL byte, got 'a\\x00b'"),
+        (b'{"manifest": "a\\u0000b"}',
+         "manifest must be a path without a NUL byte, got 'a\\x00b'"),
+        pytest.param(b'{"seed": 1' + _TOO_MANY_DIGITS + b"}", None,
+                     id="seed_int_beyond_conversion_limit"),
     ])
     def test_malformed_config_exits_2_naming_it(self, tmp_path, capsys, monkeypatch, text,
                                                 field):
@@ -205,6 +223,17 @@ class TestConfig:
             err = capsys.readouterr().err
             assert err.startswith("config error: ") and (field or str(path)) in err, err
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    def test_every_field_has_exactly_one_rule(self):
+        """``_FIELD_RULES`` is the one judge of each config field on its own:
+        its literal names every field once (a repeated key would silently
+        replace the first)."""
+        tree = ast.parse(Path(cli.__file__).read_text())
+        (rules,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                    and [t.id for t in node.targets] == ["_FIELD_RULES"]]
+        names = sorted(key.value for key in rules.keys)
+        fields = sorted(f.name for f in dataclasses.fields(ExperimentConfig))
+        assert names == fields, f"fields without a rule: {sorted(set(fields) - set(names))}"
 
     def test_explicit_sensor_list(self):
         cfg = ExperimentConfig(
@@ -542,6 +571,12 @@ class TestSimulate:
         assert err.startswith("config error: duration_s * rate_hz = 1e+03 samples"), err
         assert err.endswith("do not fit in memory: MemoryError\n"), err
 
+    def test_manifest_config_exits_2_naming_sensors_and_manifest(self, tmp_path, capsys):
+        assert main(["simulate", "--config", str(_write_manifest_config(tmp_path))]) == 2
+        assert capsys.readouterr().err == ("config error: this command needs synthetic sensor "
+                                           "parameters: set 'sensors', not 'manifest'\n")
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_subcommand_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
 
@@ -835,6 +870,8 @@ def _bad_recordings(case: str) -> dict:
         return {"imu_a": _recording_text(t[:1], rng)}
     if case == "negative_time":
         return {"imu_a": good, "imu_b": _recording_text(t - 0.2, rng)}
+    if case == "shifted_time_base":
+        return {"imu_a": good, "imu_b": _recording_text(t + 0.5, rng)}
     if case == "short_recording":
         return {"imu_a": good, "imu_b": _recording_text(t[:-1], rng)}
     if case == "not_utf8":
@@ -848,6 +885,7 @@ def _bad_recordings(case: str) -> dict:
 _BAD_RECORDING_ERRORS = {
     "single_sample": "imu_a: need at least two samples to estimate bias",
     "negative_time": "imu_b: timestamps must be non-negative",
+    "shifted_time_base": "imu_b: time base differs from imu_a's",
     "short_recording": "imu_b: 19 samples, imu_a has 20",
     "not_utf8": "imu_b: {dir}/imu_b.csv: not UTF-8 text: 'utf-8' codec can't decode byte 0xff",
     "overflowing_noise": "imu_b: bias or noise estimate not finite or above 1e+100",
@@ -903,6 +941,12 @@ class TestBadRecordings:
                      "sensor_files[0].sensor_id must be a string, got None", id="null_sensor_id"),
         pytest.param(lambda b: b.replace(b'"imu_b.csv"', b"7"),
                      "sensor_files[1].path must be a string, got 7", id="number_path"),
+        pytest.param(lambda b: json.dumps({**json.loads(b), "sensor_files": []}).encode(),
+                     "manifest must list at least one sensor file", id="no_sensor_files"),
+        pytest.param(lambda b: b.replace(b'"imu_b.csv"', b'"imu_b\\u0000.csv"'),
+                     "recording path 'imu_b\\x00.csv' holds a NUL byte", id="nul_in_path"),
+        pytest.param(lambda b: b.replace(b"10.0", _TOO_MANY_DIGITS),
+                     "invalid JSON value: Exceeds the limit", id="int_beyond_conversion_limit"),
     ])
     def test_bad_manifest_exits_3_naming_it(self, tmp_path, capsys, edit, message):
         cfg = _hand_written_config(tmp_path, _bad_recordings("none"), 10.0)
@@ -1382,6 +1426,20 @@ class TestReport:
         assert capsys.readouterr().err.startswith(f"data error: {path}: ")
         assert not (tmp_path / "out" / "report.json").exists()
 
+    def test_product_int_beyond_conversion_limit_exits_3_naming_it(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path)
+        for cmd in ("simulate", "estimate"):
+            assert main([cmd, "--config", str(cfg)]) == 0, cmd
+        path = tmp_path / "out" / "evaluation_matrix.json"
+        raw = json.loads(path.read_text())
+        path.write_bytes(json.dumps({**raw, "n_samples": "N"}).encode().replace(
+            b'"N"', _TOO_MANY_DIGITS))
+        capsys.readouterr()
+        assert main(["report", "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err.startswith(
+            f"data error: {path}: invalid JSON value: Exceeds the limit")
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_undecodable_product_exits_3_naming_it(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)
         for cmd in ("simulate", "estimate"):
@@ -1608,7 +1666,8 @@ class TestRecordingStats:
         assert _stage_outputs(out) == hit
 
     @pytest.mark.parametrize("damage", ["truncated", "not_json", "wrong_shape", "stale_key",
-                                        "non_finite", "above_bound"])
+                                        "non_finite", "above_bound",
+                                        "int_beyond_conversion_limit"])
     def test_bad_stats_file_is_a_miss(self, tmp_path, pipeline, damage):
         out = tmp_path / "out"
         path = out / "recording_stats.json"
@@ -1619,6 +1678,8 @@ class TestRecordingStats:
             raw["sensors"][0]["bias"] = raw["sensors"][0]["bias"][:5]
         elif damage in ("non_finite", "above_bound"):
             raw["sensors"][1]["noise"][2] = float("nan") if damage == "non_finite" else 1e101
+        elif damage == "int_beyond_conversion_limit":
+            raw["key"] = "K"  # replaced below: json.dumps refuses to write the integer
         elif damage == "stale_key":
             # Poisoned values under another version: using them would show.
             raw["key"]["software_version"] = "0.0.0"
@@ -1628,6 +1689,8 @@ class TestRecordingStats:
             "truncated": good[: len(good) // 2],
             "not_json": b"\x00\xffnot json",
         }.get(damage, json.dumps(raw).encode())
+        if damage == "int_beyond_conversion_limit":
+            bad = bad.replace(b'"K"', _TOO_MANY_DIGITS)
         path.write_bytes(bad)
         for cmd in ("propagate", "report"):
             assert main([cmd, "--config", str(pipeline)]) == 0, cmd

@@ -1,4 +1,5 @@
 import ast
+import functools
 import importlib
 import os
 import pkgutil
@@ -14,6 +15,7 @@ import imulab
 
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(imulab.__path__))
 PACKAGE_DIR = Path(imulab.__file__).resolve().parent
+TESTS_DIR = Path(__file__).resolve().parent
 
 
 @pytest.mark.parametrize("module_name", ["imulab", *(f"imulab.{m}" for m in SUBMODULES)])
@@ -23,6 +25,44 @@ def test_every_exported_name_resolves(module_name):
     assert len(set(exported)) == len(exported), "duplicate names in __all__"
     missing = [name for name in exported if not hasattr(module, name)]
     assert not missing, f"{module_name}.__all__ names undefined attributes: {missing}"
+
+
+@functools.cache
+def _outside_uses() -> dict[str, set[str]]:
+    """Submodule -> the names that other package modules import from it and
+    that test modules import from it or read as ``<module>.<name>``."""
+    uses = {m: set() for m in SUBMODULES}
+    for path in PACKAGE_DIR.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in uses:
+                uses[node.module].update(alias.name for alias in node.names)
+    for path in TESTS_DIR.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        modules = {}  # local name -> the submodule it is bound to
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "imulab":
+                modules.update((a.asname or a.name, a.name) for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("imulab."):
+                uses[node.module.split(".")[1]].update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                modules.update((a.asname, a.name.split(".")[1]) for a in node.names
+                               if a.asname and a.name.startswith("imulab."))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and modules.get(node.value.id) in uses):
+                uses[modules[node.value.id]].add(node.attr)
+    return uses
+
+
+@pytest.mark.parametrize("module_name", SUBMODULES)
+def test_every_exported_name_has_an_outside_user(module_name):
+    """A name in ``__all__`` is imported by another package module or used
+    by a test; one that nothing outside its module uses is a helper, so it
+    leaves ``__all__`` (and takes a leading underscore if its module alone
+    reads it)."""
+    exported = getattr(importlib.import_module(f"imulab.{module_name}"), "__all__", [])
+    unused = [name for name in exported if name not in _outside_uses()[module_name]]
+    assert not unused, f"imulab.{module_name}.__all__ names that nothing outside uses: {unused}"
 
 
 def test_package_import_loads_no_submodule():

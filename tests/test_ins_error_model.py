@@ -17,7 +17,12 @@ from imulab.ins_error_model import (
     q_numeric_oracle,
 )
 from imulab.sensor_model import GravityModel
-from oracles import propagate_discrete, semigroup_check, whole_array_q_numeric_oracle
+from oracles import (
+    propagate_discrete,
+    semigroup_check,
+    van_loan_q,
+    whole_array_q_numeric_oracle,
+)
 
 taus = st.floats(0.0, 50.0, allow_nan=False)
 
@@ -110,6 +115,18 @@ class TestQClosed:
         oracle = q_numeric_oracle(sys_m, median_spectra, tau)
         err = np.linalg.norm(closed - oracle) / np.linalg.norm(oracle)
         assert err < 1e-6
+
+    @pytest.mark.parametrize("g", [0.0, 9.7, 9.81])
+    @pytest.mark.parametrize("tau", [0.1, 1.0, 10.0, 100.0])
+    def test_matches_van_loan_exactly(self, median_spectra, g, tau):
+        """Each noise channel alone, then the median mix."""
+        sys_m = build_system(GravityModel(g))
+        m = median_spectra
+        for spectra in (NoiseSpectra(s_a=m.s_a), NoiseSpectra(s_g=m.s_g),
+                        NoiseSpectra(s_ab=m.s_ab), NoiseSpectra(s_gb=m.s_gb), m):
+            closed = q_closed(sys_m, spectra, tau)
+            exact = van_loan_q(sys_m, spectra, tau)
+            assert np.linalg.norm(closed - exact) <= 1e-12 * np.linalg.norm(exact), spectra
 
     def test_symmetric_psd(self, sys_m, median_spectra):
         for tau in (0.5, 5.0, 50.0):

@@ -17,6 +17,7 @@ import argparse
 import contextlib
 import dataclasses
 import itertools
+import os
 import sys
 from dataclasses import dataclass, field
 from functools import partial
@@ -124,6 +125,15 @@ _FIELD_RULES = {
 _MAX_SAMPLES = np.iinfo(np.intp).max // (7 * 8)
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the system does not say."""
+    try:
+        pages, page_size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or not these names
+        return None
+    return pages * page_size if pages > 0 and page_size > 0 else None
+
+
 @dataclass
 class ExperimentConfig:
     seed: int = 0
@@ -152,6 +162,15 @@ class ExperimentConfig:
             raise ConfigError(
                 f"duration_s * rate_hz must round to between 2 and {_MAX_SAMPLES:.3g} samples, "
                 f"got {samples:.3g}"
+            )
+        # ``simulate`` holds every sensor's (N, 7) float64 samples at once.
+        n_sensors = len(self.sensors) if isinstance(self.sensors, list) else self.sensors
+        memory = _physical_memory()
+        if n_sensors is not None and memory is not None and \
+                n_sensors * round(samples) * 7 * 8 > memory:
+            raise ConfigError(
+                f"duration_s * rate_hz = {samples:.3g} samples per sensor, times "
+                f"sensors = {n_sensors}, do not fit in the {memory:.3g} bytes of physical memory"
             )
         if isinstance(self.sensors, list):
             self.sensor_params()  # a bad entry is a config error for every command
@@ -318,6 +337,8 @@ def cmd_simulate(config: ExperimentConfig) -> Stage:
             f"duration_s * rate_hz = {config.duration_s * config.rate_hz:.3g} samples "
             f"per sensor do not fit in memory: {str(exc) or 'MemoryError'}"
         ) from exc
+    except ValueError as exc:  # a time base that a recording's own check rejects
+        raise ConfigError(f"rate_hz = {config.rate_hz:g}: {exc}") from exc
     for i, rec in enumerate(array.recordings):
         if not (np.isfinite(rec.gyro).all() and np.isfinite(rec.accel).all()):
             raise ConfigError(f"sensors[{i}]: simulated samples overflow to non-finite values")

@@ -128,6 +128,26 @@ class TestConfig:
         with pytest.raises(ConfigError, match="sensor_count"):
             load_config(str(path), argparse.Namespace())
 
+    @pytest.mark.parametrize("sensors, duration_s, count", [
+        (10 ** 12, 100.0, 10 ** 12),  # 10^4 samples each
+        ([{}] * 1000, 1e12, 1000),  # 10^14 samples each
+    ])
+    def test_sensors_beyond_physical_memory_rejected(self, tmp_path, sensors, duration_s, count):
+        """``simulate`` would hold every sensor's samples at once: a config
+        error naming ``sensors``, before any stage runs."""
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"sensors": sensors, "duration_s": duration_s}))
+        with pytest.raises(ConfigError, match=f"times sensors = {count}, do not fit in the "
+                                              r"\S+ bytes of physical memory$"):
+            load_config(str(path), argparse.Namespace())
+
+    def test_sensor_bound_skipped_where_memory_is_unknown(self, monkeypatch):
+        def unknown(name):
+            raise ValueError(f"unrecognized configuration name {name!r}")
+
+        monkeypatch.setattr(cli.os, "sysconf", unknown)
+        assert ExperimentConfig(sensors=10 ** 12).sensors == 10 ** 12
+
     def test_cli_flags_override_file(self, tmp_path):
         path = _write_config(tmp_path, seed=1)
         args = build_parser().parse_args([
@@ -296,6 +316,42 @@ def test_pooled_stages_leave_multiprocessing_unloaded(tmp_path):
     forks, *loaded = out.stdout.splitlines()[-1].split()
     assert int(forks) >= 4  # two workers for each stage
     assert "multiprocessing" not in loaded
+
+
+@_TWO_CPUS
+def test_pooled_stages_leave_no_thread_alive(tmp_path):
+    """A fresh interpreter that runs every stage on a pooled-size manifest
+    has one thread after each: ``recording_stats_key`` joins its hashing
+    threads, so ``estimate`` still forks its two per-k workers after it."""
+    cfg = _write_config(tmp_path, duration_s=100.0)  # 4 x 10^4 x 7 values: pooled
+    manifest_cfg = _write_manifest_config(tmp_path)
+    src = str(Path(dataio.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import json, os, threading\n"
+        "from imulab.cli import main\n"
+        "forks, fork = [], os.fork\n"
+        "def counting_fork():\n"
+        "    pid = fork()\n"
+        "    if pid:\n"
+        "        forks.append(pid)\n"
+        "    return pid\n"
+        "os.fork = counting_fork\n"
+        "stages = {}\n"
+        f"for stage, cfg in [('simulate', {str(cfg)!r})] + [\n"
+        f"        (stage, {str(manifest_cfg)!r}) for stage in ('estimate', 'propagate', 'report')]:\n"
+        "    before = len(forks)\n"
+        "    assert main([stage, '--config', cfg]) == 0, stage\n"
+        "    stages[stage] = {'forks': len(forks) - before, 'threads': threading.active_count()}\n"
+        "print(json.dumps(stages))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    stages = json.loads(out.stdout.splitlines()[-1])
+    assert {stage: s["threads"] for stage, s in stages.items()} == {
+        "simulate": 1, "estimate": 1, "propagate": 1, "report": 1}
+    assert stages["estimate"]["forks"] == 2  # its per-k workers; the recordings are cache hits
 
 
 def _poison_last_payload(writes: list) -> None:
@@ -560,6 +616,15 @@ class TestSimulate:
         assert err.startswith("config error: duration_s * rate_hz = 1e+16 samples"), err
         assert not (tmp_path / "out").exists()
 
+    def test_time_base_rejected_by_recordings_is_named_by_rate(self, tmp_path, capsys):
+        """10 samples 1e300 s apart pass the config's rules, but not a
+        recording's absolute spacing check."""
+        cfg = _write_config(tmp_path, rate_hz=1e-300, duration_s=1e301, sensors=2)
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: rate_hz = 1e-300: sample spacing inconsistent with 1e-300 Hz\n")
+        assert not (tmp_path / "out").exists()
+
     def test_bare_memory_error_is_named(self, tmp_path, capsys, monkeypatch):
         """A ``MemoryError`` with no message still ends the line with a reason."""
         def out_of_memory(*args, **kwargs):
@@ -775,8 +840,7 @@ class TestEstimate:
         assert main(["report", "--config", str(cfg)]) == 0
         assert _dir_bytes(out) == {**before, cli.STATS_FILE: stats.read_bytes()}
 
-    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
-                        reason="the pool needs two usable CPUs")
+    @_TWO_CPUS
     def test_dead_reader_exits_3_leaving_no_child(self, tmp_path, capsys, monkeypatch):
         """A reader worker that dies, as one killed for memory does, fails
         the stage as running out of memory does, naming the recording it

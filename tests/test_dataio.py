@@ -6,6 +6,7 @@ import os
 import re
 import shutil
 import signal
+import sys
 import threading
 import time
 import tracemalloc
@@ -65,6 +66,9 @@ def _write_killing_worker(recording, dest):
 def _write_out_of_memory(recording, dest):
     """A ``write_recording_csv`` that runs out of memory."""
     raise MemoryError()
+
+
+_TWO_CPUS = pytest.mark.skipif(dataio._cpus() < 2, reason="the pool needs two usable CPUs")
 
 
 def _text_file(directory: Path, text: str) -> Path:
@@ -367,8 +371,7 @@ class TestRoundTrips:
             assert (tmp_path / "pool" / name).read_bytes() == \
                 (tmp_path / "serial" / name).read_bytes()
 
-    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
-                        reason="the pool needs two usable CPUs")
+    @_TWO_CPUS
     def test_only_large_arrays_are_written_in_worker_processes(
         self, tmp_path, gravity, monkeypatch
     ):
@@ -393,8 +396,7 @@ class TestRoundTrips:
             other.join(timeout=10)
         assert not other.is_alive()
 
-    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
-                        reason="the pool needs two usable CPUs")
+    @_TWO_CPUS
     def test_dead_worker_is_a_config_error_naming_dir_and_samples(
         self, tmp_path, gravity, monkeypatch
     ):
@@ -470,11 +472,6 @@ def _no_child_left() -> bool:
     except ChildProcessError:
         return True
     return False
-
-
-_TWO_CPUS = pytest.mark.skipif(
-    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
-    reason="the pool needs two usable CPUs")
 
 
 _recording_rows = dataio._recording_rows
@@ -918,9 +915,9 @@ class TestRecordingStatsFile:
 
 
     def test_key_hashes_each_file_in_blocks(self, tmp_path, gravity):
-        """Hashing an 8 MiB recording holds a few 1 MiB blocks of it, not the
-        whole file: a tracemalloc peak of 8.0 MiB read whole, 2.0 MiB in
-        blocks."""
+        """Hashing an 8 MiB recording holds one reused block per thread, not
+        the whole file: a tracemalloc peak of 8.0 MiB read whole, 2.0 MiB in
+        fresh 1 MiB blocks, 0.5 MiB in two 256 KiB buffers."""
         import hashlib
         import tracemalloc
 
@@ -938,7 +935,114 @@ class TestRecordingStatsFile:
         finally:
             tracemalloc.stop()
         assert key["recordings_sha256"] == [want]
-        assert peak < 3 << 20
+        assert peak < 1 << 20
+
+
+def _hash_manifest(directory: Path, names: list[str]) -> Path:
+    """A manifest in ``directory`` listing the recordings ``names``, in order."""
+    path = directory / "manifest.json"
+    write_manifest(ArrayManifest(100.0, tuple((f"s{i}", n) for i, n in enumerate(names))), path)
+    return path
+
+
+class TestRecordingStatsKey:
+    """``recording_stats_key`` hashes the files on several threads, each
+    with a buffer of its own, and gives what one thread reading each file
+    whole would give."""
+
+    @pytest.fixture(params=[1, 4], ids=["one_cpu", "four_cpus"])
+    def cpus(self, request, monkeypatch):
+        monkeypatch.setattr(dataio, "_cpus", lambda: request.param)
+        return request.param
+
+    @pytest.fixture
+    def recordings(self, tmp_path) -> Path:
+        """A manifest of recordings of different sizes: empty, one byte,
+        exactly one block, several blocks and a bit, and a short text."""
+        block = dataio._HASH_BLOCK
+        rng = np.random.default_rng(1)
+        sizes = {"empty.csv": 0, "byte.csv": 1, "block.csv": block,
+                 "blocks.csv": 3 * block + 17, "short.csv": 1000}
+        for name, size in sizes.items():
+            (tmp_path / name).write_bytes(rng.bytes(size))
+        return _hash_manifest(tmp_path, list(sizes))
+
+    @staticmethod
+    def _key(manifest_path: Path) -> dict:
+        return recording_stats_key(manifest_path, load_manifest(manifest_path))
+
+    def test_digests_are_those_of_the_whole_files(self, recordings, cpus):
+        threads = threading.active_count()
+        key = self._key(recordings)
+        assert threading.active_count() == threads
+        want = [hashlib.sha256((recordings.parent / rel).read_bytes()).hexdigest()
+                for _, rel in load_manifest(recordings).sensor_files]
+        assert key == {
+            "software_version": dataio.__version__,
+            "manifest_sha256": hashlib.sha256(recordings.read_bytes()).hexdigest(),
+            "recordings_sha256": want,
+        }
+
+    def test_each_file_is_hashed_once_under_frequent_switches(self, tmp_path, monkeypatch):
+        """More threads than CPUs, switching every microsecond, over many
+        small files: a file handed out twice, or never, would leave a digest
+        missing or misplaced."""
+        monkeypatch.setattr(dataio, "_cpus", lambda: 8)
+        names = [f"r{i}.csv" for i in range(60)]
+        for i, name in enumerate(names):
+            (tmp_path / name).write_bytes(bytes([i]) * (i * 997))
+        manifest_path = _hash_manifest(tmp_path, names)
+        want = [hashlib.sha256((tmp_path / n).read_bytes()).hexdigest() for n in names]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                assert self._key(manifest_path)["recordings_sha256"] == want
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_threads_that_cannot_start_leave_the_files_to_this_one(
+        self, recordings, cpus, monkeypatch
+    ):
+        want = self._key(recordings)
+
+        def refuse(thread):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert self._key(recordings) == want
+
+    @pytest.mark.parametrize("names, named", [
+        (["ok.csv", "absent.csv", "a_directory", "ok.csv"], "absent.csv"),
+        (["ok.csv", "a_directory", "absent.csv", "ok.csv"], "a_directory"),
+    ])
+    def test_first_unreadable_file_in_manifest_order_is_named(self, tmp_path, cpus, names,
+                                                              named):
+        (tmp_path / "ok.csv").write_bytes(b"t\n" * 100_000)
+        (tmp_path / "a_directory").mkdir()
+        manifest_path = _hash_manifest(tmp_path, names)
+        threads = threading.active_count()
+        with pytest.raises(DataError, match=f"^cannot read {re.escape(str(tmp_path / named))}: "):
+            self._key(manifest_path)
+        assert threading.active_count() == threads
+
+    def test_other_faults_are_raised_not_left_to_the_thread_hook(self, recordings, cpus,
+                                                                  monkeypatch):
+        """A fault that is not a read error is raised as it is, from
+        whichever thread met it, and never reaches ``threading.excepthook``."""
+        hooked = []
+        monkeypatch.setattr(threading, "excepthook", hooked.append)
+
+        class Broken:
+            def update(self, data):
+                raise ValueError("broken hash")
+
+        monkeypatch.setattr(hashlib, "sha256", Broken)
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="^broken hash$"):
+            self._key(recordings)
+        assert threading.active_count() == threads
+        assert hooked == []
 
 
 class TestDatasetSummary:

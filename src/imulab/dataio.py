@@ -10,7 +10,13 @@ Interchange formats:
 
 Every reader and writer takes a file path. Floats are serialized as
 shortest round-trip decimals (``repr``), so a write-then-parse cycle is
-bit-exact. Recordings are written in SI units (rad/s, m/s^2); a manifest read
+bit-exact. A CSV table of float64 columns (every table that the stages
+write) of at least ``_FLOAT_KERNEL_MIN_CELLS`` cells is rendered a block of
+rows at a time by a numpy kernel to ``repr``'s exact bytes
+(``_float_cells``); only a cell outside [1e-6, 1e17) other than a zero, one
+whose mantissa is a power of two and one exactly halfway between its two
+nearest shortest decimals go through ``repr`` itself. Recordings are
+written in SI units (rad/s, m/s^2); a manifest read
 from outside the program may declare ``deg/s`` gyro columns, which are
 converted to rad/s on reading, in this module only.
 
@@ -34,8 +40,9 @@ import pickle
 import sys
 import threading
 import warnings
+from collections.abc import Iterator, Mapping, Sequence
 from pathlib import Path
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -404,8 +411,11 @@ def write_recording_csv(recording: SensorRecording, dest: str | os.PathLike) -> 
     """Write a recording to the path ``dest`` as a ``write_report`` CSV table,
     one row per sample, in SI units (rad/s, m/s^2), and its rows cache entry.
 
-    Cells are shortest round-trip floats; non-finite values are rejected.
-    The table is rendered and encoded once, and those bytes are written.
+    Cells are shortest round-trip floats, ``repr``'s bytes, rendered by
+    ``render_report``'s float kernel (``_float_cells``), which leaves to
+    ``repr`` only a nonzero cell outside [1e-6, 1e17), a power-of-two
+    mantissa and an exact tie; non-finite values are rejected. The table is
+    rendered and encoded once, and those bytes are written.
     Then the same values, as the C-order float64 (N, 7) array that
     ``_recording_rows`` reads from those bytes, are written as a ``.npy``
     file named by the bytes' SHA-256 (``_rows_entry``), both by
@@ -501,14 +511,17 @@ def run_jobs(fn, jobs: Sequence[tuple], n_values: int, out, what: str) -> list:
 # values (sensors x samples x 7 columns) for recording jobs, of the
 # recordings to parse only (rows cache misses) for reads, 6 per sample
 # for ``estimate``'s per-k jobs and 20 per tau for ``propagate``'s. Measured
-# on 2 CPUs (Python 3.11, numpy 2.4): a recording value takes about 1.2 us
-# to write and 0.44 us to parse, and a per-k value about 1.0 us to compute
-# and render in ``estimate`` (N = 1e4) and 0.8 us in ``propagate`` (2001
-# taus). Forking two workers and reaping them takes about 5 ms, receiving a
-# parsed recording of 7e4 values, pickled, 1-2 ms, and receiving a rendered
-# table about 1.5 ms per MB (``estimate``'s series: 27 bytes per value). So
-# at 1e5 values two workers save about 50 ms of writes, 10 ms of parses or
-# 35 ms of per-k work.
+# on 2 CPUs (Python 3.11, numpy 2.4), in-process, with ``_float_cells``
+# rendering the tables: a recording value takes about 0.32 us to write
+# (0.76 us with the template) and 0.25-0.36 us to parse, and a per-k value
+# about 0.73 us to compute and render in ``estimate`` (N = 1e4; 1.1 us with
+# the template) and 0.59 us in ``propagate`` (2001 taus; 0.82 us). Forking
+# two workers and reaping them takes about 5 ms, receiving a parsed
+# recording of 7e4 values, pickled, 1-2 ms, and receiving a rendered table
+# about 1.5 ms per MB (``estimate``'s series: 27 bytes per value). So at
+# 1e5 values two workers save about 16 ms of writes, 12-18 ms of parses or
+# 30-36 ms of per-k work, more than the fork costs; they break even at
+# about 3e4 to 4e4 values.
 _POOL_MIN_VALUES = 100_000
 # Bytes per value of a recording that ``write_recording_csv`` wrote: a
 # shortest round-trip float and its comma, 18.6 bytes in the benchmark's
@@ -842,6 +855,184 @@ def _jsonable(obj):
     return obj
 
 
+# Rows of a float table that ``_float_rows`` renders at a time: it bounds the
+# kernel's temporaries to about 0.7 MB per column.
+_FLOAT_BLOCK_ROWS = 2048
+# Fewest cells of a float table that ``render_report`` hands to the kernel.
+# Measured on 2 CPUs (Python 3.11, numpy 2.4), tables of 5 and 10 columns
+# take the kernel and the template the same time, about 0.27 ms, at 400
+# cells; below that the kernel's fixed cost, about 0.2 ms a call, loses. So
+# ``estimate``'s running-std tables (36 x 5 at N = 1e4) keep the template.
+_FLOAT_KERNEL_MIN_CELLS = 400
+# The shortest round-trip kernel's tables. 10**k as int64, and as float64 for
+# k <= 22, where it is exact, with that float split in two 26-bit halves for
+# Dekker's two-product (Veltkamp's split, by 2**27 + 1).
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+_POW10_F = np.array([float(10**k) for k in range(23)])
+_SPLIT = 134217729.0
+_POW10_HI = _POW10_F * _SPLIT - (_POW10_F * _SPLIT - _POW10_F)
+_POW10_LO = _POW10_F - _POW10_HI
+_MANTISSA = np.uint64((1 << 52) - 1)
+
+
+def _ascii_words(texts: Sequence[bytes]) -> np.ndarray:
+    """Each of ``texts``, at most 8 bytes, NUL-padded into one little-endian
+    8-byte word."""
+    return np.frombuffer(b"".join(t.ljust(8, b"\0") for t in texts), "<u8")
+
+
+# A cell is six words of NUL-padded ASCII: word 0 holds the sign, five
+# prefix slots (``0.000`` at most) and the lead digit with its dot slot;
+# words 1-4 hold four digits each, every one followed by a dot slot; word 5
+# holds the exponent and the separator. Words 1-4 come from
+# ``_DIGIT_WORDS[c]`` for each 4-digit chunk c, or ``_DIGIT_WORDS[10000 +
+# c]``, c's digits with its trailing zeros blanked, where only zeros follow
+# c. An integral value's zeros up to its ".0" are kept by ANDing ``c``'s
+# word with ``_KEEP_DIGITS[n]``, which keeps the first n - 1 digit slots of
+# words 1-4.
+_DIGITS = np.indices((10, 10, 10, 10), np.uint8).reshape(4, -1).T  # 0000 to 9999
+_DIGIT_WORDS = np.zeros((2, 10000, 8), np.uint8)
+_DIGIT_WORDS[:, :, 0:8:2] = _DIGITS + ord("0")
+_DIGIT_WORDS[1, :, 0:8:2][np.logical_and.accumulate(_DIGITS[:, ::-1] == 0, axis=1)[:, ::-1]] = 0
+_DIGIT_WORDS = _DIGIT_WORDS.view("<u8").ravel()
+_KEEP_DIGITS = _ascii_words([b"\xff\0" * n for n in range(5)])[
+    np.clip(np.arange(19)[:, None] - [1, 5, 9, 13], 0, 4)]
+# The prefix of a fixed-point cell with -3 <= decpt <= 0 is code 1 - decpt;
+# a zero's is code 2; a cell left to ``repr`` holds a ``%s`` placeholder.
+_PREFIXES = _ascii_words([b"\0" + p for p in (b"", b"0.", b"0.0", b"0.00", b"0.000", b"%s")])
+_ZERO_PREFIX, _REPR_PREFIX = 2, 5
+# Exponents -99..99 at e + 99; no exponent last.
+_EXPONENTS = _ascii_words([b"e%+03d" % e for e in range(-99, 100)] + [b""])
+
+
+def _float_rows(columns: Sequence[np.ndarray]) -> str:
+    """The rows of a CSV table of 1-D float64 columns of one length, each
+    cell its value's ``repr``, rendered ``_FLOAT_BLOCK_ROWS`` at a time."""
+    blocks = (np.column_stack([c[i:i + _FLOAT_BLOCK_ROWS] for c in columns]).ravel()
+              for i in range(0, len(columns[0]), _FLOAT_BLOCK_ROWS))
+    return "".join(_float_cells(block, len(columns)) for block in blocks)
+
+
+def _float_cells(values: np.ndarray, n_columns: int) -> str:
+    """The ``repr`` of each of the C-order float64 ``values``, rows of
+    ``n_columns`` cells, each cell followed by a comma, the last of a row by
+    a newline.
+
+    A finite |v| in [1e-6, 1e17) whose mantissa is not a power of two is
+    rendered here (Steele & White, PLDI 1990; Adams, PLDI 2018). P = |v| *
+    10**k, 10**k exact (k <= 22), lies in about [1e16, 1e17]; Dekker's
+    two-product gives it exactly as an integer plus a fraction. The values
+    that read back as v are those within half an ulp of it, scaled: H =
+    10**k * 2**(exponent - 54), boundaries included only for an even
+    mantissa. The shortest digits are the multiple of the largest 10**j
+    whose nearest multiple to P lies in that interval: the last integer B
+    in it, less B mod 10**j, is at least the first. A cell whose nearest
+    two candidates tie is left to ``repr``, as is every other cell but a
+    zero, which is written here. The digits are laid out as the fixed or
+    exponent form that ``repr`` picks from the decimal point's place, in
+    the six-word cells above, and one ``bytes.translate`` deletes the NULs.
+    """
+    m = values.size
+    bits = values.view(np.uint64)
+    a = np.abs(values)
+    zero = a == 0
+    exact = (a >= 1e-6) & (a < 1e17) & ((bits & _MANTISSA) != 0)
+    x = np.where(exact, a, 1.5)  # any value the arithmetic below takes quietly
+    k = np.clip(16 - np.floor(np.log10(x)).astype(np.int64), 0, 22)
+    p = _POW10_F.take(k)
+    # Dekker's two-product: P = hi + lo exactly, whole = floor(P), frac = P - whole.
+    hi = x * p
+    xh = x * _SPLIT - (x * _SPLIT - x)
+    xl = x - xh
+    ph, pl = _POW10_HI.take(k), _POW10_LO.take(k)
+    lo = ((xh * ph - hi) + xh * pl + xl * ph) + xl * pl
+    lo_whole = np.floor(lo)
+    frac = lo - lo_whole
+    whole = hi.astype(np.int64) + lo_whole.astype(np.int64)
+    half = np.ldexp(p, np.frexp(x)[1] - 54)
+    half_whole = np.floor(half)
+    half_frac = half - half_whole
+    half_whole = half_whole.astype(np.int64)
+    odd = (bits & np.uint64(1)).astype(bool)
+    # The last (top) and first (bottom) integers within P -+ H.
+    s = frac + half_frac
+    carry = s >= 1
+    top = whole + half_whole + carry - ((s == carry) & odd)
+    d = frac - half_frac
+    borrow = d < 0
+    bottom = whole - half_whole - borrow + ((d != 0) | odd)
+    width = top - bottom
+    # j passes when a multiple of 10**j lies in [bottom, top]; every j below
+    # a passing one passes. As width <= 2H < 23, j >= 2 passes when j = 2
+    # does and top // 100 ends in j - 2 zeros, which few cells do.
+    j = (top - top // 10 * 10 <= width).astype(np.int64) + (top - top // 100 * 100 <= width)
+    passing = np.flatnonzero(j == 2)
+    t = top.take(passing) // 100
+    for z in (8, 4, 2, 1):
+        ends = t - t // _POW10[z] * _POW10[z] == 0
+        t = np.where(ends, t // _POW10[z], t)
+        j[passing] += z * ends
+    step = _POW10.take(j)
+    below = whole // step
+    # The multiple above is nearer when 2 * (P - below * step) > step.
+    gap = (step - 2 * (whole - below * step)).astype(float)
+    frac2 = 2 * frac
+    kernel = exact & (frac2 != gap)
+    to_repr = ~zero & ~kernel
+    digits = (below + (frac2 > gap)) * kernel
+    # below has as many digits as whole, less j; rounding up can add one.
+    n = 16 + (whole >= _POW10[16]) + (whole >= _POW10[17]) - j
+    n += digits >= _POW10.take(n)
+    decpt = n + j - k
+    exponent = (decpt <= -4) | (decpt > 16)
+    point = ~exponent & (decpt > 0)
+    rest = digits * _POW10.take(17 - n)
+    lead = rest // _POW10[16]
+    rest -= lead * _POW10[16]
+    chunks = np.empty((4, m), np.int64)
+    for w, unit in enumerate(_POW10[[12, 8, 4]]):
+        chunks[w] = rest // unit
+        rest -= chunks[w] * unit
+    chunks[3] = rest
+    cells = np.empty((m, 6), "<u8")
+    only_zeros_after = np.ones(m, bool)
+    for w in (3, 2, 1, 0):
+        cells[:, w + 1] = _DIGIT_WORDS.take(chunks[w] + 10000 * only_zeros_after)
+        only_zeros_after &= chunks[w] == 0
+    integral = np.flatnonzero(kernel & point & (decpt >= n))
+    cells[integral, 1:5] = (_DIGIT_WORDS.take(chunks[:, integral].T)
+                            & np.take(_KEEP_DIGITS, decpt[integral] + 1, axis=0))
+    prefix = np.where(~exponent & (decpt <= 0), 1 - decpt, 0)
+    prefix[zero] = _ZERO_PREFIX
+    prefix[to_repr] = _REPR_PREFIX
+    cells[:, 0] = (_PREFIXES.take(prefix)
+                   | (np.signbit(values) & ~to_repr).astype("<u8") * ord("-")
+                   | ((lead + ord("0")) * kernel).astype("<u8") << np.uint64(48))
+    separators = np.full(n_columns, ord(","), "<u8")
+    separators[-1] = ord("\n")
+    cells[:, 5] = (_EXPONENTS.take(np.where(exponent & kernel, decpt + 98, 199))
+                   | np.tile(separators << np.uint64(32), m // n_columns))
+    dot = np.where(point, decpt - 1, np.where(exponent & (n > 1), 0, -1))
+    dotted = np.flatnonzero(kernel & (dot >= 0))
+    cells.view(np.uint8).reshape(-1)[dotted * 48 + 7 + 2 * dot[dotted]] = ord(".")
+    text = cells.tobytes().translate(None, b"\0").decode("ascii")
+    if to_repr.any():
+        text %= tuple(repr(v) for v in values[to_repr].tolist())
+    return text
+
+
+def _is_float_table(report) -> bool:
+    """Whether ``report`` is a mapping of 1-D float64 arrays of one length,
+    at least ``_FLOAT_KERNEL_MIN_CELLS`` cells in all."""
+    if not isinstance(report, Mapping):
+        return False
+    columns = list(report.values())
+    return (all(isinstance(c, np.ndarray) and c.dtype == np.float64 and c.ndim == 1
+                for c in columns)
+            and len({len(c) for c in columns}) == 1
+            and len(columns) * len(columns[0]) >= _FLOAT_KERNEL_MIN_CELLS)
+
+
 def render_report(report, fmt: str) -> str:
     """A report's text as ``write_report`` writes it: deterministic JSON, or
     a columnar CSV.
@@ -850,12 +1041,20 @@ def render_report(report, fmt: str) -> str:
     CSV requires a flat mapping of column name -> sequence of scalars (all of
     one length); an all-empty table still produces the header line. CSV cells
     hold ``str`` of each value, for a float its ``repr`` (shortest round
-    trip), filled into one row template. A report that holds a nan or inf
-    is ``check_finite``'s ``ValueError``.
+    trip), filled into one row template. A table whose columns are all 1-D
+    float64 arrays (``_is_float_table``) is rendered instead by a numpy
+    kernel, ``_float_cells``, to the same bytes: it writes each zero and
+    each |v| in [1e-6, 1e17) itself, and leaves to ``repr`` only any other
+    value, a value whose mantissa is a power of two, and one that lies
+    exactly halfway between its two nearest shortest decimals. A report
+    that holds a nan or inf is ``check_finite``'s ``ValueError``.
     """
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown report format {fmt!r}")
     check_finite(report)
+    if fmt == "csv" and _is_float_table(report):
+        table = {str(k): v for k, v in report.items()}
+        return ",".join(table) + "\n" + _float_rows(list(table.values()))
     payload = _jsonable(report)
     if fmt == "json":
         return json.dumps(payload, indent=2) + "\n"

@@ -8,7 +8,8 @@ wide-sense-stationarity check are test oracles, in ``tests/oracles.py``.
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple
+from collections.abc import Mapping
+from typing import NamedTuple
 
 import numpy as np
 

@@ -9,8 +9,9 @@ identity of Q, step-by-step discrete propagation, the reference for
 ``q_closed`` (criterion 3), Van Loan's exact block exponential for Q, the
 whole-array Simpson quadrature that the chunked ``q_numeric_oracle``
 replaced, the whole-text recording reader that the streaming
-``dataio._recording_rows`` replaced, and the product validators and
-``db_ratios`` collector that ``report``'s per-product readers replaced.
+``dataio._recording_rows`` replaced, the cell-by-cell CSV rule that
+``dataio._float_cells`` renders whole tables to, and the product validators
+and ``db_ratios`` collector that ``report``'s per-product readers replaced.
 """
 
 from __future__ import annotations
@@ -228,6 +229,22 @@ def whole_array_q_numeric_oracle(
     acc = np.cumsum(terms, axis=0, out=terms)[-1]
     q = acc * (h / 3.0)
     return 0.5 * (q + q.T)
+
+
+def cell_by_cell_csv(table) -> str:
+    """The text of a CSV table, a mapping of column name to a sequence of
+    scalars of one length, as ``dataio.render_report`` renders it, one cell
+    at a time: a float's ``repr``, any other value's ``str``."""
+    cols = {k: np.asarray(v).tolist() if isinstance(v, np.ndarray) else v
+            for k, v in table.items()}
+    n_rows = len(next(iter(cols.values()), []))
+    return ",".join(cols) + "\n" + "".join(
+        ",".join(
+            repr(float(cols[c][i])) if isinstance(cols[c][i], float) else str(cols[c][i])
+            for c in cols
+        ) + "\n"
+        for i in range(n_rows)
+    )
 
 
 def whole_text_parse_recording(

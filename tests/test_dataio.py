@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import re
 import shutil
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from imulab import dataio
@@ -43,7 +44,7 @@ from imulab.sensor_model import (
     draw_sensor_params,
     simulate_array,
 )
-from oracles import whole_text_parse_recording
+from oracles import cell_by_cell_csv, whole_text_parse_recording
 
 
 def _write_noting_pid(recording, dest):
@@ -287,21 +288,36 @@ def _row_by_row_csv(recording):
     return "\n".join(lines) + "\n"
 
 
+def _planted_recording(gravity, seconds: float) -> SensorRecording:
+    """One simulated 100 Hz recording with a -0.0 in gyro and in accel; one
+    longer than a block of ``dataio._FLOAT_BLOCK_ROWS`` rows also has a 0.0,
+    a -0.0 and a power of two in the rows on either side of the first block
+    join."""
+    rec = simulate_array(draw_sensor_params(1, 4), gravity, seconds, 100.0, seed=4).recordings[0]
+    gyro, accel = rec.gyro.copy(), rec.accel.copy()
+    gyro[3, 1] = -0.0
+    accel[7, 0] = -0.0
+    join = dataio._FLOAT_BLOCK_ROWS
+    if rec.n_samples > join:
+        gyro[join - 1, 2] = 0.0
+        gyro[join, 0] = -0.0
+        accel[join, 1] = 0.5
+    return SensorRecording(rec.sensor_id, rec.rate_hz, rec.t, gyro, accel)
+
+
 class TestWriteRecordingCsv:
     @pytest.fixture()
     def recording(self, gravity):
-        rec = simulate_array(draw_sensor_params(1, 4), gravity, 1.0, 100.0, seed=4).recordings[0]
-        gyro, accel = rec.gyro.copy(), rec.accel.copy()
-        gyro[3, 1] = -0.0
-        accel[7, 0] = -0.0
-        return SensorRecording(rec.sensor_id, rec.rate_hz, rec.t, gyro, accel)
+        return _planted_recording(gravity, 1.0)
 
     @pytest.mark.parametrize("units", ["rad/s"])  # recordings are written in SI only
-    def test_matches_row_by_row_rule(self, tmp_path, recording, units):
+    @pytest.mark.parametrize("seconds", [1.0, 41.0], ids=["one-block", "three-blocks"])
+    def test_matches_row_by_row_rule(self, tmp_path, gravity, units, seconds):
+        recording = _planted_recording(gravity, seconds)
         dest = tmp_path / "rec.csv"
         write_recording_csv(recording, dest)
         text = dest.read_text()
-        assert text == _row_by_row_csv(recording)
+        assert text.split("\n") == _row_by_row_csv(recording).split("\n")  # lines: a short diff
         assert "-0.0," in text
         again = tmp_path / "again.csv"
         write_recording_csv(recording, again)
@@ -1073,6 +1089,37 @@ class TestDatasetSummary:
             dataset_summary(recording_stats(arr, gravity))
 
 
+def _float_from_bits(bits: int) -> float:
+    return float(np.array(bits, np.uint64).view(np.float64))
+
+
+# Floats at the edges of ``dataio._float_cells``: zeros; subnormals; powers
+# of two, whose rounding interval is asymmetric; the neighbours of the
+# bounds of the range it renders itself and of where ``repr`` turns to an
+# exponent; integers up to 2**53 and the largest float; two values that lie
+# exactly halfway between their two nearest 17-digit decimals; and two of
+# even mantissa whose 16-digit decimal lies exactly on the boundary of their
+# rounding interval. Each with either sign.
+_EDGES = [
+    0.0, 5e-324, 1e-320, sys.float_info.min, np.nextafter(sys.float_info.min, 0),
+    0.5, 1.0, 2.0**-20, 2.0**60, 2.0**53 - 1, 2.0**53, 123456789.0, 1e15 + 1,
+    sys.float_info.max, 1548361690831282.25, 1.23522186279296875,
+    3.3824719121439088e16, 2.8734077869150008e16,
+    *(float(np.nextafter(b, to)) for b in (1e-6, 1e-5, 1e-4, 1e15, 1e16, 1e17)
+      for to in (0.0, b, np.inf)),
+]
+_EDGE_FLOATS = [*_EDGES, *(-x for x in _EDGES)]
+_FLOAT_CELLS = st.one_of(
+    st.sampled_from(_EDGE_FLOATS),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-2**53, 2**53).map(float),
+    st.integers(0, 2**64 - 1).map(_float_from_bits).filter(math.isfinite),
+)
+# 0 rows, 1 row, and more rows than one block of ``dataio._float_rows``.
+_TABLE_ROWS = [0, 1, 2, dataio._FLOAT_BLOCK_ROWS, dataio._FLOAT_BLOCK_ROWS + 1,
+               2 * dataio._FLOAT_BLOCK_ROWS + 3]
+
+
 class TestWriteReport:
     def test_bytes_are_written_as_they_are(self, tmp_path):
         dest = tmp_path / "sub" / "raw.npy"
@@ -1124,17 +1171,24 @@ class TestWriteReport:
         }
         dest = tmp_path / "t.csv"
         write_report(table, "csv", dest)
-        # Reference: the cell-by-cell rule, one cell at a time.
-        cols = {k: np.asarray(v).tolist() if isinstance(v, np.ndarray) else v
-                for k, v in table.items()}
-        expected = ",".join(cols) + "\n" + "".join(
-            ",".join(
-                repr(float(cols[c][i])) if isinstance(cols[c][i], float) else str(cols[c][i])
-                for c in cols
-            ) + "\n"
-            for i in range(n)
-        )
-        assert dest.read_text() == expected
+        assert dest.read_text() == cell_by_cell_csv(table)
+
+    @settings(max_examples=150, deadline=None)
+    @given(cells=st.lists(_FLOAT_CELLS, min_size=1, max_size=40),
+           n_rows=st.sampled_from(_TABLE_ROWS), n_cols=st.integers(1, 4))
+    @example(cells=_EDGE_FLOATS, n_rows=len(_EDGE_FLOATS), n_cols=1)
+    @example(cells=_EDGE_FLOATS, n_rows=2 * dataio._FLOAT_BLOCK_ROWS + 3, n_cols=3)
+    def test_float_tables_match_cell_by_cell_rule(self, cells, n_rows, n_cols):
+        # The cells repeat, in order, row after row.
+        values = np.resize(np.array(cells), (n_rows, n_cols))
+        table = {f"c{j}": values[:, j] for j in range(n_cols)}
+        # Compared as lists of lines, which name the first line that differs
+        # without a slow diff of the whole text.
+        expected = cell_by_cell_csv(table).split("\n")
+        assert dataio.render_report(table, "csv").split("\n") == expected
+        with pytest.MonkeyPatch.context() as patch:  # the kernel for every table
+            patch.setattr(dataio, "_FLOAT_KERNEL_MIN_CELLS", 1)
+            assert dataio.render_report(table, "csv").split("\n") == expected
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize(

@@ -32,6 +32,7 @@ from .dataio import (
     ConfigError,
     DataError,
     SensorStats,
+    cached_recording,
     check_finite,
     dataset_summary,
     is_finite,
@@ -44,6 +45,7 @@ from .dataio import (
     recording_stats_key,
     render_report,
     run_jobs,
+    sensor_stats,
     write_array,
     write_recording_stats,
     write_report,
@@ -68,9 +70,10 @@ from .sensor_model import (
     ArrayRecording,
     GravityModel,
     SensorErrorParams,
+    SensorRecording,
+    SimulatedArray,
     draw_sensor_params,
     residuals,
-    simulate_array,
 )
 
 EXIT_OK = 0
@@ -163,7 +166,11 @@ class ExperimentConfig:
                 f"duration_s * rate_hz must round to between 2 and {_MAX_SAMPLES:.3g} samples, "
                 f"got {samples:.3g}"
             )
-        # ``simulate`` holds every sensor's (N, 7) float64 samples at once.
+        # Every sensor's (N, 7) float64 samples must fit in memory at once,
+        # though ``simulate`` draws and writes one recording at a time in each
+        # process: ``estimate`` keeps each recording that the rows cache
+        # misses, which can be all of them, and a count such as 10**12 is
+        # rejected here before ``draw_sensor_params`` runs.
         n_sensors = len(self.sensors) if isinstance(self.sensors, list) else self.sensors
         memory = _physical_memory()
         if n_sensors is not None and memory is not None and \
@@ -250,6 +257,11 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> ExperimentCo
     return ExperimentConfig(**raw)
 
 
+def _recording_files(manifest_path: Path, manifest: ArrayManifest) -> list[tuple[Path, str]]:
+    """(path, sensor id) of each recording of a manifest, in its order."""
+    return [(manifest_path.parent / rel, sensor_id) for sensor_id, rel in manifest.sensor_files]
+
+
 def _load_array(
     manifest_path: Path, manifest: ArrayManifest, digests: list[str] | None = None
 ) -> ArrayRecording:
@@ -262,16 +274,60 @@ def _load_array(
     before the next one's rows are taken, so the first fault in manifest
     order is raised, as in a serial read.
     """
-    files = [(manifest_path.parent / rel, sensor_id) for sensor_id, rel in manifest.sensor_files]
+    files = _recording_files(manifest_path, manifest)
     with contextlib.closing(read_recording_rows(files, digests)) as rows:
         recs = [
             parse_recording_csv(path, sensor_id, manifest.rate_hz, manifest.gyro_units, rows=r)
-            for (path, sensor_id), r in zip(files, rows)
+            for (path, sensor_id), (r, _) in zip(files, rows)
         ]
     try:
         return ArrayRecording(tuple(recs))
     except ValueError as exc:
         raise DataError(str(exc)) from exc
+
+
+def _first_pass(
+    manifest_path: Path, manifest: ArrayManifest, digests: list[str]
+) -> tuple[list[SensorStats], dict[int, SensorRecording]]:
+    """Each recording's stats, in manifest order, holding one recording at
+    a time, and the recordings that the rows cache missed, by manifest
+    index: they have no entry to be loaded from again.
+
+    The recordings are taken one after another from ``read_recording_rows``
+    and built by ``parse_recording_csv``, so the first one that cannot be
+    built is named at its turn. A manifest whose recordings are built but
+    do not make an array, or one of which ``sensor_stats`` rejects, is read
+    again whole by ``_load_array`` and ``recording_stats``, which name its
+    first fault as they always have: a duplicate sensor id, then the first
+    recording not aligned with the first, then the first whose stats are at
+    fault.
+    """
+    gravity = GravityModel(manifest.gravity_mps2)
+    files = _recording_files(manifest_path, manifest)
+    stats, misses, first, at_fault = [], {}, None, False
+    with contextlib.closing(read_recording_rows(files, digests)) as reads:
+        for i, (path, sensor_id) in enumerate(files):
+            # Taken by next(), not zip(), which would hold the last rows
+            # while the next are read.
+            rows, hit = next(reads)
+            rec = parse_recording_csv(path, sensor_id, manifest.rate_hz, manifest.gyro_units,
+                                      rows=rows)
+            if first is None:
+                first = rec
+            try:
+                if rec is not first:
+                    ArrayRecording((first, rec))  # the array's rule for rec and the first
+                stats.append(sensor_stats(rec, gravity))
+            except ValueError:
+                at_fault = True
+            if not hit:
+                misses[i] = rec
+            del rows, rec  # not held while the next recording is read
+    ids = [sid for sid, _ in manifest.sensor_files]
+    if at_fault or len(set(ids)) < len(ids):
+        recording_stats(_load_array(manifest_path, manifest, digests), gravity)
+        raise DataError(f"{manifest_path}: recordings changed while read")
+    return stats, misses
 
 
 def _recording_stats(
@@ -280,14 +336,13 @@ def _recording_stats(
     """Per-sensor stats of a loaded manifest's recordings, in manifest order.
 
     Taken from ``out/STATS_FILE`` when its key matches the bytes of the
-    manifest and recordings; otherwise the recordings are loaded by
-    ``_load_array``, with all its checks, and the file is left as it is.
+    manifest and recordings; otherwise computed by ``_first_pass``, with
+    all its checks, and the file is left as it is.
     """
     key = recording_stats_key(manifest_path, manifest)
     stats = read_recording_stats(out / STATS_FILE, key, [sid for sid, _ in manifest.sensor_files])
     if stats is None:
-        array = _load_array(manifest_path, manifest, key["recordings_sha256"])
-        stats = recording_stats(array, GravityModel(manifest.gravity_mps2))
+        stats, _ = _first_pass(manifest_path, manifest, key["recordings_sha256"])
     return stats
 
 
@@ -321,27 +376,28 @@ def _k_grid(config: ExperimentConfig, n_sensors: int) -> list[int]:
 
 
 def cmd_simulate(config: ExperimentConfig) -> Stage:
+    """The recordings as one pending write of a ``SimulatedArray``, from
+    which each write job draws its sensor.
+
+    Before that, each sensor is proved finite (``SimulatedArray.finite``:
+    by its parameters, or else by drawing it here, one at a time), so a
+    sensor whose samples overflow is a config error naming it, and nothing
+    is written."""
     params = config.sensor_params()
     try:
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            array = simulate_array(
-                params,
-                config.gravity,
-                config.duration_s,
-                config.rate_hz,
-                config.seed,
-                inject_bias_walk=config.inject_bias_walk,
-            )
+        try:
+            array = SimulatedArray(tuple(params), config.gravity, config.duration_s,
+                                   config.rate_hz, config.seed, config.inject_bias_walk)
+        except ValueError as exc:  # a time base that a recording's own check rejects
+            raise ConfigError(f"rate_hz = {config.rate_hz:g}: {exc}") from exc
+        for k in range(array.n_sensors):
+            if not array.finite(k):
+                raise ConfigError(f"sensors[{k}]: simulated samples overflow to non-finite values")
     except MemoryError as exc:
         raise ConfigError(
             f"duration_s * rate_hz = {config.duration_s * config.rate_hz:.3g} samples "
             f"per sensor do not fit in memory: {str(exc) or 'MemoryError'}"
         ) from exc
-    except ValueError as exc:  # a time base that a recording's own check rejects
-        raise ConfigError(f"rate_hz = {config.rate_hz:g}: {exc}") from exc
-    for i, rec in enumerate(array.recordings):
-        if not (np.isfinite(rec.gyro).all() and np.isfinite(rec.accel).all()):
-            raise ConfigError(f"sensors[{i}]: simulated samples overflow to non-finite values")
     rec_dir = Path(config.out_dir) / "recordings"
     return [partial(write_array, array, rec_dir, config.gravity)], (
         f"wrote {array.n_sensors} recordings ({array.n_samples} samples each) "
@@ -434,23 +490,40 @@ def _estimate_products(
 def _worst_first_means(
     manifest_path: Path, manifest: ArrayManifest, k_grid: list[int], digests: list[str]
 ) -> tuple[list[SensorStats], list[tuple[str, float]], np.ndarray, float, list[np.ndarray]]:
-    """What ``estimate`` takes from a manifest's recordings, loaded by
-    ``_load_array`` with their SHA-256 ``digests``: their stats in
-    manifest order, their ``sort_by_quality`` scores (worst first), a copy of
-    the worst sensor's time base, their rate, and for each k of ``k_grid`` the (N, 6)
-    mean residuals of the first k sensors, worst first.
+    """What ``estimate`` takes from a manifest's recordings, whose SHA-256
+    are ``digests``: their stats in manifest order, their
+    ``sort_by_quality`` scores (worst first), a copy of the worst sensor's
+    time base, their rate, and for each k of ``k_grid`` the (N, 6) mean
+    residuals of the first k sensors, worst first.
 
-    The recordings themselves are dropped on return, so they take no memory
-    while the per-k products are computed and rendered.
+    The recordings are read twice, and held one at a time. The first pass
+    (``_first_pass``) gives the stats, and so the order. The second takes
+    them worst first into ``_prefix_means``' running sum: a rows cache hit
+    is loaded again from its entry (``cached_recording``), a miss is the
+    recording that the first pass kept, and each is dropped once summed.
     """
-    array = _load_array(manifest_path, manifest, digests)
-    gravity = GravityModel(manifest.gravity_mps2)
-    stats = recording_stats(array, gravity)
+    stats, misses = _first_pass(manifest_path, manifest, digests)
     scores = sort_by_quality({s.sensor_id: s.bias for s in stats})
-    by_id = {r.sensor_id: r for r in array.recordings}
-    worst_first = (residuals(by_id[sid], gravity) for sid, _ in scores)
-    means = [avg for _, avg in _prefix_means(worst_first, k_grid, array.n_samples)]
-    return stats, scores, by_id[scores[0][0]].t.copy(), array.rate_hz, means
+    gravity = GravityModel(manifest.gravity_mps2)
+    files = _recording_files(manifest_path, manifest)
+    index = {sid: i for i, (sid, _) in enumerate(manifest.sensor_files)}
+
+    def recording(sid: str) -> SensorRecording:
+        i = index[sid]
+        if i in misses:
+            return misses.pop(i)
+        return cached_recording(*files[i], manifest.rate_hz, manifest.gyro_units, digests[i])
+
+    # map(), which holds no recording it has passed on, unlike a generator
+    # expression's loop variable.
+    worst_first = map(recording, [sid for sid, _ in scores])
+    worst = next(worst_first)
+    t = worst.t.copy()
+    arrays = itertools.chain([residuals(worst, gravity)],
+                             map(residuals, worst_first, itertools.repeat(gravity)))
+    del worst  # its rows go once its residuals are summed
+    means = [avg for _, avg in _prefix_means(arrays, k_grid, t.size)]
+    return stats, scores, t, manifest.rate_hz, means
 
 
 def _prefix_means(

@@ -47,7 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .sensor_model import ArrayRecording, GravityModel, SensorRecording
+from .sensor_model import ArrayRecording, GravityModel, SensorRecording, SimulatedArray
 from .estimation import bias_and_noise, rms
 
 __all__ = [
@@ -61,9 +61,11 @@ __all__ = [
     "write_manifest",
     "parse_recording_csv",
     "read_recording_rows",
+    "cached_recording",
     "write_recording_csv",
     "write_array",
     "run_jobs",
+    "sensor_stats",
     "recording_stats",
     "recording_stats_key",
     "read_recording_stats",
@@ -258,15 +260,18 @@ def _beyond_memory(sensor_id: str, path, exc: MemoryError) -> DataError:
 def read_recording_rows(
     files: Sequence[tuple[str | os.PathLike, str]],
     digests: Sequence[str] | None = None,
-) -> Iterator[np.ndarray]:
+) -> Iterator[tuple[np.ndarray, bool]]:
     """Yield the rows of each recording ``(path, sensor_id)`` of ``files``,
-    in order, for ``parse_recording_csv``.
+    in order, for ``parse_recording_csv``, each with whether they are a
+    rows cache hit.
 
     ``digests`` are the SHA-256 of each recording's bytes, as
-    ``recording_stats_key`` gives them. A recording whose digest names an
-    entry of the rows cache beside it (``_cached_rows``) is not parsed: its
-    entry is yielded. Every other recording is one ``_recording_rows`` call,
-    run by ``_fork_map`` for those files' values (their sizes over
+    ``recording_stats_key`` gives them. A recording whose digest names a
+    file in the rows cache beside it is not parsed: at its turn the entry
+    is loaded (``_cached_rows``), so no more than one entry is held here at
+    a time, and should it prove not to be a hit, the recording is parsed
+    here then. Every other recording is one ``_recording_rows`` call, run by
+    ``_fork_map`` for those files' values (their sizes over
     ``_BYTES_PER_VALUE``): in worker processes or here, one after another.
     A recording's fault is raised only when its turn comes, so a caller that
     checks each recording before taking the next names the first one at
@@ -274,21 +279,39 @@ def read_recording_rows(
     or a worker that dies, is a ``DataError`` naming the recording. Close
     the generator to stop and reap the workers early.
     """
-    cached = [None] * len(files) if digests is None else [
-        _cached_rows(path, digest) for (path, _), digest in zip(files, digests, strict=True)]
-    misses = [(path, sid) for (path, sid), hit in zip(files, cached) if hit is None]
+    if digests is None:
+        digests = [None] * len(files)
+    entries = [digest is not None and os.path.isfile(_rows_entry(path, digest))
+               for (path, _), digest in zip(files, digests, strict=True)]
+    misses = [file for file, entry in zip(files, entries) if not entry]
     size = 0
     for path, _ in misses:
         with contextlib.suppress(OSError):  # its read names the fault
             size += os.path.getsize(path)
     with contextlib.closing(_fork_map(_recording_rows, misses,
                                       size // _BYTES_PER_VALUE)) as parsed:
-        for (path, sensor_id), hit in zip(files, cached):
+        for (path, sensor_id), digest, entry in zip(files, digests, entries):
             try:
-                rows = next(parsed) if hit is None else hit
+                rows = _cached_rows(path, digest) if entry else next(parsed)
+                hit = entry and rows is not None
+                if entry and not hit:
+                    rows = _recording_rows(path, sensor_id)
             except MemoryError as exc:
                 raise _beyond_memory(sensor_id, path, exc) from exc
-            yield rows
+            yield rows, hit
+            del rows  # not held while the next recording is read
+
+
+def cached_recording(
+    path: str | os.PathLike, sensor_id: str, rate_hz: float, gyro_units: str, digest: str
+) -> SensorRecording:
+    """The recording at ``path`` built by ``parse_recording_csv`` from its
+    rows cache entry, named by the SHA-256 ``digest``: a recording that
+    ``read_recording_rows`` yielded as a hit, taken again. Should the entry
+    no longer be a hit, the recording is parsed, one file in this process.
+    """
+    ((rows, _),) = read_recording_rows([(path, sensor_id)], [digest])
+    return parse_recording_csv(path, sensor_id, rate_hz, gyro_units, rows=rows)
 
 
 def _rows_entry(path, digest: str) -> Path:
@@ -439,15 +462,18 @@ def _sha256(data: bytes) -> str:
 
 
 def write_array(
-    array: ArrayRecording, out_dir: str | os.PathLike, gravity: GravityModel
+    array: ArrayRecording | SimulatedArray, out_dir: str | os.PathLike, gravity: GravityModel
 ) -> Path:
     """Write per-sensor SI CSVs plus a manifest declaring rad/s and m/s2;
     returns the manifest path.
 
-    Each recording is one ``write_recording_csv`` job of ``run_jobs`` for
-    the array's values: in forked worker processes or here, one after
-    another. Either way every file has the same bytes and is written whole
-    by ``write_report``.
+    Each recording is one job of ``run_jobs`` for the array's values, in
+    forked worker processes or here, one after another, that takes it from
+    the array (``array.recording(k)``: a ``SimulatedArray`` draws it there)
+    and writes it by ``write_recording_csv``. So the recordings of a
+    ``SimulatedArray`` are drawn one at a time in each process, and none is
+    held beyond its write. Either way every file has the same bytes and is
+    written whole by ``write_report``.
     A manifest already in ``out_dir`` is removed before the first recording
     is written, and the new one is written only after every recording is;
     if one fails, its error is raised and there is no manifest, so no
@@ -467,7 +493,7 @@ def write_array(
     import hashlib  # noqa: F401
 
     out = Path(out_dir)
-    files = [(rec.sensor_id, f"{rec.sensor_id}.csv") for rec in array.recordings]
+    files = [(sid, f"{sid}.csv") for sid in array.sensor_ids]
     manifest_path = out / "manifest.json"
     written = {out / rel for _, rel in files}
     with contextlib.suppress(DataError):  # no manifest, or one that does not load
@@ -480,8 +506,7 @@ def write_array(
         for entry in (out / _ROWS_DIR).iterdir():
             with contextlib.suppress(ConfigError):
                 write_report(None, "npy", entry)
-    run_jobs(write_recording_csv,
-             [(rec, out / rel) for rec, (_, rel) in zip(array.recordings, files)],
+    run_jobs(_write_recording, [(array, k, out / rel) for k, (_, rel) in enumerate(files)],
              array.n_sensors * array.n_samples * len(_CSV_HEADER),
              out, f"recordings of {array.n_samples} samples per sensor")
     manifest = ArrayManifest(
@@ -489,6 +514,11 @@ def write_array(
     )
     write_manifest(manifest, manifest_path)
     return manifest_path
+
+
+def _write_recording(array: ArrayRecording | SimulatedArray, k: int, dest: Path) -> None:
+    """``write_array``'s job: recording k of ``array`` to ``dest``."""
+    write_recording_csv(array.recording(k), dest)
 
 
 def run_jobs(fn, jobs: Sequence[tuple], n_values: int, out, what: str) -> list:
@@ -637,25 +667,27 @@ def _receive(receiver):
     return payload
 
 
-def recording_stats(array: ArrayRecording, gravity: GravityModel) -> list[SensorStats]:
-    """``bias_and_noise`` of each recording, in the array's order.
+def sensor_stats(recording: SensorRecording, gravity: GravityModel) -> SensorStats:
+    """``bias_and_noise`` of one recording.
 
     A recording too short to estimate from, or whose bias or noise is not
     finite or exceeds ``_MAX_STAT``, is a ``DataError`` naming its sensor.
     """
-    stats = []
-    for r in array.recordings:
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):  # checked below
-                bias, noise = bias_and_noise(r, gravity)
-        except ValueError as exc:
-            raise DataError(f"{r.sensor_id}: {exc}") from exc
-        if not (np.all(np.abs(bias) <= _MAX_STAT) and np.all(noise <= _MAX_STAT)):
-            raise DataError(
-                f"{r.sensor_id}: bias or noise estimate not finite or above {_MAX_STAT:g}"
-            )
-        stats.append(SensorStats(r.sensor_id, bias, noise))
-    return stats
+    sid = recording.sensor_id
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            bias, noise = bias_and_noise(recording, gravity)
+    except ValueError as exc:
+        raise DataError(f"{sid}: {exc}") from exc
+    if not (np.all(np.abs(bias) <= _MAX_STAT) and np.all(noise <= _MAX_STAT)):
+        raise DataError(f"{sid}: bias or noise estimate not finite or above {_MAX_STAT:g}")
+    return SensorStats(sid, bias, noise)
+
+
+def recording_stats(array: ArrayRecording, gravity: GravityModel) -> list[SensorStats]:
+    """``sensor_stats`` of each recording, in the array's order: the first
+    recording at fault is named."""
+    return [sensor_stats(r, gravity) for r in array.recordings]
 
 
 # Bytes each of ``recording_stats_key``'s threads reads at a time, into a

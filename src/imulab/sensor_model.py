@@ -21,6 +21,7 @@ __all__ = [
     "GravityModel",
     "SensorRecording",
     "ArrayRecording",
+    "SimulatedArray",
     "MEMS_ERROR_RANGES",
     "draw_sensor_params",
     "simulate_array",
@@ -92,6 +93,19 @@ class GravityModel:
         return np.array([0.0, 0.0, self.g_magnitude])
 
 
+def _check_time_base(t: np.ndarray, rate_hz: float) -> None:
+    """A ``ValueError`` unless the timestamps ``t`` are non-negative, strictly
+    increasing and ``1 / rate_hz`` apart to within ``_SPACING_TOL``."""
+    if np.any(t < 0):
+        raise ValueError("timestamps must be non-negative")
+    if t.shape[0] > 1:
+        dt = np.diff(t)
+        if np.any(dt <= 0):
+            raise ValueError("timestamps must be strictly increasing")
+        if np.max(np.abs(dt - 1.0 / rate_hz)) > _SPACING_TOL:
+            raise ValueError(f"sample spacing inconsistent with {rate_hz} Hz")
+
+
 @dataclass(frozen=True)
 class SensorRecording:
     """Uniformly sampled 6-DoF record of a single sensor, SI units."""
@@ -113,14 +127,7 @@ class SensorRecording:
             raise ValueError("recording must contain at least one sample")
         if gyro.shape != (n, 3) or accel.shape != (n, 3):
             raise ValueError("gyro/accel must have shape (N, 3) matching t")
-        if np.any(t < 0):
-            raise ValueError("timestamps must be non-negative")
-        if n > 1:
-            dt = np.diff(t)
-            if np.any(dt <= 0):
-                raise ValueError("timestamps must be strictly increasing")
-            if np.max(np.abs(dt - 1.0 / self.rate_hz)) > _SPACING_TOL:
-                raise ValueError(f"sample spacing inconsistent with {self.rate_hz} Hz")
+        _check_time_base(t, self.rate_hz)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "gyro", gyro)
         object.__setattr__(self, "accel", accel)
@@ -169,6 +176,13 @@ class ArrayRecording:
     @property
     def rate_hz(self) -> float:
         return self.recordings[0].rate_hz
+
+    @property
+    def sensor_ids(self) -> list[str]:
+        return [r.sensor_id for r in self.recordings]
+
+    def recording(self, k: int) -> SensorRecording:
+        return self.recordings[k]
 
 
 # Min / median / max error spread of a ten-unit consumer-grade MEMS array
@@ -229,42 +243,87 @@ def _random_direction(rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def simulate_array(
-    params_list: Sequence[SensorErrorParams],
-    gravity: GravityModel,
-    duration_s: float,
-    rate_hz: float,
-    seed: int,
-    inject_bias_walk: bool = False,
-) -> ArrayRecording:
-    """Simulate K stationary sensors on a shared time grid.
+@dataclass(frozen=True)
+class SimulatedArray:
+    """K stationary sensors on a shared time grid, each drawn only when it
+    is asked for: ``simulate_array``'s array, one recording at a time.
 
-    Each sensor gets its own RNG stream keyed on ``(seed, sensor index)``, so
-    serial and per-sensor-parallel execution produce bit-identical output.
-    ``inject_bias_walk`` adds the in-run bias random walk to the measurements
-    (off by default; the intensities normally only parameterise Q).
+    The time grid is built, and checked by a recording's spacing rule, on
+    construction. ``recording(k)`` draws sensor k from its own RNG stream,
+    keyed on ``(seed, k)``, so it has the same samples in whatever order,
+    how often and in whichever process it is drawn. ``inject_bias_walk``
+    adds the in-run bias random walk to the measurements (off by default;
+    the intensities normally only parameterise Q).
     """
-    if not params_list:
-        raise ValueError("params_list must be non-empty")
-    if not (duration_s > 0):
-        raise ValueError(f"duration_s must be > 0, got {duration_s}")
-    if not (rate_hz > 0):
-        raise ValueError(f"rate_hz must be > 0, got {rate_hz}")
-    n = int(round(duration_s * rate_hz))
-    if n < 1:
-        raise ValueError("duration_s * rate_hz must round to at least one sample")
-    dt = 1.0 / rate_hz
-    t = np.arange(n) * dt
-    # Specific force sensed at rest. Built directly rather than as
-    # -nav_gravity, which would hold -0.0 in the level axes.
-    f_true = np.array([0.0, 0.0, -gravity.g_magnitude])
 
-    recordings = []
-    for k, p in enumerate(params_list):
-        rng = np.random.default_rng([int(seed), k])
+    params: tuple[SensorErrorParams, ...]
+    gravity: GravityModel
+    duration_s: float
+    rate_hz: float
+    seed: int
+    inject_bias_walk: bool = False
+    t: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if not self.params:
+            raise ValueError("params_list must be non-empty")
+        if not (self.duration_s > 0):
+            raise ValueError(f"duration_s must be > 0, got {self.duration_s}")
+        if not (self.rate_hz > 0):
+            raise ValueError(f"rate_hz must be > 0, got {self.rate_hz}")
+        n = int(round(self.duration_s * self.rate_hz))
+        if n < 1:
+            raise ValueError("duration_s * rate_hz must round to at least one sample")
+        t = np.arange(n) * (1.0 / self.rate_hz)
+        _check_time_base(t, self.rate_hz)
+        object.__setattr__(self, "params", tuple(self.params))
+        object.__setattr__(self, "t", t)
+
+    @property
+    def n_sensors(self) -> int:
+        return len(self.params)
+
+    @property
+    def n_samples(self) -> int:
+        return self.t.shape[0]
+
+    @property
+    def sensor_ids(self) -> list[str]:
+        return [f"sensor_{k:02d}" for k in range(self.n_sensors)]
+
+    def finite(self, k: int) -> bool:
+        """Whether every sample of sensor k is finite.
+
+        Its parameters alone show it when |bias| + g + 2**64 (sigma + n
+        sigma_walk sqrt(dt)) < 1e300 on each axis (sigma_walk counted only
+        with ``inject_bias_walk``): no normal draw of a double comes near
+        2**64, and 1e300 leaves room for the rounding of the samples' sums.
+        Otherwise the sensor is drawn here, and its samples checked.
+        """
+        p = self.params[k]
+        # Python floats: a product that overflows is inf, without a warning.
+        walk = self.n_samples * (1.0 / self.rate_hz) ** 0.5 if self.inject_bias_walk else 0.0
+        largest = max(
+            float(np.max(np.abs(p.bias_gyro))) + 2.0**64 * (p.sigma_gyro + walk * p.sigma_gyro_bias),
+            float(np.max(np.abs(p.bias_accel))) + self.gravity.g_magnitude
+            + 2.0**64 * (p.sigma_accel + walk * p.sigma_accel_bias),
+        )
+        if largest < 1e300:
+            return True
+        with np.errstate(over="ignore", invalid="ignore"):  # checked here
+            rec = self.recording(k)
+        return bool(np.isfinite(rec.gyro).all() and np.isfinite(rec.accel).all())
+
+    def recording(self, k: int) -> SensorRecording:
+        """Sensor k's recording, ``sensor_{k:02d}``, drawn here."""
+        p, n, dt = self.params[k], self.n_samples, 1.0 / self.rate_hz
+        # Specific force sensed at rest. Built directly rather than as
+        # -nav_gravity, which would hold -0.0 in the level axes.
+        f_true = np.array([0.0, 0.0, -self.gravity.g_magnitude])
+        rng = np.random.default_rng([int(self.seed), k])
         gyro = p.bias_gyro + rng.normal(size=(n, 3)) * p.sigma_gyro
         accel = f_true + p.bias_accel + rng.normal(size=(n, 3)) * p.sigma_accel
-        if inject_bias_walk:
+        if self.inject_bias_walk:
             walk_g = np.cumsum(
                 rng.normal(size=(n, 3)) * (p.sigma_gyro_bias * np.sqrt(dt)), axis=0
             )
@@ -273,12 +332,28 @@ def simulate_array(
             )
             gyro = gyro + walk_g
             accel = accel + walk_a
-        recordings.append(
-            SensorRecording(
-                sensor_id=f"sensor_{k:02d}", rate_hz=rate_hz, t=t, gyro=gyro, accel=accel
-            )
+        return SensorRecording(
+            sensor_id=f"sensor_{k:02d}", rate_hz=self.rate_hz, t=self.t, gyro=gyro, accel=accel
         )
-    return ArrayRecording(tuple(recordings))
+
+
+def simulate_array(
+    params_list: Sequence[SensorErrorParams],
+    gravity: GravityModel,
+    duration_s: float,
+    rate_hz: float,
+    seed: int,
+    inject_bias_walk: bool = False,
+) -> ArrayRecording:
+    """Simulate K stationary sensors on a shared time grid: every recording
+    of ``SimulatedArray``, drawn at once.
+
+    Each sensor gets its own RNG stream keyed on ``(seed, sensor index)``, so
+    serial and per-sensor-parallel execution produce bit-identical output.
+    """
+    array = SimulatedArray(tuple(params_list), gravity, duration_s, rate_hz, seed,
+                           inject_bias_walk)
+    return ArrayRecording(tuple(array.recording(k) for k in range(array.n_sensors)))
 
 
 def residuals(recording: SensorRecording, gravity: GravityModel) -> np.ndarray:

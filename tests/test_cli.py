@@ -1,6 +1,7 @@
 import argparse
 import ast
 import contextlib
+import copy
 import dataclasses
 import errno
 import io
@@ -27,8 +28,8 @@ from imulab.cli import ExperimentConfig, _prefix_means, build_parser, load_confi
 from imulab.dataio import ConfigError, write_recording_csv
 from imulab.estimation import bias_score
 from imulab.ins_error_model import q_coefficient_audit
-from imulab.sensor_model import ArrayRecording, GravityModel
-from test_dataio import _TWO_CPUS, _no_child_left, _other_thread
+from imulab.sensor_model import GravityModel, SensorRecording, SimulatedArray
+from test_dataio import _TWO_CPUS, _edit_cell, _no_child_left, _other_thread
 
 
 # An integer of more digits than Python converts from text by default
@@ -356,16 +357,15 @@ def test_pooled_stages_leave_no_thread_alive(tmp_path):
 
 def _poison_last_payload(writes: list) -> None:
     """Put a nan into the payload of the last of a stage's pending writes:
-    into simulate's array, the last recording's last gyro sample; into a
-    report, an extra key."""
+    into simulate's array, which draws its samples only as it writes them,
+    the last sample time; into a report, an extra key."""
     last = writes[-1]
     payload = last.args[0]
-    if isinstance(payload, ArrayRecording):
-        rec = payload.recordings[-1]
-        gyro = rec.gyro.copy()
-        gyro[-1, 0] = np.nan
-        payload = ArrayRecording(
-            payload.recordings[:-1] + (dataclasses.replace(rec, gyro=gyro),))
+    if isinstance(payload, SimulatedArray):
+        t = payload.t.copy()
+        t[-1] = np.nan
+        payload = copy.copy(payload)
+        object.__setattr__(payload, "t", t)  # frozen, and t is derived on construction
     else:
         payload = {**payload, "injected": float("nan")}
     writes[-1] = partial(last.func, payload, *last.args[1:])
@@ -630,7 +630,7 @@ class TestSimulate:
         def out_of_memory(*args, **kwargs):
             raise MemoryError()
 
-        monkeypatch.setattr(cli, "simulate_array", out_of_memory)
+        monkeypatch.setattr(cli, "SimulatedArray", out_of_memory)
         assert main(["simulate", "--config", str(_write_config(tmp_path))]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: duration_s * rate_hz = 1e+03 samples"), err
@@ -1078,14 +1078,15 @@ def test_prefix_means_match_the_stacked_mean(n_sensors):
 
 
 def test_estimate_memory_is_the_recordings_plus_o_of_n(tmp_path):
-    """``estimate`` holds the K parsed recordings and O(N) per ``k_grid``
+    """``estimate`` holds at most the K recordings and O(N) per ``k_grid``
     entry: no (N, K, 6) residual stack and no whole-text copy of a recording.
 
     The bound on its tracemalloc peak, computing and writing, at K=8 and
     N=2e4 is the recordings' K*N*7*8 bytes (8.96 MB) plus twelve (N, 6)
     float arrays (11.52 MB): 20.48 MB. Measured with numpy 2.4 on Python
     3.11: 24.86 MB when the residuals were stacked and each recording was
-    read whole, 17.69 MB with the running sum and the streamed read.
+    read whole, 17.69 MB with the running sum and the streamed read, and
+    7.48 MB now that rows cache hits, as here, are held one at a time.
     """
     n_sensors, n = 8, 20_000
     cfg = _write_config(tmp_path, sensors=n_sensors, duration_s=n / 100.0, k_grid=[1, 8])
@@ -1101,8 +1102,9 @@ def test_estimate_memory_is_the_recordings_plus_o_of_n(tmp_path):
 
 def test_estimate_memory_is_the_recordings_plus_o_of_n_in_process(tmp_path):
     """The same bound with every per-k job run in this process, where its
-    rendering temporaries count too: 14.19 MB measured, 23.00 MB when the
-    recordings were still held while the jobs ran."""
+    rendering temporaries count too: 11.74 MB measured, 14.19 MB when every
+    recording was held until the jobs ran, 23.00 MB when they were still
+    held while the jobs ran."""
     with _other_thread():
         test_estimate_memory_is_the_recordings_plus_o_of_n(tmp_path)
 
@@ -1110,8 +1112,10 @@ def test_estimate_memory_is_the_recordings_plus_o_of_n_in_process(tmp_path):
 def test_parsing_estimate_memory_is_the_recordings_plus_o_of_n(tmp_path):
     """The bound above when ``estimate`` parses every recording, as it does
     those that another program wrote: the rows cache is removed after
-    ``simulate``, so the streamed read runs and keeps no whole-text copy.
-    Measured: 13.46 MB, with the recordings parsed in worker processes."""
+    ``simulate``, so the streamed read runs and keeps no whole-text copy;
+    the parsed recordings are kept for the second pass, as they have no
+    cache entry to be loaded from again. Measured: 12.48 MB (13.44 MB with
+    the one-pass read), with the recordings parsed in worker processes."""
     n_sensors, n = 8, 20_000
     cfg = _write_config(tmp_path, sensors=n_sensors, duration_s=n / 100.0, k_grid=[1, 8])
     assert main(["simulate", "--config", str(cfg)]) == 0
@@ -1127,10 +1131,157 @@ def test_parsing_estimate_memory_is_the_recordings_plus_o_of_n(tmp_path):
 
 def test_parsing_estimate_memory_is_the_recordings_plus_o_of_n_in_process(tmp_path):
     """The same bound with every recording parsed and every per-k job run
-    in this process, where the parse's temporaries count too: 13.45 MB
+    in this process, where the parse's temporaries count too: 12.48 MB
     measured."""
     with _other_thread():
         test_parsing_estimate_memory_is_the_recordings_plus_o_of_n(tmp_path)
+
+
+def _k_growth_peaks(tmp_path: Path, monkeypatch) -> dict:
+    """tracemalloc peaks, in bytes, of ``simulate``, of ``estimate`` and of
+    ``estimate``'s read of its recordings (``_worst_first_means``, all rows
+    cache hits), each at K=2 and K=8 sensors of N=1000 samples and k_grid
+    [1, 2], in-process, after a warm-up run that pays for first uses."""
+    # One CPU: no workers, and one hash buffer whatever the file count.
+    monkeypatch.setattr(dataio, "_cpus", lambda: 1)
+    read = cli._worst_first_means
+    peaks = {}
+
+    def traced_read(*args):
+        tracemalloc.reset_peak()
+        result = read(*args)
+        peaks["read"] = tracemalloc.get_traced_memory()[1]
+        return result
+
+    monkeypatch.setattr(cli, "_worst_first_means", traced_read)
+    out = {}
+    for name, n_sensors in (("warm-up", 2), ("K2", 2), ("K8", 8)):
+        (tmp_path / name).mkdir()
+        cfg = _write_config(tmp_path / name, sensors=n_sensors, duration_s=10.0, k_grid=[1, 2])
+        for stage in ("simulate", "estimate"):
+            tracemalloc.start()
+            try:
+                assert main([stage, "--config", str(cfg)]) == 0, stage
+                peaks[stage] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        out[name] = dict(peaks)
+    return out
+
+
+def test_stage_memory_does_not_grow_with_the_sensor_count(tmp_path, monkeypatch):
+    """``simulate`` draws and writes one recording at a time, and
+    ``estimate`` holds one rows cache hit at a time, in each of its two
+    passes: going from 2 to 8 sensors raises no peak by one recording's
+    N x 7 float64 values (56 kB). When ``simulate`` drew every recording
+    before its first write and ``estimate`` loaded them all, the simulate
+    peak grew by 0.30 MB and the read's by 0.35 MB; measured now (numpy
+    2.4, Python 3.11): 0.01 MB each. At N=1000 the per-k products set the
+    whole ``estimate`` peak, so its read is measured on its own too."""
+    peaks = _k_growth_peaks(tmp_path, monkeypatch)
+    one_recording = 1000 * 7 * 8
+    for phase in ("simulate", "estimate", "read"):
+        assert peaks["K8"][phase] - peaks["K2"][phase] < one_recording, (phase, peaks)
+
+
+def _rewrite_recording(path: Path, edit) -> None:
+    """Apply ``edit`` to the (N, 7) rows of the recording at ``path`` and
+    write them back as ``simulate`` does, rows cache entry included."""
+    rows = np.loadtxt(path, delimiter=",", skiprows=1)
+    edit(rows)
+    write_recording_csv(SensorRecording(path.stem, 100.0, rows[:, 0], rows[:, 1:4], rows[:, 4:]),
+                        path)
+
+
+@pytest.mark.parametrize("cache", ["hits", "misses"])
+@pytest.mark.parametrize("duration_s", [2.0, 40.0], ids=["in_process", "pooled"])
+@pytest.mark.parametrize("faults, named", [
+    ({"stats", "time", "cell"}, "sensor_03: line 8: could not convert string to float: 'x'"),
+    ({"stats", "time"}, "sensor_02: time base differs from sensor_00's"),
+    ({"stats"}, "sensor_01: bias or noise estimate not finite or above 1e+100"),
+], ids=["cell", "time", "stats"])
+def test_fault_named_is_parse_then_alignment_then_stats(tmp_path, capsys, cache, duration_s,
+                                                        faults, named):
+    """With several recordings at fault, ``estimate`` names the fault that a
+    read of the whole array names, whatever the manifest order: a recording
+    that cannot be parsed, then one not aligned with the first, then one
+    whose stats are out of range. Here these are sensor_03's bad cell on
+    line 8, sensor_02's time column moved by 0.5 s, and sensor_01's accel
+    columns scaled by 1e151, each after the one before it in the manifest."""
+    cfg = _write_config(tmp_path, seed=3, duration_s=duration_s)  # 40 s: 4 x 4000 x 7 values
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    rec_dir = tmp_path / "out" / "recordings"
+    if "stats" in faults:
+        _rewrite_recording(rec_dir / "sensor_01.csv", lambda rows: rows.__imul__(
+            np.r_[1.0, 1.0, 1.0, 1.0, 1e151, 1e151, 1e151]))
+    if "time" in faults:
+        _rewrite_recording(rec_dir / "sensor_02.csv", lambda rows: rows[:, 0].__iadd__(0.5))
+    if "cell" in faults:
+        _edit_cell(rec_dir / "sensor_03.csv", 7, b"x")
+    if cache == "misses":
+        _drop_rows_cache(cfg)
+    capsys.readouterr()
+    assert main(["estimate", "--config", str(cfg)]) == 3
+    assert capsys.readouterr().err == f"data error: {named}\n"
+    assert not (tmp_path / "out" / "quality.json").exists()
+    assert _no_child_left()
+
+
+def _estimate_and_propagate(cfg: Path) -> dict:
+    """The bytes of each file that ``estimate`` then ``propagate`` write
+    into ``cfg``'s ``out_dir``, by name."""
+    out = Path(json.loads(cfg.read_text())["out_dir"])
+    for stage in ("estimate", "propagate"):
+        assert main([stage, "--config", str(cfg)]) == 0, stage
+    return {p.name: p.read_bytes() for p in sorted(out.glob("*.*"))}
+
+
+def test_reversed_manifest_order_gives_the_same_products(tmp_path):
+    """The sensors are ranked by their stats, not by their manifest order:
+    every ``estimate`` and ``propagate`` product of a manifest and of the
+    same manifest reversed has the same bytes, but ``recording_stats.json``,
+    which follows the manifest's order."""
+    assert main(["simulate", "--config", str(_write_config(tmp_path))]) == 0
+    manifest = tmp_path / "out" / "recordings" / "manifest.json"
+    raw = json.loads(manifest.read_text())
+    raw["sensor_files"].reverse()
+    reversed_manifest = manifest.with_name("reversed.json")
+    reversed_manifest.write_text(json.dumps(raw))
+    forward = _estimate_and_propagate(_write_manifest_config(tmp_path))
+    backward = _estimate_and_propagate(_write_manifest_config(
+        tmp_path, manifest=str(reversed_manifest), out_dir=str(tmp_path / "reversed")))
+    stats = [json.loads(products.pop("recording_stats.json"))["sensors"]
+             for products in (forward, backward)]
+    assert stats[1] == stats[0][::-1]
+    assert len(forward) == 15 and backward == forward
+
+
+def test_copies_of_one_recording_give_a_k_ratio_of_one(tmp_path, monkeypatch):
+    """A manifest that lists one recording four times, under four sensor
+    ids, is four perfectly correlated sensors: each k-averaged series is
+    that recording, so every t0 cell is the same and ``k_ratio`` is exactly
+    1.0 (k of 1, 2 and 4: sums that a power of two divides exactly). The
+    copies share one rows cache entry, which the second pass loads four
+    times; nothing is parsed."""
+    assert main(["simulate", "--config", str(_write_config(tmp_path, sensors=1))]) == 0
+    manifest = tmp_path / "out" / "recordings" / "manifest.json"
+    raw = json.loads(manifest.read_text())
+    raw["sensor_files"] = [{"sensor_id": f"copy_{i}", "path": "sensor_00.csv"} for i in range(4)]
+    manifest.write_text(json.dumps(raw))
+    log, reloads = tmp_path / "reads.log", []
+    _note_reads(monkeypatch, log)
+    reload = cli.cached_recording
+    monkeypatch.setattr(cli, "cached_recording",
+                        lambda path, *args: reloads.append(path) or reload(path, *args))
+    cfg = _write_manifest_config(tmp_path, k_grid=[1, 2, 4])
+    assert main(["estimate", "--config", str(cfg)]) == 0
+    assert _reads(log) == []
+    assert reloads == [manifest.with_name("sensor_00.csv")] * 4
+    evaluation = json.loads((tmp_path / "out" / "evaluation_matrix.json").read_text())
+    for key in ("gyro_dps", "accel"):
+        t0 = evaluation[key]["t0"]
+        assert t0["K1"] > 0 and t0 == dict.fromkeys(("K1", "K2", "K4"), t0["K1"])
+        assert evaluation[key]["k_ratio"] == 1.0
 
 
 def _json_leaves(obj, at=""):

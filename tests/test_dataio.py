@@ -810,8 +810,9 @@ class TestRowsCache:
             entry.unlink()
             entry.mkdir()
         assert dataio._cached_rows(path, _digests(cached)[1]) is None
-        rows = list(read_recording_rows([(path, sid)], _digests(cached)[1:2]))
-        assert rows[0].tobytes() == _recording_rows(path, sid).tobytes()
+        ((rows, hit),) = read_recording_rows([(path, sid)], _digests(cached)[1:2])
+        assert rows.tobytes() == _recording_rows(path, sid).tobytes()
+        assert not hit
 
     def test_missing_entry_is_a_miss(self, cached):
         path, _ = TestPooledReads._files(cached)[0]
@@ -881,7 +882,8 @@ class TestRowsCache:
         else:
             assert (out / ".rows").read_bytes() == b"" and hits == [False] * 3
         rows = list(read_recording_rows(files, digests))
-        assert [r.tobytes() for r in rows] == [_recording_rows(*f).tobytes() for f in files]
+        assert [r.tobytes() for r, _ in rows] == [_recording_rows(*f).tobytes() for f in files]
+        assert [hit for _, hit in rows] == hits
 
     def test_second_write_leaves_only_its_entries(self, tmp_path, gravity):
         out = tmp_path / "rec"

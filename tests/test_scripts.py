@@ -48,6 +48,29 @@ def test_output_sha256_repeats(tmp_path, monkeypatch):
     assert first != script.output_sha256(workload, 8, tmp_path / "c")
 
 
+def test_peak_rss_reads_each_stage(tmp_path, monkeypatch):
+    """``scripts/peak_rss.py`` runs a workload's four stages, as
+    ``output_sha256.py`` does, and reads the process's peak RSS after the
+    import and after each stage, and its reaped workers' after each stage:
+    high-water marks, so never falling."""
+    workloads, _ = _sha_script(monkeypatch)
+    spec = importlib.util.spec_from_file_location("peak_rss", SHA_SCRIPT.with_name("peak_rss.py"))
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    workload = workloads.WORKLOADS["wide_manifest"].tiny()
+    readings = script.peak_rss(workload, 7, tmp_path / "rss")
+    assert readings["workload"] == "wide_manifest" and readings["sensors"] == workload.sensors
+    assert list(readings["self"]) == ["import", *workloads.STAGES]
+    assert list(readings["children"]) == list(workloads.STAGES)
+    for marks in (readings["self"], readings["children"]):
+        values = list(marks.values())
+        assert values == sorted(values) and values[0] >= 0
+    assert readings["self"]["import"] > 0
+    assert (tmp_path / "rss" / "run" / "report.json").is_file()
+    with pytest.raises(RuntimeError, match="is not empty"):
+        script.peak_rss(workload, 7, tmp_path / "rss")
+
+
 def test_all_output_sha256_keys_each_workload(tmp_path, monkeypatch):
     workloads, script = _sha_script(monkeypatch)
     tiny = [w.tiny() for w in workloads.WORKLOADS.values()]

@@ -41,7 +41,6 @@ from .dataio import (
     read_json,
     read_recording_rows,
     read_recording_stats,
-    recording_stats,
     recording_stats_key,
     render_report,
     run_jobs,
@@ -72,6 +71,7 @@ from .sensor_model import (
     SensorErrorParams,
     SensorRecording,
     SimulatedArray,
+    check_unique_ids,
     draw_sensor_params,
     residuals,
 )
@@ -262,49 +262,25 @@ def _recording_files(manifest_path: Path, manifest: ArrayManifest) -> list[tuple
     return [(manifest_path.parent / rel, sensor_id) for sensor_id, rel in manifest.sensor_files]
 
 
-def _load_array(
-    manifest_path: Path, manifest: ArrayManifest, digests: list[str] | None = None
-) -> ArrayRecording:
-    """Parse all recordings named by a manifest into one aligned array.
-
-    ``read_recording_rows`` yields their rows in manifest order, taking
-    those of each recording whose SHA-256 among ``digests`` names a rows
-    cache entry and parsing the others, in worker processes for a large
-    manifest. Each recording is built here, once, its time base checked,
-    before the next one's rows are taken, so the first fault in manifest
-    order is raised, as in a serial read.
-    """
-    files = _recording_files(manifest_path, manifest)
-    with contextlib.closing(read_recording_rows(files, digests)) as rows:
-        recs = [
-            parse_recording_csv(path, sensor_id, manifest.rate_hz, manifest.gyro_units, rows=r)
-            for (path, sensor_id), (r, _) in zip(files, rows)
-        ]
-    try:
-        return ArrayRecording(tuple(recs))
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
-
-
 def _first_pass(
-    manifest_path: Path, manifest: ArrayManifest, digests: list[str]
+    manifest_path: Path, manifest: ArrayManifest, digests: list[str] | None
 ) -> tuple[list[SensorStats], dict[int, SensorRecording]]:
     """Each recording's stats, in manifest order, holding one recording at
     a time, and the recordings that the rows cache missed, by manifest
     index: they have no entry to be loaded from again.
 
     The recordings are taken one after another from ``read_recording_rows``
-    and built by ``parse_recording_csv``, so the first one that cannot be
-    built is named at its turn. A manifest whose recordings are built but
-    do not make an array, or one of which ``sensor_stats`` rejects, is read
-    again whole by ``_load_array`` and ``recording_stats``, which name its
-    first fault as they always have: a duplicate sensor id, then the first
-    recording not aligned with the first, then the first whose stats are at
-    fault.
+    (``digests`` being their SHA-256, or None to parse them all) and built
+    by ``parse_recording_csv``, so the first one that cannot be built is
+    named at its turn. Each is checked against the first by
+    ``ArrayRecording``'s rule and its stats computed by ``sensor_stats``;
+    once all are built, the first fault is named as in a read of the whole
+    array: a duplicate sensor id, then the first recording not aligned with
+    the first, then the first whose stats are at fault.
     """
     gravity = GravityModel(manifest.gravity_mps2)
     files = _recording_files(manifest_path, manifest)
-    stats, misses, first, at_fault = [], {}, None, False
+    stats, misses, first, align_fault, stats_fault = [], {}, None, None, None
     with contextlib.closing(read_recording_rows(files, digests)) as reads:
         for i, (path, sensor_id) in enumerate(files):
             # Taken by next(), not zip(), which would hold the last rows
@@ -317,16 +293,24 @@ def _first_pass(
             try:
                 if rec is not first:
                     ArrayRecording((first, rec))  # the array's rule for rec and the first
-                stats.append(sensor_stats(rec, gravity))
-            except ValueError:
-                at_fault = True
+            except ValueError as exc:
+                align_fault = align_fault or exc
+            else:
+                try:
+                    stats.append(sensor_stats(rec, gravity))
+                except DataError as exc:
+                    stats_fault = stats_fault or exc
             if not hit:
                 misses[i] = rec
             del rows, rec  # not held while the next recording is read
-    ids = [sid for sid, _ in manifest.sensor_files]
-    if at_fault or len(set(ids)) < len(ids):
-        recording_stats(_load_array(manifest_path, manifest, digests), gravity)
-        raise DataError(f"{manifest_path}: recordings changed while read")
+    try:
+        check_unique_ids([sid for sid, _ in manifest.sensor_files])
+    except ValueError as exc:
+        raise DataError(str(exc)) from exc
+    if align_fault is not None:
+        raise DataError(str(align_fault)) from align_fault
+    if stats_fault is not None:
+        raise stats_fault
     return stats, misses
 
 
@@ -500,7 +484,9 @@ def _worst_first_means(
     (``_first_pass``) gives the stats, and so the order. The second takes
     them worst first into ``_prefix_means``' running sum: a rows cache hit
     is loaded again from its entry (``cached_recording``), a miss is the
-    recording that the first pass kept, and each is dropped once summed.
+    recording that the first pass kept, and each is dropped once summed. A
+    hit whose entry no longer loads is a ``DataError``: the recording may
+    not be the one whose stats ranked it.
     """
     stats, misses = _first_pass(manifest_path, manifest, digests)
     scores = sort_by_quality({s.sensor_id: s.bias for s in stats})
@@ -512,7 +498,10 @@ def _worst_first_means(
         i = index[sid]
         if i in misses:
             return misses.pop(i)
-        return cached_recording(*files[i], manifest.rate_hz, manifest.gyro_units, digests[i])
+        rec = cached_recording(*files[i], manifest.rate_hz, manifest.gyro_units, digests[i])
+        if rec is None:  # its entry went after the first pass loaded it
+            raise DataError(f"{manifest_path}: recordings changed while read")
+        return rec
 
     # map(), which holds no recording it has passed on, unlike a generator
     # expression's loop variable.

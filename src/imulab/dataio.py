@@ -304,14 +304,15 @@ def read_recording_rows(
 
 def cached_recording(
     path: str | os.PathLike, sensor_id: str, rate_hz: float, gyro_units: str, digest: str
-) -> SensorRecording:
+) -> SensorRecording | None:
     """The recording at ``path`` built by ``parse_recording_csv`` from its
     rows cache entry, named by the SHA-256 ``digest``: a recording that
-    ``read_recording_rows`` yielded as a hit, taken again. Should the entry
-    no longer be a hit, the recording is parsed, one file in this process.
+    ``read_recording_rows`` yielded as a hit, taken again. None if the entry
+    is no longer a hit; the file is never parsed here.
     """
-    ((rows, _),) = read_recording_rows([(path, sensor_id)], [digest])
-    return parse_recording_csv(path, sensor_id, rate_hz, gyro_units, rows=rows)
+    rows = _cached_rows(path, digest)
+    return None if rows is None else parse_recording_csv(path, sensor_id, rate_hz, gyro_units,
+                                                         rows=rows)
 
 
 def _rows_entry(path, digest: str) -> Path:
@@ -462,18 +463,17 @@ def _sha256(data: bytes) -> str:
 
 
 def write_array(
-    array: ArrayRecording | SimulatedArray, out_dir: str | os.PathLike, gravity: GravityModel
+    array: SimulatedArray, out_dir: str | os.PathLike, gravity: GravityModel
 ) -> Path:
     """Write per-sensor SI CSVs plus a manifest declaring rad/s and m/s2;
     returns the manifest path.
 
     Each recording is one job of ``run_jobs`` for the array's values, in
-    forked worker processes or here, one after another, that takes it from
-    the array (``array.recording(k)``: a ``SimulatedArray`` draws it there)
-    and writes it by ``write_recording_csv``. So the recordings of a
-    ``SimulatedArray`` are drawn one at a time in each process, and none is
-    held beyond its write. Either way every file has the same bytes and is
-    written whole by ``write_report``.
+    forked worker processes or here, one after another, that draws it
+    (``array.recording(k)``) and writes it by ``write_recording_csv``. So
+    the recordings are drawn one at a time in each process, none is held
+    beyond its write, and every file has the same bytes wherever it is
+    drawn; each is written whole by ``write_report``.
     A manifest already in ``out_dir`` is removed before the first recording
     is written, and the new one is written only after every recording is;
     if one fails, its error is raised and there is no manifest, so no
@@ -485,9 +485,9 @@ def write_array(
     so it holds only those of the recordings written here. A recording or
     an entry that cannot be removed (a directory, say) is left: a manifest
     never lists that recording, and the entry can be a hit only for the
-    recording whose bytes name it. Running out of memory, or a worker that
-    dies, is ``run_jobs``'s ``ConfigError`` naming ``out_dir`` and the
-    sample count.
+    recording whose bytes name it. Running out of memory in a job, drawing
+    or writing, or a worker that dies, is ``run_jobs``'s ``ConfigError``
+    naming ``out_dir`` and the sample count.
     """
     # Deferred, as in ``_sha256``; imported before the fork, so each worker inherits it.
     import hashlib  # noqa: F401
@@ -516,7 +516,7 @@ def write_array(
     return manifest_path
 
 
-def _write_recording(array: ArrayRecording | SimulatedArray, k: int, dest: Path) -> None:
+def _write_recording(array: SimulatedArray, k: int, dest: Path) -> None:
     """``write_array``'s job: recording k of ``array`` to ``dest``."""
     write_recording_csv(array.recording(k), dest)
 

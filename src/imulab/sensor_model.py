@@ -22,6 +22,7 @@ __all__ = [
     "SensorRecording",
     "ArrayRecording",
     "SimulatedArray",
+    "check_unique_ids",
     "MEMS_ERROR_RANGES",
     "draw_sensor_params",
     "simulate_array",
@@ -147,10 +148,7 @@ class ArrayRecording:
         recs = tuple(self.recordings)
         if len(recs) < 1:
             raise ValueError("array must contain at least one recording")
-        ids = [r.sensor_id for r in recs]
-        for sid in ids:
-            if ids.count(sid) > 1:
-                raise ValueError(f"duplicate sensor_id {sid!r}")
+        check_unique_ids([r.sensor_id for r in recs])
         ref = recs[0]
         for r in recs[1:]:
             if r.n_samples != ref.n_samples:
@@ -177,12 +175,12 @@ class ArrayRecording:
     def rate_hz(self) -> float:
         return self.recordings[0].rate_hz
 
-    @property
-    def sensor_ids(self) -> list[str]:
-        return [r.sensor_id for r in self.recordings]
 
-    def recording(self, k: int) -> SensorRecording:
-        return self.recordings[k]
+def check_unique_ids(ids: Sequence[str]) -> None:
+    """Raise a ``ValueError`` naming the first of ``ids`` that is listed twice."""
+    for sid in ids:
+        if ids.count(sid) > 1:
+            raise ValueError(f"duplicate sensor_id {sid!r}")
 
 
 # Min / median / max error spread of a ten-unit consumer-grade MEMS array
@@ -298,7 +296,11 @@ class SimulatedArray:
         sigma_walk sqrt(dt)) < 1e300 on each axis (sigma_walk counted only
         with ``inject_bias_walk``): no normal draw of a double comes near
         2**64, and 1e300 leaves room for the rounding of the samples' sums.
-        Otherwise the sensor is drawn here, and its samples checked.
+        Otherwise the sensor is drawn here, and its samples checked. Drawing
+        every sensor here instead costs a second draw of each: measured on 2
+        CPUs (numpy 2.4), the benchmark's ``pipeline_s`` rose 2.9% on
+        ``paper`` and 4.5% on ``wide_manifest`` (10 pairs each), and at
+        K=32, N=1e5 ``simulate`` took about 0.6 s and 4.9 MB of peak RSS more.
         """
         p = self.params[k]
         # Python floats: a product that overflows is inf, without a warning.

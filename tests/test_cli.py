@@ -636,6 +636,22 @@ class TestSimulate:
         assert err.startswith("config error: duration_s * rate_hz = 1e+03 samples"), err
         assert err.endswith("do not fit in memory: MemoryError\n"), err
 
+    def test_draw_beyond_memory_fails_as_a_write_does(self, tmp_path, capsys, monkeypatch):
+        """Each recording is drawn in the job that writes it, so running out
+        of memory in a draw is the write's config error, naming the output
+        directory and the sample count, and no manifest is written."""
+        def out_of_memory(array, k):
+            raise MemoryError("Unable to allocate 728. TiB")
+
+        monkeypatch.setattr(SimulatedArray, "recording", out_of_memory)
+        assert main(["simulate", "--config", str(_write_config(tmp_path))]) == 2
+        rec_dir = tmp_path / "out" / "recordings"
+        assert capsys.readouterr().err == (
+            f"config error: {rec_dir}: recordings of 1000 samples per sensor do not fit in "
+            "memory: Unable to allocate 728. TiB\n")
+        assert not (rec_dir / "manifest.json").exists()
+        assert not list(rec_dir.glob("*.csv"))
+
     def test_manifest_config_exits_2_naming_sensors_and_manifest(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(_write_manifest_config(tmp_path))]) == 2
         assert capsys.readouterr().err == ("config error: this command needs synthetic sensor "
@@ -873,6 +889,22 @@ class TestEstimate:
         manifest.write_text(json.dumps(raw))
         assert main(["estimate", "--config", str(_write_manifest_config(tmp_path))]) == 3
         assert "duplicate sensor_id 'sensor_00'" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "quality.json").exists()
+
+    def test_duplicate_sensor_id_is_named_before_a_misaligned_recording(
+        self, tmp_path, simulated, capsys
+    ):
+        """A sensor id listed twice, neither time first, is named before a
+        recording that is not aligned with the first, as an array of them
+        all names it."""
+        manifest = tmp_path / "out" / "recordings" / "manifest.json"
+        raw = json.loads(manifest.read_text())
+        raw["sensor_files"].append(raw["sensor_files"][1])
+        manifest.write_text(json.dumps(raw))
+        _rewrite_recording(manifest.with_name("sensor_02.csv"),
+                           lambda rows: rows[:, 0].__iadd__(0.5))
+        assert main(["estimate", "--config", str(_write_manifest_config(tmp_path))]) == 3
+        assert capsys.readouterr().err == "data error: duplicate sensor_id 'sensor_01'\n"
         assert not (tmp_path / "out" / "quality.json").exists()
 
     def test_unreadable_inputs_exit_3_naming_path(self, tmp_path, simulated, capsys):
@@ -1282,6 +1314,28 @@ def test_copies_of_one_recording_give_a_k_ratio_of_one(tmp_path, monkeypatch):
         t0 = evaluation[key]["t0"]
         assert t0["K1"] > 0 and t0 == dict.fromkeys(("K1", "K2", "K4"), t0["K1"])
         assert evaluation[key]["k_ratio"] == 1.0
+
+
+def test_entry_gone_before_the_second_pass_is_a_data_error(tmp_path, capsys, monkeypatch):
+    """``estimate`` ranks the recordings by their stats in a first pass and
+    loads each rows cache hit again in the second. An entry that has gone
+    in between is not parsed from a file that may have changed: the stage
+    fails as a data error, writing nothing."""
+    cfg = _write_config(tmp_path)
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    first_pass = cli._first_pass
+
+    def then_drop_the_cache(*args):
+        result = first_pass(*args)
+        _drop_rows_cache(cfg)
+        return result
+
+    monkeypatch.setattr(cli, "_first_pass", then_drop_the_cache)
+    capsys.readouterr()
+    assert main(["estimate", "--config", str(cfg)]) == 3
+    manifest = tmp_path / "out" / "recordings" / "manifest.json"
+    assert capsys.readouterr().err == f"data error: {manifest}: recordings changed while read\n"
+    assert not (tmp_path / "out" / "quality.json").exists()
 
 
 def _json_leaves(obj, at=""):

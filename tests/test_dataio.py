@@ -19,8 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from imulab import dataio
-from imulab.cli import _load_array
+from imulab import cli, dataio
 from imulab.dataio import (
     ArrayManifest,
     ConfigError,
@@ -41,10 +40,26 @@ from imulab.dataio import (
 from imulab.sensor_model import (
     SensorErrorParams,
     SensorRecording,
+    SimulatedArray,
     draw_sensor_params,
     simulate_array,
 )
 from oracles import cell_by_cell_csv, whole_text_parse_recording
+
+
+def _first_pass_recordings(manifest_path, manifest, digests=None) -> list[SensorRecording]:
+    """The recordings that ``cli._first_pass`` builds from a manifest, in its
+    order, once it has checked them all: it raises their first fault."""
+    built, parse = [], cli.parse_recording_csv
+
+    def noting(*args, **kwargs):
+        built.append(parse(*args, **kwargs))
+        return built[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "parse_recording_csv", noting)
+        cli._first_pass(manifest_path, manifest, digests)
+    return built
 
 
 def _write_noting_pid(recording, dest):
@@ -360,29 +375,33 @@ class TestRoundTrips:
         assert load_manifest(path) == manifest
 
     def test_written_manifest_declares_si_units(self, tmp_path, gravity):
-        arr = simulate_array(draw_sensor_params(2, 1), gravity, 0.1, 100.0, seed=1)
+        arr = SimulatedArray(draw_sensor_params(2, 1), gravity, 0.1, 100.0, seed=1)
         raw = json.loads(write_array(arr, tmp_path, gravity).read_text())
         assert raw["units"] == {"gyro": "rad/s", "accel": "m/s2"}
 
     def test_array_round_trip(self, tmp_path, gravity):
-        arr = simulate_array(draw_sensor_params(3, 1), gravity, 0.5, 100.0, seed=1)
-        manifest_path = write_array(arr, tmp_path, gravity)
+        params = draw_sensor_params(3, 1)
+        arr = simulate_array(params, gravity, 0.5, 100.0, seed=1)
+        manifest_path = write_array(SimulatedArray(params, gravity, 0.5, 100.0, seed=1),
+                                    tmp_path, gravity)
         manifest = load_manifest(manifest_path)
-        back = _load_array(manifest_path, manifest)
+        back = _first_pass_recordings(manifest_path, manifest)
         assert manifest.gravity_mps2 == gravity.g_magnitude
-        for a, b in zip(arr.recordings, back.recordings):
+        for a, b in zip(arr.recordings, back):
             assert np.array_equal(a.gyro, b.gyro)
             assert np.array_equal(a.accel, b.accel)
 
     def test_pooled_write_matches_serial_writes(self, tmp_path, gravity):
-        arr = simulate_array(draw_sensor_params(5, 3), gravity, 30.0, 100.0, seed=3)
+        params = draw_sensor_params(5, 3)
+        arr = SimulatedArray(params, gravity, 30.0, 100.0, seed=3)
         assert arr.n_sensors * arr.n_samples * 7 >= dataio._POOL_MIN_VALUES
         write_array(arr, tmp_path / "pool", gravity)
         assert _no_child_left()
-        names = [f"{rec.sensor_id}.csv" for rec in arr.recordings]
+        recs = simulate_array(params, gravity, 30.0, 100.0, seed=3).recordings
+        names = [f"{rec.sensor_id}.csv" for rec in recs]
         assert sorted(p.name for p in (tmp_path / "pool").iterdir()) == [
             ".rows", "manifest.json", *names]
-        for rec, name in zip(arr.recordings, names):
+        for rec, name in zip(recs, names):
             write_recording_csv(rec, tmp_path / "serial" / name)
             assert (tmp_path / "pool" / name).read_bytes() == \
                 (tmp_path / "serial" / name).read_bytes()
@@ -395,7 +414,7 @@ class TestRoundTrips:
 
         def writer_pids(name, duration_s):
             out = tmp_path / name
-            arr = simulate_array(draw_sensor_params(5, 3), gravity, duration_s, 100.0, seed=3)
+            arr = SimulatedArray(draw_sensor_params(5, 3), gravity, duration_s, 100.0, seed=3)
             write_array(arr, out, gravity)
             assert len(list(out.glob("*.pid"))) == 5
             return {int(p.read_text()) for p in out.glob("*.pid")}
@@ -417,7 +436,7 @@ class TestRoundTrips:
         self, tmp_path, gravity, monkeypatch
     ):
         monkeypatch.setattr(dataio, "write_recording_csv", _write_killing_worker)
-        arr = simulate_array(draw_sensor_params(5, 3), gravity, 30.0, 100.0, seed=3)
+        arr = SimulatedArray(draw_sensor_params(5, 3), gravity, 30.0, 100.0, seed=3)
         with pytest.raises(ConfigError, match=rf"{re.escape(str(tmp_path))}: .* 3000 samples"
                            r" per sensor do not fit in memory"):
             write_array(arr, tmp_path, gravity)
@@ -428,7 +447,7 @@ class TestRoundTrips:
         self, tmp_path, gravity, monkeypatch
     ):
         monkeypatch.setattr(dataio, "write_recording_csv", _write_out_of_memory)
-        arr = simulate_array(draw_sensor_params(2, 3), gravity, 1.0, 100.0, seed=3)
+        arr = SimulatedArray(draw_sensor_params(2, 3), gravity, 1.0, 100.0, seed=3)
         with pytest.raises(ConfigError, match=rf"{re.escape(str(tmp_path))}: .* 100 samples"
                            r" per sensor do not fit in memory"):
             write_array(arr, tmp_path, gravity)
@@ -437,7 +456,7 @@ class TestRoundTrips:
     def test_unremovable_manifest_is_a_config_error_naming_it(self, tmp_path, gravity):
         manifest = tmp_path / "manifest.json"
         (manifest / "inside").mkdir(parents=True)  # a directory: unlink refuses it
-        arr = simulate_array(draw_sensor_params(2, 3), gravity, 1.0, 100.0, seed=3)
+        arr = SimulatedArray(draw_sensor_params(2, 3), gravity, 1.0, 100.0, seed=3)
         with pytest.raises(ConfigError, match=rf"cannot remove {re.escape(str(manifest))}: "):
             write_array(arr, tmp_path, gravity)
         assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]  # no recording
@@ -445,10 +464,10 @@ class TestRoundTrips:
     def test_second_write_removes_the_recordings_it_does_not_write(self, tmp_path, gravity):
         """A run of 3 sensors after one of 4 leaves no ``sensor_03.csv``; a
         file that no manifest listed is kept."""
-        write_array(simulate_array(draw_sensor_params(4, 1), gravity, 1.0, 100.0, seed=1),
+        write_array(SimulatedArray(draw_sensor_params(4, 1), gravity, 1.0, 100.0, seed=1),
                     tmp_path, gravity)
         (tmp_path / "notes.csv").write_text("kept")
-        write_array(simulate_array(draw_sensor_params(3, 2), gravity, 1.0, 100.0, seed=2),
+        write_array(SimulatedArray(draw_sensor_params(3, 2), gravity, 1.0, 100.0, seed=2),
                     tmp_path, gravity)
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             ".rows", "manifest.json", "notes.csv", "sensor_00.csv", "sensor_01.csv",
@@ -459,7 +478,7 @@ class TestRoundTrips:
     def test_stale_recording_left_when_it_cannot_be_removed(self, tmp_path, gravity, odd):
         """A manifest that does not load lists nothing to remove, and a
         recording that cannot be removed is left; neither fails the write."""
-        write_array(simulate_array(draw_sensor_params(4, 1), gravity, 1.0, 100.0, seed=1),
+        write_array(SimulatedArray(draw_sensor_params(4, 1), gravity, 1.0, 100.0, seed=1),
                     tmp_path, gravity)
         stale = tmp_path / "sensor_03.csv"
         if odd == "manifest_not_json":
@@ -468,7 +487,7 @@ class TestRoundTrips:
             stale.unlink()
             (stale / "inside").mkdir(parents=True)
         manifest_path = write_array(
-            simulate_array(draw_sensor_params(3, 2), gravity, 1.0, 100.0, seed=2), tmp_path,
+            SimulatedArray(draw_sensor_params(3, 2), gravity, 1.0, 100.0, seed=2), tmp_path,
             gravity)
         assert stale.exists() and len(load_manifest(manifest_path).sensor_files) == 3
 
@@ -571,12 +590,12 @@ def test_result_cut_short_is_a_dead_worker_leaving_no_child(tmp_path, job):
 
 class TestPooledReads:
     """``read_recording_rows`` reads a large manifest's recordings in forked
-    workers; ``_load_array`` then parses them in manifest order."""
+    workers; ``cli._first_pass`` then builds them in manifest order."""
 
     @pytest.fixture
     def pooled(self, tmp_path, gravity):
         """A manifest of five recordings, 5 x 4000 x 7 values: read in the pool."""
-        arr = simulate_array(draw_sensor_params(5, 3), gravity, 40.0, 100.0, seed=3)
+        arr = SimulatedArray(draw_sensor_params(5, 3), gravity, 40.0, 100.0, seed=3)
         return write_array(arr, tmp_path / "rec", gravity)
 
     @staticmethod
@@ -608,8 +627,8 @@ class TestPooledReads:
                    for pid in Path(f"{path}.opens").read_text().split()}
         assert os.getpid() not in readers  # read in the pool
         assert _no_child_left()
-        back = _load_array(pooled, load_manifest(pooled))
-        for a, b in zip(self._serial(pooled), back.recordings):
+        back = _first_pass_recordings(pooled, load_manifest(pooled))
+        for a, b in zip(self._serial(pooled), back):
             assert a.sensor_id == b.sensor_id
             for name in ("t", "gyro", "accel"):
                 assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
@@ -638,12 +657,12 @@ class TestPooledReads:
         want = self._serial(pooled)
         assert isinstance(want, str) and want.startswith(f"sensor_0{min(faults)}: ")
         with pytest.raises(DataError) as exc_info:
-            _load_array(pooled, load_manifest(pooled))
+            _first_pass_recordings(pooled, load_manifest(pooled))
         assert str(exc_info.value) == want
         assert _no_child_left()
 
     # The same faults, read in-process: the time-base fault before a bad cell
-    # pins that ``_load_array`` checks each recording's time base, as it
+    # pins that ``cli._first_pass`` checks each recording's time base, as it
     # builds it, before the next recording's rows are taken, in both modes.
     _faults = test_first_faulty_recording_is_named_as_in_a_serial_read.pytestmark[0]
 
@@ -663,7 +682,7 @@ class TestPooledReads:
         lines[6] = lines[6].replace(b",", b",x", 1)
         path.write_bytes(b"\n".join(lines))
         with pytest.raises(DataError, match="^sensor_02: line 7: "):
-            _load_array(pooled, load_manifest(pooled))
+            _first_pass_recordings(pooled, load_manifest(pooled))
         readers = Path(f"{path}.opens").read_text().split()
         assert len(readers) == 1 and int(readers[0]) != os.getpid()
         assert _no_child_left()
@@ -675,12 +694,12 @@ class TestPooledReads:
         monkeypatch.setattr(dataio, "_recording_rows", _rows_noting_pid)
 
         def reader_pids(manifest_path):
-            _load_array(manifest_path, load_manifest(manifest_path))
+            _first_pass_recordings(manifest_path, load_manifest(manifest_path))
             pids = list(manifest_path.parent.glob("*.pid"))
             assert len(pids) == 5
             return {int(p.read_text()) for p in pids}
 
-        small = write_array(simulate_array(draw_sensor_params(5, 3), gravity, 1.0, 100.0,
+        small = write_array(SimulatedArray(draw_sensor_params(5, 3), gravity, 1.0, 100.0,
                                            seed=3), tmp_path / "small", gravity)
         assert reader_pids(small) == {os.getpid()}
         assert os.getpid() not in reader_pids(pooled)
@@ -717,7 +736,7 @@ class TestRowsCache:
     def cached(self, tmp_path, gravity):
         """A manifest of five recordings, 5 x 4000 x 7 values, and their rows
         cache; four recordings to parse are read in the pool."""
-        arr = simulate_array(draw_sensor_params(5, 3), gravity, 40.0, 100.0, seed=3)
+        arr = SimulatedArray(draw_sensor_params(5, 3), gravity, 40.0, 100.0, seed=3)
         return write_array(arr, tmp_path / "rec", gravity)
 
     def test_entry_is_the_parsed_rows_named_by_the_csv_digest(self, cached):
@@ -736,11 +755,11 @@ class TestRowsCache:
         manifest = load_manifest(cached)
         with monkeypatch.context() as patch:
             patch.setattr(dataio, "_recording_rows", _rows_noting_opens)
-            back = _load_array(cached, manifest, _digests(cached))
+            back = _first_pass_recordings(cached, manifest, _digests(cached))
             assert list(cached.parent.glob("*.opens")) == []
-            parsed = _load_array(cached, manifest)
+            parsed = _first_pass_recordings(cached, manifest)
             assert len(list(cached.parent.glob("*.opens"))) == 5
-        for a, b in zip(parsed.recordings, back.recordings):
+        for a, b in zip(parsed, back):
             assert a.sensor_id == b.sensor_id
             for name in ("t", "gyro", "accel"):
                 assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
@@ -748,7 +767,7 @@ class TestRowsCache:
 
     @pytest.mark.parametrize("read", ["hits", "in_process_misses"])
     def test_each_recording_is_built_once(self, cached, read, monkeypatch):
-        """``_load_array`` builds (and checks the time base of) each
+        """``cli._first_pass`` builds (and checks the time base of) each
         recording once, whether its rows are a hit or parsed here."""
         built = []
 
@@ -759,26 +778,26 @@ class TestRowsCache:
         monkeypatch.setattr(dataio, "SensorRecording", counting_recording)
         manifest = load_manifest(cached)
         if read == "hits":
-            back = _load_array(cached, manifest, _digests(cached))
+            back = _first_pass_recordings(cached, manifest, _digests(cached))
         else:
             with _other_thread():
-                back = _load_array(cached, manifest)
+                back = _first_pass_recordings(cached, manifest)
         assert built == [sid for sid, _ in manifest.sensor_files]
-        assert [r.sensor_id for r in back.recordings] == built
+        assert [r.sensor_id for r in back] == built
 
     def test_edited_recording_is_parsed_and_its_neighbours_hit(self, cached, monkeypatch):
         monkeypatch.setattr(dataio, "_recording_rows", _rows_noting_opens)
         victim = cached.parent / "sensor_02.csv"
         _edit_cell(victim, 9, b"0.125")
-        back = _load_array(cached, load_manifest(cached), _digests(cached))
+        back = _first_pass_recordings(cached, load_manifest(cached), _digests(cached))
         assert [p.name for p in cached.parent.glob("*.opens")] == ["sensor_02.csv.opens"]
-        assert back.recordings[2].gyro[8, 0] == 0.125
-        for a, b in zip(TestPooledReads._serial(cached), back.recordings):
+        assert back[2].gyro[8, 0] == 0.125
+        for a, b in zip(TestPooledReads._serial(cached), back):
             assert a.gyro.tobytes() == b.gyro.tobytes()
         _edit_cell(victim, 9, b"x")
         with pytest.raises(DataError, match="^sensor_02: line 10: could not convert string "
                                             "to float: 'x'$"):
-            _load_array(cached, load_manifest(cached), _digests(cached))
+            _first_pass_recordings(cached, load_manifest(cached), _digests(cached))
 
     @pytest.mark.parametrize("damage", [
         "truncated", "reshaped", "nan", "pickled", "fortran", "big_endian", "beyond_recording",
@@ -837,7 +856,7 @@ class TestRowsCache:
         want = TestPooledReads._serial(cached)
         assert isinstance(want, str) and want.startswith(first)
         with pytest.raises(DataError) as exc_info:
-            _load_array(cached, load_manifest(cached), _digests(cached))
+            _first_pass_recordings(cached, load_manifest(cached), _digests(cached))
         assert str(exc_info.value) == want
         assert _no_child_left()
 
@@ -853,7 +872,7 @@ class TestRowsCache:
         rows[7, 0] = rows[6, 0]
         np.save(entry, rows)
         with pytest.raises(DataError, match="^sensor_02: timestamps must be strictly increasing$"):
-            _load_array(cached, load_manifest(cached), _digests(cached))
+            _first_pass_recordings(cached, load_manifest(cached), _digests(cached))
         readers = (cached.parent / "sensor_01.csv.opens").read_text().split()
         assert len(readers) == 1 and int(readers[0]) != os.getpid()
         assert _no_child_left()
@@ -863,7 +882,7 @@ class TestRowsCache:
         """An entry whose name a directory takes, or a ``.rows`` that is a
         file, is neither removed nor written by the next write: that
         recording, or every one, is then a miss and parsed."""
-        arr = simulate_array(draw_sensor_params(3, 1), gravity, 1.0, 100.0, seed=1)
+        arr = SimulatedArray(draw_sensor_params(3, 1), gravity, 1.0, 100.0, seed=1)
         out = tmp_path / "rec"
         digests = _digests(write_array(arr, out, gravity))
         if odd == "entry_directory":
@@ -887,11 +906,11 @@ class TestRowsCache:
 
     def test_second_write_leaves_only_its_entries(self, tmp_path, gravity):
         out = tmp_path / "rec"
-        write_array(simulate_array(draw_sensor_params(4, 1), gravity, 1.0, 100.0, seed=1),
+        write_array(SimulatedArray(draw_sensor_params(4, 1), gravity, 1.0, 100.0, seed=1),
                     out, gravity)
         (out / ".rows" / ".stray.npy.123.tmp").write_bytes(b"")
         manifest_path = write_array(
-            simulate_array(draw_sensor_params(3, 2), gravity, 1.0, 100.0, seed=2), out, gravity)
+            SimulatedArray(draw_sensor_params(3, 2), gravity, 1.0, 100.0, seed=2), out, gravity)
         assert sorted(p.name for p in (out / ".rows").iterdir()) == sorted(
             f"{d}.npy" for d in _digests(manifest_path))
 
@@ -917,7 +936,7 @@ class TestRecordingStatsFile:
         assert [p.name for p in tmp_path.iterdir()] == ["stats.json"]
 
     def test_key_hashes_manifest_and_recordings(self, tmp_path, gravity):
-        arr = simulate_array(draw_sensor_params(2, 4), gravity, 0.1, 100.0, seed=4)
+        arr = SimulatedArray(draw_sensor_params(2, 4), gravity, 0.1, 100.0, seed=4)
         manifest_path = write_array(arr, tmp_path, gravity)
         manifest = load_manifest(manifest_path)
         key = recording_stats_key(manifest_path, manifest)
@@ -939,7 +958,7 @@ class TestRecordingStatsFile:
         import hashlib
         import tracemalloc
 
-        arr = simulate_array(draw_sensor_params(1, 4), gravity, 0.1, 100.0, seed=4)
+        arr = SimulatedArray(draw_sensor_params(1, 4), gravity, 0.1, 100.0, seed=4)
         manifest_path = write_array(arr, tmp_path, gravity)
         manifest = load_manifest(manifest_path)
         data = np.random.default_rng(0).bytes(8 << 20)

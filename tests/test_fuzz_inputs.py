@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from imulab.cli import main
 from imulab.dataio import write_array
-from imulab.sensor_model import GravityModel, draw_sensor_params, simulate_array
+from imulab.sensor_model import GravityModel, SimulatedArray, draw_sensor_params
 
 FILES = ("manifest.json", "sensor_00.csv", "sensor_01.csv")
 RECORDINGS = FILES[1:]
@@ -73,7 +73,7 @@ def base_files(tmp_path_factory) -> dict:
     the products of a clean ``estimate`` and ``propagate`` on them."""
     out = tmp_path_factory.mktemp("base")
     gravity = GravityModel()
-    arr = simulate_array(draw_sensor_params(2, 5), gravity, 2.0, 10.0, seed=5)
+    arr = SimulatedArray(draw_sensor_params(2, 5), gravity, 2.0, 10.0, seed=5)
     write_array(arr, out, gravity)
     for cmd in ("estimate", "propagate"):
         assert _run(cmd, out)[0] == 0, cmd

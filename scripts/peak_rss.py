@@ -9,7 +9,9 @@ MB) after ``import imulab.cli`` and after each stage, and the largest peak
 RSS of the worker processes that the stages forked and reaped so far
 (``RUSAGE_CHILDREN``), after each stage. Both are high-water marks, so a
 stage's reading is the peak up to its end; a stage that raises no reading
-above the one before it did not set the peak.
+above the one before it did not set the peak. It also prints each stage's
+minor page faults (``ru_minflt``), its own for this process and for the
+workers it reaped, each as the count during that stage alone.
 
 ``--sensors`` and ``--duration`` resize the workload; with ``--sensors``
 its ``k_grid`` is ``[1, sensors]``:
@@ -43,7 +45,8 @@ def _peak_mb(who: int) -> float:
 def peak_rss(workload, seed: int, out_dir: Path) -> dict:
     """Run ``workload``'s four stages in the empty directory ``out_dir`` and
     return the peak RSS readings, in MB: ``self`` after ``import`` and after
-    each stage, and ``children`` after each stage.
+    each stage, and ``children`` after each stage; and ``minor_faults``, the
+    ``self`` and ``children`` minor page faults taken during each stage.
 
     A stage that exits non-zero raises ``RuntimeError`` naming it.
     """
@@ -53,21 +56,27 @@ def peak_rss(workload, seed: int, out_dir: Path) -> dict:
     import imulab.cli
 
     readings = {"self": {"import": _peak_mb(resource.RUSAGE_SELF)}, "children": {}}
+    faults = {"self": {}, "children": {}}
+    who = {"self": resource.RUSAGE_SELF, "children": resource.RUSAGE_CHILDREN}
     configs = workload.stage_configs(seed, out_dir)
     cwd = os.getcwd()
     os.chdir(out_dir)  # the configs name their output directory relative to it
     try:
         for stage in STAGES:
+            before = {side: resource.getrusage(w).ru_minflt for side, w in who.items()}
             with contextlib.redirect_stdout(sys.stderr):
                 code = imulab.cli.main([stage, "--config", configs[stage].name])
             if code != 0:
                 raise RuntimeError(f"{workload.name}: {stage} exited {code}")
+            for side, w in who.items():
+                faults[side][stage] = resource.getrusage(w).ru_minflt - before[side]
             readings["self"][stage] = _peak_mb(resource.RUSAGE_SELF)
             readings["children"][stage] = _peak_mb(resource.RUSAGE_CHILDREN)
     finally:
         os.chdir(cwd)
     return {"workload": workload.name, "sensors": workload.sensors,
-            "n_samples": workload.n_samples, "seed": seed, **readings}
+            "n_samples": workload.n_samples, "seed": seed, **readings,
+            "minor_faults": faults}
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ the config's ``*_dps`` sensor keys and writes the ``*_dps`` fields of its produc
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -178,8 +179,9 @@ class ArrayRecording:
 
 def check_unique_ids(ids: Sequence[str]) -> None:
     """Raise a ``ValueError`` naming the first of ``ids`` that is listed twice."""
+    counts = Counter(ids)
     for sid in ids:
-        if ids.count(sid) > 1:
+        if counts[sid] > 1:
             raise ValueError(f"duplicate sensor_id {sid!r}")
 
 

@@ -1,6 +1,8 @@
+import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import imulab
+from imulab import cli, dataio
 from imulab.estimation import (
     _log_window_grid,
     bias_and_noise,
@@ -20,7 +23,7 @@ from imulab.estimation import (
     sort_by_quality,
 )
 from imulab.sensor_model import SensorErrorParams, SensorRecording, residuals, simulate_array
-from oracles import fisher_crlb, variance_of_mean, wss_check
+from oracles import fisher_crlb, variance_of_mean, windowed_kde, wss_check
 
 
 class TestVarianceOfMean:
@@ -212,6 +215,87 @@ class TestKde:
         grid = np.concatenate([np.linspace(-1, 1, 101), [0.25 + 1e-12, 0.25 - 3e-12]])
         want = self.dense_kde(x, grid)
         got = kde_density(x, grid)
+        assert want.max() > 0
+        assert np.max(np.abs(got - want)) <= 1e-12 * want.max()
+
+
+@pytest.fixture(scope="module")
+def paper_kde_calls(tmp_path_factory):
+    """(samples, grid) of each ``kde_density`` call that ``estimate`` makes on
+    the seed-7 ``paper`` workload (K=1 and K=10; gyro in deg/s, then accel;
+    raw, then calibrated), its per-k jobs run in this process."""
+    tmp = tmp_path_factory.mktemp("paper")
+    cfg = tmp / "config.json"
+    cfg.write_text(json.dumps({
+        "seed": 7, "duration_s": 100.0, "rate_hz": 100.0, "sensors": 10,
+        "k_grid": [1, 10], "tau_grid": [0.0, 1.0], "out_dir": str(tmp / "run"),
+    }))
+    calls = []
+
+    def noting(samples, grid):
+        calls.append((np.array(samples), np.array(grid)))
+        return kde_density(samples, grid)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dataio, "_POOL_MIN_VALUES", float("inf"))
+        patch.setattr(cli, "kde_density", noting)
+        assert cli.main(["simulate", "--config", str(cfg)]) == 0
+        assert cli.main(["estimate", "--config", str(cfg)]) == 0
+    return calls
+
+
+class TestKdeAgainstWindowedSum:
+    """``kde_density``'s fast Gauss transform against the direct windowed
+    sum it replaced (``oracles.windowed_kde``)."""
+
+    def test_paper_pools(self, paper_kde_calls):
+        assert len(paper_kde_calls) == 8
+        for samples, grid in paper_kde_calls:
+            assert (samples.size, grid.size) == (30_000, 201)
+            want = windowed_kde(samples, grid)
+            got = kde_density(samples, grid)
+            assert np.max(np.abs(got - want)) <= 1e-14 * want.max()
+
+    def test_far_outlier_in_bounded_memory(self):
+        rng = np.random.default_rng(29)
+        x = rng.normal(size=300_000)
+        x[1234] = 1e6
+        grid = np.concatenate([np.linspace(-5.0, 5.0, 201), 1e6 + np.array([-300.0, 0.0, 0.5])])
+
+        def traced(kde):
+            tracemalloc.start()
+            try:
+                return kde(x, grid), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        want, oracle_peak = traced(windowed_kde)
+        got, peak = traced(kde_density)
+        assert np.max(np.abs(got - want)) <= 1e-12 * want.max()
+        assert peak <= oracle_peak + x.nbytes
+
+    def test_unsorted_non_uniform_points_and_window_edges(self):
+        rng = np.random.default_rng(5)
+        # Sixty-fourths and a bandwidth of 1/2, so that x + 9h is exact: the
+        # edge of the windowed sum's window.
+        x = rng.integers(-256, 257, 2000) / 64.0
+        h = 0.5
+        grid = np.concatenate([rng.uniform(-2.0, 2.0, 60) ** 3,
+                               [x.max() + 9 * h, x.min() - 9 * h, x.max() + 9.25 * h]])
+        grid = rng.permutation(grid)
+        want = windowed_kde(x, grid, h)
+        got = kde_density(x, grid, h)
+        assert np.max(np.abs(got - want)) <= 1e-12 * want.max()
+        order = np.argsort(grid)
+        assert np.array_equal(kde_density(x, grid[order], h), got[order])
+
+    def test_bandwidth_below_the_sample_spacing(self):
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=500)
+        h = np.diff(np.sort(x)).min() / 10  # cells h/2 wide: one sample each
+        grid = rng.permutation(np.concatenate([x + d * h for d in (-3.0, -0.5, 0.0, 1.0, 9.0)]))
+        want = windowed_kde(x, grid, h)
+        got = kde_density(x, grid, h)
         assert want.max() > 0
         assert np.max(np.abs(got - want)) <= 1e-12 * want.max()
 

@@ -52,7 +52,8 @@ def test_peak_rss_reads_each_stage(tmp_path, monkeypatch):
     """``scripts/peak_rss.py`` runs a workload's four stages, as
     ``output_sha256.py`` does, and reads the process's peak RSS after the
     import and after each stage, and its reaped workers' after each stage:
-    high-water marks, so never falling."""
+    high-water marks, so never falling; and the minor page faults that each
+    stage took, its own and its reaped workers'."""
     workloads, _ = _sha_script(monkeypatch)
     spec = importlib.util.spec_from_file_location("peak_rss", SHA_SCRIPT.with_name("peak_rss.py"))
     script = importlib.util.module_from_spec(spec)
@@ -66,6 +67,10 @@ def test_peak_rss_reads_each_stage(tmp_path, monkeypatch):
         values = list(marks.values())
         assert values == sorted(values) and values[0] >= 0
     assert readings["self"]["import"] > 0
+    for side in ("self", "children"):
+        faults = readings["minor_faults"][side]
+        assert list(faults) == list(workloads.STAGES)
+        assert all(isinstance(n, int) and n >= 0 for n in faults.values())
     assert (tmp_path / "rss" / "run" / "report.json").is_file()
     with pytest.raises(RuntimeError, match="is not empty"):
         script.peak_rss(workload, 7, tmp_path / "rss")

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from imulab.sensor_model import (
     GravityModel,
     SensorErrorParams,
     SensorRecording,
+    check_unique_ids,
     draw_sensor_params,
     residuals,
     simulate_array,
@@ -139,6 +142,16 @@ class TestRecordingInvariants:
         a = simulate_array([quiet_params()], gravity, 1.0, 10.0, seed=0).recordings[0]
         with pytest.raises(ValueError, match="duplicate sensor_id 'sensor_00'"):
             ArrayRecording((a, a))
+
+    def test_duplicate_named_is_the_first_listed_twice(self):
+        with pytest.raises(ValueError, match="^duplicate sensor_id 'a'$"):
+            check_unique_ids(["a", "b", "c", "b", "a"])
+
+    def test_unique_ids_are_checked_in_one_pass(self):
+        ids = [f"sensor_{i:06d}" for i in range(10**5)]
+        start = time.perf_counter()
+        check_unique_ids(ids)
+        assert time.perf_counter() - start < 0.5  # one count per id took minutes
 
     def test_draw_sensor_params_within_ranges(self):
         for p in draw_sensor_params(20, seed=1):
